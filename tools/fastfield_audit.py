@@ -44,7 +44,8 @@ def main() -> None:
     sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.01"
     import ray
 
-    if not ray.is_initialized():
+    own_ray = not ray.is_initialized()
+    if own_ray:
         ray.init(address="local", num_cpus=8, include_dashboard=False,
                  logging_level="ERROR")
 
@@ -90,9 +91,13 @@ def main() -> None:
             os.path.join(sf_dir, "documents.parquet"), columns=["text"]
         )["text"][0].as_py()
         tc = get_analyzer("default").tokenize_column(_pa.array([first_text]))
-        rare = max(tc.terms.to_pylist(), key=len)
+        # a first document without tokens leaves no rare term to probe
+        rare = max(tc.terms.to_pylist(), key=len, default=None)
+        probes = [("absent_term", "zzzqqqxyzzy")]
+        if rare is not None:
+            probes.append(("rare_term", rare))
         bloom_audit: dict[str, dict] = {}
-        for label, term in (("absent_term", "zzzqqqxyzzy"), ("rare_term", rare)):
+        for label, term in probes:
             mark = len(reads)
             res = s.search({"query": {"term": {"text": term}}, "limit": 10})
             bloom_audit[label] = {
@@ -112,6 +117,8 @@ def main() -> None:
         if os.path.exists(os.path.join(seg_root, d, "termbloom.bin"))
     )
     n_segments = len(s.segments)
+    # store reads are row-group fetches, counted by the readers
+    store_blocks = sum(r.store_blocks_read for _, g in s._groups for r in g.readers)
 
     ff_reads = reads[:n_fastfield_reads]
     by_kind: dict[str, dict[str, int]] = {}
@@ -135,13 +142,15 @@ def main() -> None:
             {c for p, cols in ff_reads if "docvalues" in p for c in (cols or ())}
         ),
         "postings_reads": sum(1 for p, _ in ff_reads if "postings" in p),
+        "store_blocks_read": store_blocks,
         "term_bloom": {
             "segments_total": n_segments,
             "bloom_bytes_total": bloom_bytes,
             **bloom_audit,
         },
     }))
-    ray.shutdown()
+    if own_ray:
+        ray.shutdown()
 
 
 if __name__ == "__main__":

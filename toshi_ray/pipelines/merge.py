@@ -53,7 +53,14 @@ from toshi_ray.pipelines.build import (
     load_manifest,
     publish_manifest,
 )
-from toshi_ray.segments import DOCVALUES_FILE, META_FILE, POSTINGS_FILE, STORE_FILE
+from toshi_ray.segments import (
+    DOCVALUES_FILE,
+    META_FILE,
+    POSTINGS_FILE,
+    STORE_BLOCK_ROWS,
+    STORE_COMPRESSION,
+    STORE_FILE,
+)
 
 def _storage():
     """Driver-side storage backend (see toshi_ray.storage): publish /
@@ -637,7 +644,14 @@ def merge_segments(
                     return t.filter(pa.array(~np.isin(ids, tomb_sorted)))
 
                 side = side.map_batches(drop, batch_format="pyarrow")
-                side.write_parquet(os.path.join(tmp, fname.replace(".parquet", "")))
+                # the store keeps the fresh-segment block layout, so a
+                # winner fetch decodes STORE_BLOCK_ROWS rows, not a Ray block
+                layout = (
+                    {"row_group_size": STORE_BLOCK_ROWS, "compression": STORE_COMPRESSION}
+                    if fname == STORE_FILE
+                    else {}
+                )
+                side.write_parquet(os.path.join(tmp, fname.replace(".parquet", "")), **layout)
         finally:
             ctx.execution_options.preserve_order = prev_preserve
 

@@ -13,7 +13,9 @@ re-expressed as Parquet so Ray Data / pyarrow can stream it:
       docvalues.parquet  per-doc columnar values: doc_id, 1-byte fieldnorm
                          codes per text field, numeric fast fields,
                          facet paths  — sorted by doc_id
-      store.parquet      stored fields for retrieval — sorted by doc_id
+      store.parquet      stored fields for retrieval — sorted by doc_id, in
+                         STORE_BLOCK_ROWS-row zstd row groups: the unit a
+                         winner fetch decodes
       meta.json          doc counts + exact per-field token totals
                          (global BM25 stats are summed from these)
 
@@ -46,6 +48,14 @@ POSTINGS_FILE = "postings.parquet"
 DOCVALUES_FILE = "docvalues.parquet"
 STORE_FILE = "store.parquet"
 META_FILE = "meta.json"
+
+# The doc store is written in small fixed row groups so a winner fetch
+# decodes only the blocks holding its rows (tantivy's block-compressed
+# doc store with a skip index, SURVEY.md §1.1). Readers take the block
+# bounds from each store part's footer, so stores written with any
+# other grouping (one group per file, Ray-sized groups) read the same.
+STORE_BLOCK_ROWS = 64
+STORE_COMPRESSION = "zstd"
 
 POSTINGS_SCHEMA_FIXED = [
     ("field", pa.string()),
@@ -350,7 +360,12 @@ def write_segment(
             f.write(payload)
         meta["term_bloom"] = bmeta
     pq.write_table(docvalues, os.path.join(tmp, DOCVALUES_FILE))
-    pq.write_table(store, os.path.join(tmp, STORE_FILE))
+    pq.write_table(
+        store,
+        os.path.join(tmp, STORE_FILE),
+        row_group_size=STORE_BLOCK_ROWS,
+        compression=STORE_COMPRESSION,
+    )
     with open(os.path.join(tmp, META_FILE), "w") as f:
         json.dump(meta, f)
     from toshi_ray.storage import get_storage
@@ -401,6 +416,8 @@ class SegmentReader:
         self._term_index: dict | None = None  # field -> (sorted terms np, row idx np)
         self._df_col: np.ndarray | None = None  # set with the term index
         self._bloom_bits: np.ndarray | None = None  # lazy termbloom.bin
+        self._store_map: tuple | None = None  # lazy, see _store_blocks
+        self.store_blocks_read = 0  # store row groups decoded by store(ids)
 
     def _postings_bytes(self) -> int:
         p = self._path(POSTINGS_FILE)
@@ -423,6 +440,14 @@ class SegmentReader:
             return alt
         raise FileNotFoundError(p)
 
+    def _parts(self, fname: str) -> list[str]:
+        """The part files of one segment file, in row order: merged
+        segments order their parts by file name."""
+        p = self._path(fname)
+        if not os.path.isdir(p):
+            return [p]
+        return [os.path.join(p, f) for f in sorted(os.listdir(p)) if f.endswith(".parquet")]
+
     @property
     def num_docs(self) -> int:
         return self.meta["num_docs"]
@@ -430,12 +455,8 @@ class SegmentReader:
     def dv_column_names(self) -> list[str]:
         """Docvalues schema from the parquet FOOTER — no data pages."""
         if self._dv_names is None:
-            p = self._path(DOCVALUES_FILE)
-            if os.path.isdir(p):
-                p = os.path.join(
-                    p, sorted(f for f in os.listdir(p) if f.endswith(".parquet"))[0]
-                )
-            self._dv_names = list(pq.ParquetFile(p).schema_arrow.names)
+            p = self._parts(DOCVALUES_FILE)[0]
+            self._dv_names = list(pq.read_schema(p).names)
         return self._dv_names
 
     def docvalues(self, columns: list[str] | None = None) -> pa.Table:
@@ -594,17 +615,65 @@ class SegmentReader:
         )
         return t.filter(pa.compute.equal(t["field"], field))
 
+    def _store_blocks(self) -> tuple:
+        """The store's block map, built once from the part footers (no
+        data pages): (part (path, parsed footer) pairs, first global row
+        of every block plus the total row count, each block's part and
+        row group within it, the doc_id docvalues it is addressed by).
+        Footers are cached rather than open files, so a reader holds no
+        file descriptor between fetches."""
+        if self._store_map is None:
+            parts = [(p, pq.read_metadata(p)) for p in self._parts(STORE_FILE)]
+            n_groups = [md.num_row_groups for _, md in parts]
+            sizes = [md.row_group(rg).num_rows for _, md in parts for rg in range(md.num_row_groups)]
+            starts = np.zeros(len(sizes) + 1, dtype=np.int64)
+            np.cumsum(sizes, out=starts[1:])
+            block_part = np.repeat(np.arange(len(parts)), n_groups)
+            block_rg = np.concatenate([np.arange(n) for n in n_groups] or [np.empty(0, np.int64)])
+            self._store_map = (parts, starts, block_part, block_rg, self.doc_ids())
+        return self._store_map
+
     def store(self, doc_ids: np.ndarray | None = None) -> pa.Table:
+        """Stored fields; ``doc_ids`` fetches just those docs, in doc-id
+        order, decoding only the store blocks that hold them:
+        doc_id → row (searchsorted on the doc_id docvalues, whose row
+        order the store shares) → block (footer row counts). Every
+        requested id must have a stored row — a winner always does,
+        tombstoned or not — so a missing id or a docvalues/store pair
+        out of step raises instead of returning the wrong document."""
         if doc_ids is None:
             return pq.read_table(self._path(STORE_FILE))
-        # store is sorted by doc_id → parquet row-group stats prune the
-        # read down to the winners' groups (fetch-only-what-you-rank)
-        import pyarrow.dataset as pads
-
-        wanted = pa.array(np.asarray(doc_ids, dtype=np.uint64), type=pa.uint64())
-        return pq.read_table(
-            self._path(STORE_FILE), filters=pads.field("doc_id").isin(wanted)
-        )
+        parts, starts, block_part, block_rg, all_ids = self._store_blocks()
+        ids = np.unique(np.asarray(doc_ids, dtype=np.uint64))
+        if ids.size == 0:
+            return parts[0][1].schema.to_arrow_schema().empty_table()
+        rows = np.searchsorted(all_ids, ids)
+        found = rows < all_ids.size
+        found[found] = all_ids[rows[found]] == ids[found]
+        if not found.all():
+            raise LookupError(
+                f"segment {self.dir}: no stored row for doc ids {ids[~found][:8].tolist()}"
+            )
+        block = np.searchsorted(starts, rows, side="right") - 1
+        need, which = np.unique(block, return_inverse=True)
+        tables = []
+        for part in np.unique(block_part[need]):
+            path, md = parts[part]
+            with pq.ParquetFile(path, metadata=md) as f:
+                # a few small blocks: handing them to Arrow's thread
+                # pool costs more CPU than decoding them in line
+                rgs = block_rg[need[block_part[need] == part]].tolist()
+                tables.append(f.read_row_groups(rgs, use_threads=False))
+        self.store_blocks_read += need.size
+        # row offset of each needed block within the concatenated read
+        base = np.zeros(need.size, dtype=np.int64)
+        np.cumsum((starts[need + 1] - starts[need])[:-1], out=base[1:])
+        out = pa.concat_tables(tables).take(pa.array(base[which] + rows - starts[block]))
+        if not np.array_equal(out["doc_id"].to_numpy(zero_copy_only=False), ids):
+            raise RuntimeError(
+                f"segment {self.dir}: store rows out of step with the doc_id docvalues"
+            )
+        return out
 
 
 def decode_posting_row(row: dict) -> tuple[np.ndarray, np.ndarray]:
