@@ -293,6 +293,60 @@ def test_session_window_matches_sql(ray_session):
         got.astype("int64"), want.astype("int64"), check_dtype=False)
 
 
+def test_simhash_pairs_match_bruteforce_with_cap(ray_session):
+    """Banded SimHash pairs == a brute-force reference over the same
+    signatures: per (band, 16-bit chunk) bucket, all pairs at or under
+    bucket_cap, a star to the min id above it, deduped across bands,
+    kept at hamming <= max_hamming. The corpus holds buckets of 2, 3 and
+    more than bucket_cap rows."""
+    from itertools import combinations
+
+    import ray.data
+
+    from toshi_ray.ops.dedup import simhash_near_dup_pairs, simhash_signatures
+
+    rng = np.random.default_rng(41)
+
+    def doc(tag, n=40):
+        return " ".join(f"{tag}{w}" for w in rng.integers(0, 60, size=n))
+
+    a, b, c = doc("a"), doc("b"), doc("c")
+    texts = [doc(f"r{i}_") for i in range(20)]
+    texts += [a] * 2 + [b] * 3 + [c] * 6
+    texts += [b + " tailword", c[: len(c) // 2]]
+    ids = np.arange(len(texts), dtype=np.int64) * 7 + 3  # non-positional ids
+    t = pa.table({"doc_id": pa.array(ids), "text": texts})
+    cap, max_ham = 4, 10
+
+    sigs = {int(r["doc_id"]): int(r["simhash"])
+            for r in simhash_signatures(ray.data.from_arrow(t)).take_all()}
+    buckets = {}
+    for d, sh in sigs.items():
+        for band in range(4):
+            buckets.setdefault((band, (sh >> (16 * band)) & 0xFFFF), []).append(d)
+    sizes = {len(m) for m in buckets.values()}
+    assert {2, 3} <= sizes and max(sizes) > cap
+    want = {}
+    for members in buckets.values():
+        members = sorted(members)
+        if len(members) <= cap:
+            cand = combinations(members, 2)
+        else:
+            cand = ((members[0], m) for m in members[1:])
+        for x, y in cand:
+            ham = bin(sigs[x] ^ sigs[y]).count("1")
+            if ham <= max_ham:
+                want[(x, y)] = ham
+
+    got_rows = simhash_near_dup_pairs(
+        ray.data.from_arrow(t).repartition(3), max_hamming=max_ham, bucket_cap=cap
+    ).take_all()
+    got = {(int(r["id_a"]), int(r["id_b"])): int(r["hamming"]) for r in got_rows}
+    assert len(got_rows) == len(got)  # deduped across bands
+    assert got == want
+    assert len(want) > 5
+
+
 # ---- round-2 additions: bucket caps, vectorized jaccard, sql hashes ----
 
 def test_minhash_skew_corpus_capped_star(ray_session, caplog):
@@ -331,9 +385,81 @@ def test_minhash_skew_corpus_capped_star(ray_session, caplog):
     from toshi_ray.ops.dedup import _pair_index
 
     with caplog.at_level(logging.WARNING, logger="toshi_ray.dedup"):
-        ia, ib = _pair_index(100, 64)
+        ia, ib = _pair_index([100], 64)
     assert ia.size == 99 and (ia == 0).all()
     assert any("exceeds cap" in r.message for r in caplog.records)
+
+
+def _runs_reference(sizes, run_pairs):
+    """Concatenate per-run (ia, ib) position pairs, offset by run start."""
+    ra, rb, start = [], [], 0
+    for i, s in enumerate(sizes):
+        a, b = run_pairs(i, s)
+        ra.append(np.asarray(a, np.int64) + start)
+        rb.append(np.asarray(b, np.int64) + start)
+        start += s
+    return np.concatenate([np.empty(0, np.int64), *ra]), np.concatenate(
+        [np.empty(0, np.int64), *rb])
+
+
+def test_pair_index_matches_triu_and_star_reference(caplog):
+    """The vectorized all-runs enumerator == per-run np.triu_indices (at
+    or under cap) or a star to the run's first row (above cap), in the
+    same order, with one warning per capped run."""
+    import logging
+
+    from toshi_ray.ops.dedup import _pair_index
+
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        sizes = rng.integers(0, 14, size=rng.integers(0, 9))
+        cap = int(rng.integers(0, 12))
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="toshi_ray.dedup"):
+            ia, ib = _pair_index(sizes, cap)
+        want_a, want_b = _runs_reference(
+            sizes,
+            lambda i, s: np.triu_indices(s, k=1) if s <= cap
+            else (np.zeros(s - 1), np.arange(1, s)),
+        )
+        np.testing.assert_array_equal(ia, want_a)
+        np.testing.assert_array_equal(ib, want_b)
+        n_warn = sum("exceeds cap" in r.message for r in caplog.records)
+        assert n_warn == int((sizes > cap).sum())
+
+
+def test_cross_index_matches_product_and_star_reference(caplog):
+    """The vectorized cross-side enumerator == per-run ref x new product
+    (at or under pair_cap) or every new row paired with the run's first
+    ref row (above it), logged per capped run."""
+    import logging
+
+    from toshi_ray.ops.dedup import _cross_index
+
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        sizes = rng.integers(0, 12, size=rng.integers(0, 9))
+        sides = [np.sort(rng.integers(0, 2, size=s)) for s in sizes]
+        side = np.concatenate([np.empty(0, np.int64), *sides]).astype(np.int64)
+        pair_cap = int(rng.integers(0, 20))
+
+        def run_pairs(i, s):
+            ref = np.flatnonzero(sides[i] == 0)
+            new = np.flatnonzero(sides[i] == 1)
+            if ref.size * new.size > pair_cap:
+                return np.full(new.size, ref[0]), new
+            return np.repeat(ref, new.size), np.tile(new, ref.size)
+
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="toshi_ray.dedup"):
+            ia, ib = _cross_index(sizes, side, pair_cap)
+        want_a, want_b = _runs_reference(sizes, run_pairs)
+        np.testing.assert_array_equal(ia, want_a)
+        np.testing.assert_array_equal(ib, want_b)
+        n_capped = sum(
+            (s == 0).sum() * (s == 1).sum() > pair_cap for s in sides
+        )
+        assert sum("exceeds pair_cap" in r.message for r in caplog.records) == n_capped
 
 
 def test_ngram_jaccard_matches_bruteforce(ray_session):
@@ -1947,6 +2073,38 @@ def test_minhash_probe_equals_oneshot_cross_pairs(ray_session, docs):
     assert len(got) == len(ref) and len(ref) > 0
     assert (got[["id_a", "id_b"]].to_numpy() == ref[["id_a", "id_b"]].to_numpy()).all()
     assert np.allclose(got["est_jaccard"], ref["est_jaccard"])
+
+
+def test_minhash_probe_pair_cap_star_fallback(ray_session):
+    """A bucket whose ref x new product exceeds pair_cap pairs every new
+    doc with the bucket's minimum ref id only; at or under the cap it
+    pairs every ref doc with every new doc."""
+    import tempfile
+
+    import ray.data
+
+    from toshi_ray.ops.dedup import build_minhash_index, minhash_probe
+
+    dup = " ".join(f"dup{i}" for i in range(40))
+
+    def uniq(tag):
+        return " ".join(f"{tag}w{i}" for i in range(40))
+
+    ref = pa.table({"doc_id": pa.array([5, 2, 9, 11], pa.int64()),
+                    "text": [dup, dup, dup, uniq("r")]})
+    new = pa.table({"doc_id": pa.array([100, 101, 102], pa.int64()),
+                    "text": [dup, dup, uniq("n")]})
+    path = tempfile.mkdtemp(prefix="toshi_mhidx_cap_")
+    build_minhash_index(ray.data.from_arrow(ref), path)
+
+    def probe(pair_cap):
+        rows = minhash_probe(ray.data.from_arrow(new), path, pair_cap=pair_cap).take_all()
+        assert all(r["est_jaccard"] == 1.0 for r in rows)
+        return sorted((int(r["id_a"]), int(r["id_b"])) for r in rows)
+
+    # 3 ref x 2 new = 6 pairs per bucket of the duplicated text
+    assert probe(6) == [(2, 100), (2, 101), (5, 100), (5, 101), (9, 100), (9, 101)]
+    assert probe(5) == [(2, 100), (2, 101)]
 
 
 def test_pq_trained_recall_beats_hash_codebook(ray_session, emb):

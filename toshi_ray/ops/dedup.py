@@ -45,21 +45,6 @@ MINHASH_INDEX_VERSION = 1
 PAIR_DRIVER_CAP = 5_000_000
 
 
-def _pair_index(n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pair indices for one LSH bucket: all pairs when n <= cap, else a
-    STAR to element 0 (the min-id representative after the caller's
-    sort). An oversized bucket is by construction a near-identical
-    cluster; star edges preserve its connected component for dedup
-    clustering at O(n) pairs instead of O(n²). Never silent: every
-    capped bucket is logged with its size."""
-    if n <= cap:
-        return np.triu_indices(n, k=1)
-    _LOG.warning(
-        "LSH bucket with %d rows exceeds cap %d; emitting star pairs only", n, cap
-    )
-    return np.zeros(n - 1, np.int64), np.arange(1, n, dtype=np.int64)
-
-
 def _poly_hash31(col: pa.Array, base: int = 257) -> np.ndarray:
     """Char-code polynomial hash mod 2^31-1 — deliberately mirrorable in
     ANSI SQL (DuckDB: list_reduce over unicode(t[i:i]) with BIGINT
@@ -94,84 +79,147 @@ def token_hash62(col: pa.Array) -> np.ndarray:
     return h1 | (h2 << _U(31))
 
 
-def _empty_pairs(metric: str | None, dtype=None) -> pd.DataFrame:
-    cols = {
-        "id_a": pd.Series(dtype="int64"),
-        "id_b": pd.Series(dtype="int64"),
-    }
+def _pair_schema(metric: str | None = None, typ: pa.DataType = pa.float64()) -> pa.Schema:
+    """The fixed (id_a, id_b[, metric]) schema of every pair table."""
+    fields = [("id_a", pa.int64()), ("id_b", pa.int64())]
     if metric is not None:
-        cols[metric] = pd.Series(dtype=dtype)
-    return pd.DataFrame(cols)
+        fields.append((metric, typ))
+    return pa.schema(fields)
 
+
+_EST_SCHEMA = _pair_schema("est_jaccard")
 
 N_PAIR_PARTS = 64  # coarse shuffle partitions for bucket-pair generation
 
 
-def _pairs_by_partition(exploded, bucket_cols: list[str], pair_fn, metric: str | None,
-                        dtype=None, dedupe_stage: bool = True, pair2_fn=None):
+def _bucket_runs(keys: list[np.ndarray], within: list[np.ndarray]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """One lexsort over (keys..., within...) turns every bucket (rows of
+    equal keys) into a run. → (rows, sizes): the sorted row indices of
+    every run with >= 2 rows and those runs' sizes. Singleton buckets
+    (the overwhelming majority) can emit no pair and are dropped."""
+    order = np.lexsort(tuple(reversed(keys + within)))
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for k in keys:
+        ks = k[order]
+        new[1:] |= ks[1:] != ks[:-1]
+    starts = np.flatnonzero(new)
+    sizes = np.diff(np.append(starts, order.size))
+    multi = sizes >= 2
+    return order[np.repeat(multi, sizes)], sizes[multi]
+
+
+def _fan_out(cnt: np.ndarray, partner0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Position i pairs with the cnt[i] consecutive positions starting
+    at partner0[i] — every pair of every run in one vectorized pass."""
+    ia = np.repeat(np.arange(cnt.size, dtype=np.int64), cnt)
+    off = np.arange(ia.size, dtype=np.int64) - np.repeat(np.cumsum(cnt) - cnt, cnt)
+    return ia, partner0[ia] + off
+
+
+def _pair_index(sizes, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair positions for consecutive runs of ``sizes`` rows, each run
+    sorted by id: every pair (i < j) of a run of at most ``cap`` rows,
+    else a STAR from the run's first (min-id) row to each other row. An
+    oversized bucket is by construction a near-identical cluster; star
+    edges preserve its connected component for dedup clustering at O(n)
+    pairs instead of O(n²). Never silent: every capped bucket is logged
+    with its size."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    for n in sizes[sizes > cap]:
+        _LOG.warning(
+            "LSH bucket with %d rows exceeds cap %d; emitting star pairs only", n, cap
+        )
+    size = np.repeat(sizes, sizes)
+    local = np.arange(size.size, dtype=np.int64) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cnt = np.where(size <= cap, size - 1 - local, np.where(local == 0, size - 1, 0))
+    return _fan_out(cnt, np.arange(1, size.size + 1, dtype=np.int64))
+
+
+def _cross_index(sizes, side: np.ndarray, pair_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cross-side pair positions for consecutive runs of ``sizes`` rows,
+    each run sorted by (side, id): every side-0 (reference) row × every
+    side-1 (new) row of its run. A run whose ref × new PRODUCT exceeds
+    ``pair_cap`` pairs every new row with the run's first (min-id)
+    reference row only — logged, never silent."""
+    sizes = np.asarray(sizes, dtype=np.int64)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    seen_new = np.concatenate([[0], np.cumsum(side)])
+    n_new = seen_new[ends] - seen_new[starts]
+    n_ref = sizes - n_new
+    capped = n_ref * n_new > pair_cap
+    for r, nw in zip(n_ref[capped], n_new[capped]):
+        _LOG.warning(
+            "minhash_probe: bucket of %d ref x %d new exceeds pair_cap=%d; "
+            "star fallback to min ref id", r, nw, pair_cap,
+        )
+    local = np.arange(side.size, dtype=np.int64) - np.repeat(starts, sizes)
+    pairs_out = (side == 0) & (~np.repeat(capped, sizes) | (local == 0))
+    cnt = np.where(pairs_out, np.repeat(n_new, sizes), 0)
+    return _fan_out(cnt, np.repeat(starts + n_ref, sizes))
+
+
+def _pairs_by_partition(exploded, bucket_cols: list[str], id_col: str, schema: pa.Schema,
+                        *, cap: int | None = None, cross_cap: int | None = None,
+                        kernel=None, dedupe_stage: bool = True):
     """groupby a COARSE partition of the bucket hash (64 groups, not one
     Ray group per LSH bucket — per-group Python overhead would dominate
-    at millions of buckets), run the per-bucket pair generator inside,
-    then dedupe pairs the same way. ``dedupe_stage=False`` skips the
-    pair-dedupe shuffle for callers that dedupe downstream (e.g. on the
-    collected candidate list).
+    at millions of buckets), enumerate the pairs of every bucket inside
+    it at once, then dedupe pairs the same way. ``dedupe_stage=False``
+    skips the pair-dedupe shuffle for callers that dedupe downstream
+    (e.g. on the collected candidate list).
 
-    The partition arrives as zero-copy Arrow; singleton buckets (the
-    overwhelming majority — a bucket can only emit pairs with >= 2
-    rows) are dropped by one vectorized numpy segmentation BEFORE any
-    pandas conversion or per-bucket Python call. When the caller
-    supplies ``pair2_fn`` (a vectorized twin of ``pair_fn`` for the
-    common 2-row-bucket case), ALL 2-row buckets are handed to it as
-    ONE Arrow table whose consecutive row pairs (2i, 2i+1) are each a
-    bucket — no pandas conversion, no per-bucket Python call; the
-    ``pair_fn`` loop then runs only over >=3-row buckets."""
+    One enumerator, no pandas and no per-bucket Python call: the
+    partition arrives as zero-copy Arrow, `_bucket_runs` sorts it into
+    one run per bucket, and `_pair_index` (all pairs, star above
+    ``cap``) — or, when ``cross_cap`` is set, `_cross_index` (reference
+    × new rows by a ``side`` column, star above the product cap) —
+    emits the row pairs of all runs in one vectorized pass. The family
+    ``kernel(t, ia, ib) → (keep, {metric: values})`` then scores every
+    pair at once (None keeps all pairs). Output tables carry the fixed
+    ``schema``, empty ones included."""
 
     def gen(t: pa.Table) -> pa.Table:
-        empty = pa.Table.from_pandas(_empty_pairs(metric, dtype), preserve_index=False)
         if t.num_rows < 2:
-            return empty
-        cols = [t[c].to_numpy(zero_copy_only=False) for c in bucket_cols]
-        order = np.lexsort(tuple(reversed(cols)))
-        new = np.zeros(order.size, dtype=bool)
-        new[0] = True
-        for c in cols:
-            cs = c[order]
-            new[1:] |= cs[1:] != cs[:-1]
-        run_id = np.cumsum(new) - 1
-        sz = np.bincount(run_id)[run_id]  # bucket size per sorted row
-        tbls = []
-        if pair2_fn is not None:
-            two = order[sz == 2]
-            if two.size:
-                t2 = pair2_fn(t.take(pa.array(two)))
-                if t2.num_rows:
-                    tbls.append(t2.cast(empty.schema))
-            sel = order[sz >= 3]
+            return schema.empty_table()
+        ids = col_i64(t, id_col)
+        keys = [t[c].to_numpy(zero_copy_only=False) for c in bucket_cols]
+        if cross_cap is None:
+            rows, sizes = _bucket_runs(keys, [ids])
+            ia, ib = _pair_index(sizes, cap)
         else:
-            sel = order[sz >= 2]
-        if sel.size:
-            g = t.take(pa.array(sel)).to_pandas()
-            outs = [pair_fn(sub) for _, sub in g.groupby(bucket_cols, sort=False)]
-            outs = [o for o in outs if len(o)]
-            if outs:
-                tbls.append(
-                    pa.Table.from_pandas(
-                        pd.concat(outs, ignore_index=True), preserve_index=False
-                    ).cast(empty.schema)
-                )
-        if not tbls:
-            return empty
-        return pa.concat_tables(tbls)
+            side = col_i64(t, "side")
+            rows, sizes = _bucket_runs(keys, [side, ids])
+            ia, ib = _cross_index(sizes, side[rows], cross_cap)
+        ia, ib = rows[ia], rows[ib]
+        metrics = {}
+        if kernel is not None:
+            keep, metrics = kernel(t, ia, ib)
+            ia, ib = ia[keep], ib[keep]
+            metrics = {k: v[keep] for k, v in metrics.items()}
+        return pa.table({"id_a": ids[ia], "id_b": ids[ib], **metrics}, schema=schema)
 
     pairs = exploded.groupby("part").map_groups(gen, batch_format="pyarrow")
     if not dedupe_stage:
         return pairs
-    return _dedupe_pairs_stage(pairs, metric, dtype)
+    return _dedupe_pairs_stage(pairs)
 
 
-def _dedupe_pairs_stage(pairs, metric: str | None, dtype=None):
+def _unique_pairs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row indices of the first copy of each distinct (a, b) pair, in
+    (a, b) order (one exact lexsort)."""
+    order = np.lexsort((b, a))
+    aa, bb = a[order], b[order]
+    first = np.ones(aa.size, dtype=bool)
+    first[1:] = (aa[1:] != aa[:-1]) | (bb[1:] != bb[:-1])
+    return order[first]
+
+
+def _dedupe_pairs_stage(pairs):
     """Distributed (id_a, id_b) pair dedupe: coarse pair-hash shuffle +
-    per-partition drop_duplicates."""
+    per-partition `_unique_pairs`."""
 
     def add_pair_part(t: pa.Table) -> pa.Table:
         a = t["id_a"].to_numpy(zero_copy_only=False).astype(_U)
@@ -181,15 +229,8 @@ def _dedupe_pairs_stage(pairs, metric: str | None, dtype=None):
         )
 
     def dedupe(g: pa.Table) -> pa.Table:
-        a = g["id_a"].to_numpy(zero_copy_only=False)
-        b = g["id_b"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((b, a))
-        aa, bb = a[order], b[order]
-        first = np.ones(aa.size, dtype=bool)
-        if aa.size > 1:
-            first[1:] = (aa[1:] != aa[:-1]) | (bb[1:] != bb[:-1])
-        out = g.take(pa.array(order[first]))
-        return out.drop_columns(["ppart"])
+        keep = _unique_pairs(col_i64(g, "id_a"), col_i64(g, "id_b"))
+        return g.take(pa.array(keep)).drop_columns(["ppart"])
 
     return (
         pairs.map_batches(add_pair_part, batch_format="pyarrow")
@@ -362,11 +403,8 @@ def _unique_shingle_sets(col: pa.Array, k: int) -> tuple[np.ndarray, np.ndarray]
     if h.size == 0:
         return h, np.zeros(n + 1, np.int64)
     doc_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(offs))
-    order = np.lexsort((h, doc_of))
-    hs, ds_ = h[order], doc_of[order]
-    first = np.ones(hs.size, bool)
-    first[1:] = (ds_[1:] != ds_[:-1]) | (hs[1:] != hs[:-1])
-    uniq_h, uniq_d = hs[first], ds_[first]
+    first = _unique_pairs(doc_of, h)
+    uniq_h, uniq_d = h[first], doc_of[first]
     counts = np.bincount(uniq_d, minlength=n)
     uoffs = np.zeros(n + 1, np.int64)
     np.cumsum(counts, out=uoffs[1:])
@@ -615,14 +653,25 @@ def _band_explode_fn(mh: "MinHasher", bands: int, rows_per_band: int,
     return explode
 
 
-def _sig_blob_fn(mh: "MinHasher", id_col: str):
+def _sig_blob_fn(mh: "MinHasher", id_col: str, wanted=None):
     """(k, blob) signature-blob rows — the reduce-side join payload
     shared by the one-shot estimate, `build_minhash_index` and
     `minhash_probe` (one definition so the blob layout can never
-    drift between writer and prober)."""
+    drift between writer and prober). With ``wanted`` (an object ref to
+    an id array) only those docs are signatured: MinHasher is
+    batch-invariant, so each blob equals the signature the LSH pass
+    derived (byte equality == value equality for the agreement test)."""
 
     def to_blob(t: pa.Table) -> pa.Table:
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        ids = col_i64(t, id_col)
+        if wanted is not None:
+            import ray
+
+            mask = np.isin(ids, ray.get(wanted))
+            if not mask.any():
+                return pa.table({"k": pa.array([], pa.int64()),
+                                 "blob": pa.array([], pa.large_binary())})
+            t, ids = t.filter(pa.array(mask)), ids[mask]
         sigs = np.ascontiguousarray(mh.signatures(t)).view(np.uint64)
         return pa.table({"k": pa.array(ids), "blob": _bin_array(sigs)})
 
@@ -640,6 +689,32 @@ def _bands_from_blobs(bands: int, rows_per_band: int, perm_hash: str,
         return _band_rows(sigs, ids, bands, rows_per_band, perm_hash, id_col)
 
     return explode
+
+
+def _est_table(id_a: np.ndarray, id_b: np.ndarray, sa: np.ndarray, sb: np.ndarray,
+               threshold: float) -> pa.Table:
+    """Signature-agreement estimate per pair, kept at >= threshold."""
+    est = (sa == sb).mean(axis=1)
+    keep = est >= threshold
+    return pa.table({"id_a": id_a[keep], "id_b": id_b[keep], "est_jaccard": est[keep]},
+                    schema=_EST_SCHEMA)
+
+
+def _estimate_fn(num_perm: int, threshold: float):
+    """The estimate step over (id_a, id_b, sig_a, sig_b) blob-joined
+    pairs, shared by the distributed `minhash_lsh_pairs` path and
+    `minhash_probe`."""
+
+    def estimate(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0 or t.num_columns == 0:
+            return _EST_SCHEMA.empty_table()
+        return _est_table(
+            col_i64(t, "id_a"), col_i64(t, "id_b"),
+            _blob_fixed_matrix(t["sig_a"], num_perm),
+            _blob_fixed_matrix(t["sig_b"], num_perm), threshold,
+        )
+
+    return estimate
 
 
 def minhash_lsh_pairs(
@@ -675,49 +750,14 @@ def minhash_lsh_pairs(
     mh = MinHasher(col, id_col, shingle, num_perm, perm_hash=perm_hash)
     explode = _band_explode_fn(mh, bands, rows_per_band, perm_hash, id_col)
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return _empty_pairs(None)
-        g = g.sort_values(id_col)
-        ids = g[id_col].to_numpy()
-        ia, ib = _pair_index(len(g), bucket_cap)
-        return pd.DataFrame({"id_a": ids[ia], "id_b": ids[ib]})
-
-    def bucket_pairs2(t: pa.Table) -> pa.Table:
-        # vectorized twin for 2-row buckets: rows (2i, 2i+1) are one
-        # bucket; id order normalized elementwise
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        a, b = ids[0::2], ids[1::2]
-        return pa.table({"id_a": pa.array(np.minimum(a, b)),
-                         "id_b": pa.array(np.maximum(a, b))})
-
     exploded = ds.map_batches(explode, batch_format="pyarrow")
     cand = _pairs_by_partition(
-        exploded, ["band", "bh"], bucket_pairs, None, dedupe_stage=False,
-        pair2_fn=bucket_pairs2,
+        exploded, ["band", "bh"], id_col, _pair_schema(), cap=bucket_cap,
+        dedupe_stage=False,
     ).materialize()
 
     import ray
     import ray.data
-
-    def estimate(t: pa.Table) -> pa.Table:
-        n = t.num_rows
-        if n == 0 or t.num_columns == 0:
-            return pa.table(
-                {"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64()),
-                 "est_jaccard": pa.array([], pa.float64())}
-            )
-        sa = _blob_fixed_matrix(t["sig_a"], num_perm)
-        sb = _blob_fixed_matrix(t["sig_b"], num_perm)
-        est = (sa == sb).mean(axis=1)
-        keep = est >= threshold
-        return pa.table(
-            {
-                "id_a": t["id_a"].combine_chunks().cast(pa.int64()).filter(pa.array(keep)),
-                "id_b": t["id_b"].combine_chunks().cast(pa.int64()).filter(pa.array(keep)),
-                "est_jaccard": pa.array(est[keep]),
-            }
-        )
 
     n_cand = cand.count()
     if n_cand > PAIR_DRIVER_CAP:
@@ -730,7 +770,7 @@ def minhash_lsh_pairs(
             "minhash: %d raw candidate pairs exceed PAIR_DRIVER_CAP=%d; "
             "using the fully distributed estimate path", n_cand, PAIR_DRIVER_CAP,
         )
-        cand_d = _dedupe_pairs_stage(cand, None)
+        cand_d = _dedupe_pairs_stage(cand)
 
         blob_all = ds.map_batches(
             _sig_blob_fn(mh, id_col), batch_format="pyarrow"
@@ -740,7 +780,8 @@ def minhash_lsh_pairs(
             with_a, blob_all, "id_b",
             {"id_a": pa.int64(), "sig_a": pa.large_binary()}, "sig_b",
         )
-        return with_b.map_batches(estimate, batch_format="pyarrow")
+        return with_b.map_batches(_estimate_fn(num_perm, threshold),
+                                  batch_format="pyarrow")
 
     # common case: candidates fit on the driver — dedupe with one
     # lexsort, broadcast the candidate-doc id set, recompute signatures
@@ -749,41 +790,17 @@ def minhash_lsh_pairs(
     # total.
     pair_tbl = gather_table(cand)  # Arrow blocks, no per-row dicts
     if pair_tbl is None:
-        return ray.data.from_arrow(
-            pa.table({"id_a": pa.array([], pa.int64()),
-                      "id_b": pa.array([], pa.int64()),
-                      "est_jaccard": pa.array([], pa.float64())})
-        )
+        return ray.data.from_arrow(_EST_SCHEMA.empty_table())
     raw_a = col_i64(pair_tbl, "id_a")
     raw_b = col_i64(pair_tbl, "id_b")
-    # dedupe pairs generated by multiple agreeing bands (exact lexsort)
-    order = np.lexsort((raw_b, raw_a))
-    a_s, b_s = raw_a[order], raw_b[order]
-    first = np.ones(a_s.size, bool)
-    first[1:] = (a_s[1:] != a_s[:-1]) | (b_s[1:] != b_s[:-1])
-    pairs_tbl = pa.table({"id_a": pa.array(a_s[first]), "id_b": pa.array(b_s[first])})
-    wanted = np.unique(np.concatenate(
-        [pairs_tbl["id_a"].to_numpy(), pairs_tbl["id_b"].to_numpy()]
-    ))
-    ref = ray.put(wanted)
-
-    def to_blob(t: pa.Table) -> pa.Table:
-        # one binary blob per CANDIDATE doc: recompute the signature for
-        # the (driver-bounded) candidate subset only — batch-invariant,
-        # so it equals the signature the LSH pass derived (byte equality
-        # == value equality for the agreement test)
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        mask = np.isin(ids, ray.get(ref))
-        if not mask.any():
-            return pa.table({"k": pa.array([], pa.int64()),
-                             "blob": pa.array([], pa.large_binary())})
-        sub = t.filter(pa.array(mask))
-        sigs = np.ascontiguousarray(mh.signatures(sub)).view(np.uint64)
-        return pa.table({"k": pa.array(ids[mask]), "blob": _bin_array(sigs)})
-
-    ids_a = pairs_tbl["id_a"].to_numpy()
-    ids_b = pairs_tbl["id_b"].to_numpy()
-    blob_tbl = gather_table(ds.map_batches(to_blob, batch_format="pyarrow"))
+    # dedupe pairs generated by multiple agreeing bands
+    first = _unique_pairs(raw_a, raw_b)
+    ids_a, ids_b = raw_a[first], raw_b[first]
+    # one binary blob per CANDIDATE doc (the driver-bounded subset)
+    ref = ray.put(np.unique(np.concatenate([ids_a, ids_b])))
+    blob_tbl = gather_table(
+        ds.map_batches(_sig_blob_fn(mh, id_col, ref), batch_format="pyarrow")
+    )
     if blob_tbl is not None:
         ids = col_i64(blob_tbl, "k")
         mat = _blob_fixed_matrix(blob_tbl["blob"], num_perm)
@@ -794,12 +811,7 @@ def minhash_lsh_pairs(
     ids_sorted, mat = ids[order], mat[order]
     sa = mat[np.searchsorted(ids_sorted, ids_a)]
     sb = mat[np.searchsorted(ids_sorted, ids_b)]
-    est = (sa == sb).mean(axis=1)
-    keep = est >= threshold
-    return ray.data.from_arrow(
-        pa.table({"id_a": pa.array(ids_a[keep]), "id_b": pa.array(ids_b[keep]),
-                  "est_jaccard": pa.array(est[keep])})
-    )
+    return ray.data.from_arrow(_est_table(ids_a, ids_b, sa, sb, threshold))
 
 
 # ---------------------------------------------------------------------------
@@ -857,37 +869,18 @@ def simhash_near_dup_pairs(
             }
         )
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return _empty_pairs("hamming", "int64")
-        g = g.sort_values(id_col)
-        ids = g[id_col].to_numpy()
-        sh = g["simhash"].to_numpy().astype(np.uint64)
-        ia, ib = _pair_index(len(g), bucket_cap)
+    def hamming(t: pa.Table, ia: np.ndarray, ib: np.ndarray):
+        sh = t["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
         x = sh[ia] ^ sh[ib]
         ham = np.zeros(x.size, dtype=np.int64)
         for i in range(64):
             ham += ((x >> _U(i)) & _U(1)).astype(np.int64)
-        keep = ham <= max_hamming
-        return pd.DataFrame({"id_a": ids[ia[keep]], "id_b": ids[ib[keep]], "hamming": ham[keep]})
-
-    def bucket_pairs2(t: pa.Table) -> pa.Table:
-        # vectorized twin for 2-row buckets (hamming is symmetric)
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        sh = t["simhash"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        x = sh[0::2] ^ sh[1::2]
-        ham = np.zeros(x.size, np.int64)
-        for i in range(64):
-            ham += ((x >> _U(i)) & _U(1)).astype(np.int64)
-        keep = ham <= max_hamming
-        a, b = ids[0::2][keep], ids[1::2][keep]
-        return pa.table({"id_a": pa.array(np.minimum(a, b)),
-                         "id_b": pa.array(np.maximum(a, b)),
-                         "hamming": pa.array(ham[keep])})
+        return ham <= max_hamming, {"hamming": ham}
 
     exploded = sigs.map_batches(explode, batch_format="pyarrow")
-    return _pairs_by_partition(exploded, ["band", "bh"], bucket_pairs,
-                               "hamming", "int64", pair2_fn=bucket_pairs2)
+    return _pairs_by_partition(exploded, ["band", "bh"], id_col,
+                               _pair_schema("hamming", pa.int64()),
+                               cap=bucket_cap, kernel=hamming)
 
 
 # ---------------------------------------------------------------------------
@@ -895,12 +888,13 @@ def simhash_near_dup_pairs(
 # ---------------------------------------------------------------------------
 
 MAX_SHINGLE_RUN = 256  # docs sharing one shingle before it's skipped
+_JACCARD_SCHEMA = _pair_schema("jaccard")
 
 
 def _jaccard_pairs_in_group(
     texts: list, ids: np.ndarray, n: int, threshold: float,
     max_run: int | None = MAX_SHINGLE_RUN,
-) -> pd.DataFrame:
+) -> pa.Table:
     """Exact n-gram Jaccard for all pairs of one bucket, vectorized:
     per-doc sorted-unique shingle-hash sets, then an inverted pass over
     shared shingles (output-sensitive — cost ~ Σ per-shingle pairs, not
@@ -919,7 +913,7 @@ def _jaccard_pairs_in_group(
     flat, offs = _unique_shingle_sets(pa.array(texts, type=pa.string()), n)
     sizes = np.diff(offs)
     if flat.size == 0:
-        return _empty_pairs("jaccard", float)
+        return _JACCARD_SCHEMA.empty_table()
     doc_of = np.repeat(np.arange(m, dtype=np.int64), sizes)
     order = np.argsort(flat, kind="stable")
     hs, ds_ = flat[order], doc_of[order]
@@ -946,14 +940,15 @@ def _jaccard_pairs_in_group(
             n_skipped, max_run,
         )
     if not keys:
-        return _empty_pairs("jaccard", float)
+        return _JACCARD_SCHEMA.empty_table()
     pair_keys, inter = np.unique(np.concatenate(keys), return_counts=True)
     a, b = pair_keys // m, pair_keys % m
     union = sizes[a] + sizes[b] - inter
     jac = inter / np.maximum(union, 1)
     keep = jac >= threshold
-    return pd.DataFrame(
-        {"id_a": ids[a[keep]], "id_b": ids[b[keep]], "jaccard": jac[keep]}
+    return pa.table(
+        {"id_a": ids[a[keep]], "id_b": ids[b[keep]], "jaccard": jac[keep]},
+        schema=_JACCARD_SCHEMA,
     )
 
 
@@ -979,45 +974,26 @@ def ngram_jaccard_pairs(
         return t.append_column("part", pa.array(part))
 
     def gen(t: pa.Table) -> pa.Table:
-        """Zero-copy Arrow in; one numpy segmentation drops singleton
-        buckets so only genuinely colliding texts are ever pylist'ed."""
-        empty = pa.Table.from_pandas(
-            _empty_pairs("jaccard", float), preserve_index=False
-        )
+        """Zero-copy Arrow in; `_bucket_runs` drops singleton buckets so
+        only genuinely colliding texts are ever pylist'ed."""
         if t.num_rows < 2:
-            return empty
+            return _JACCARD_SCHEMA.empty_table()
         bc = (
             t[bucket_col].combine_chunks().dictionary_encode()
             .indices.to_numpy(zero_copy_only=False)
         )
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        order = np.lexsort((ids, bc))  # id-ascending within each bucket
-        bs = bc[order]
-        new = np.ones(bs.size, dtype=bool)
-        new[1:] = bs[1:] != bs[:-1]
-        run_id = np.cumsum(new) - 1
-        sel = order[(np.bincount(run_id) >= 2)[run_id]]
-        if sel.size == 0:
-            return empty
-        bsel = bc[sel]
-        gstart = np.r_[0, np.flatnonzero(bsel[1:] != bsel[:-1]) + 1]
-        gend = np.r_[gstart[1:], bsel.size]
+        ids = col_i64(t, id_col)
+        rows, sizes = _bucket_runs([bc], [ids])  # id-ascending within each bucket
+        ends = np.cumsum(sizes)
         texts = (
-            t[col].combine_chunks().fill_null("").take(pa.array(sel)).to_pylist()
+            t[col].combine_chunks().fill_null("").take(pa.array(rows)).to_pylist()
         )
-        ids_sel = ids[sel]
-        outs = []
-        for s, e in zip(gstart, gend):
-            out = _jaccard_pairs_in_group(
-                texts[s:e], ids_sel[s:e], n, threshold, max_run
-            )
-            if len(out):
-                outs.append(out)
-        if not outs:
-            return empty
-        return pa.Table.from_pandas(
-            pd.concat(outs, ignore_index=True), preserve_index=False
-        ).cast(empty.schema)
+        ids_sel = ids[rows]
+        outs = [
+            _jaccard_pairs_in_group(texts[s:e], ids_sel[s:e], n, threshold, max_run)
+            for s, e in zip(ends - sizes, ends)
+        ]
+        return pa.concat_tables([_JACCARD_SCHEMA.empty_table(), *outs])
 
     return (
         ds.map_batches(add_part, batch_format="pyarrow")
@@ -1085,10 +1061,7 @@ def ngram_jaccard_verify_pairs(
     def verify(t: pa.Table) -> pa.Table:
         m = t.num_rows
         if m == 0 or t.num_columns == 0:
-            return pa.table(
-                {"id_a": pa.array([], pa.int64()), "id_b": pa.array([], pa.int64()),
-                 "jaccard": pa.array([], pa.float64())}
-            )
+            return _JACCARD_SCHEMA.empty_table()
         offs_a, flat_a = _blob_offsets_flat(t["sh_a"], m)
         offs_b, flat_b = _blob_offsets_flat(t["sh_b"], m)
         size_a, size_b = np.diff(offs_a), np.diff(offs_b)
@@ -1189,33 +1162,14 @@ def embedding_near_dup_pairs(
             }
         )
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return _empty_pairs("cosine", float)
-        g = g.sort_values(id_col)
-        ids = g[id_col].to_numpy()
-        v = np.stack(g["vec"].to_numpy())
-        ia, ib = _pair_index(len(g), bucket_cap)
+    def cosine(t: pa.Table, ia: np.ndarray, ib: np.ndarray):
+        v = _vec_matrix(t["vec"])
         sim = np.einsum("ij,ij->i", v[ia], v[ib])
-        keep = sim >= threshold
-        return pd.DataFrame(
-            {"id_a": ids[ia[keep]], "id_b": ids[ib[keep]], "cosine": sim[keep]}
-        )
-
-    def bucket_pairs2(t: pa.Table) -> pa.Table:
-        # vectorized twin for 2-row buckets (cosine is symmetric)
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        v = np.stack(t["vec"].to_numpy(zero_copy_only=False))
-        sim = np.einsum("ij,ij->i", v[0::2], v[1::2])
-        keep = sim >= threshold
-        a, b = ids[0::2][keep], ids[1::2][keep]
-        return pa.table({"id_a": pa.array(np.minimum(a, b)),
-                         "id_b": pa.array(np.maximum(a, b)),
-                         "cosine": pa.array(sim[keep])})
+        return sim >= threshold, {"cosine": sim}
 
     exploded = ds.map_batches(bucketize, batch_format="pyarrow")
-    return _pairs_by_partition(exploded, ["bucket"], bucket_pairs, "cosine",
-                               float, pair2_fn=bucket_pairs2)
+    return _pairs_by_partition(exploded, ["bucket"], id_col, _pair_schema("cosine"),
+                               cap=bucket_cap, kernel=cosine)
 
 
 # ---------------------------------------------------------------------------
@@ -1844,26 +1798,9 @@ def minhash_probe(
         batch_format="pyarrow",
     ).map_batches(tag(1), batch_format="pyarrow")
 
-    def cross_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        ref = np.sort(g.loc[g["side"] == 0, id_col].to_numpy())
-        new = np.sort(g.loc[g["side"] == 1, id_col].to_numpy())
-        if ref.size == 0 or new.size == 0:
-            return _empty_pairs(None)
-        if ref.size * new.size > pair_cap:
-            _LOG.warning(
-                "minhash_probe: bucket of %d ref x %d new exceeds "
-                "pair_cap=%d; star fallback to min ref id",
-                ref.size, new.size, pair_cap,
-            )
-            return pd.DataFrame({"id_a": np.full(new.size, ref[0]),
-                                 "id_b": new})
-        ia = np.repeat(np.arange(ref.size), new.size)
-        ib = np.tile(np.arange(new.size), ref.size)
-        return pd.DataFrame({"id_a": ref[ia], "id_b": new[ib]})
-
     cand = _pairs_by_partition(
-        ref_bands.union(new_bands), ["band", "bh"], cross_pairs, None,
-        dedupe_stage=True,
+        ref_bands.union(new_bands), ["band", "bh"], id_col, _pair_schema(),
+        cross_cap=pair_cap,
     )
 
     ref_blobs = ray.data.read_parquet(os.path.join(path, "sigs"))
@@ -1873,23 +1810,4 @@ def minhash_probe(
         {"id_a": pa.int64(), "sig_a": pa.large_binary()}, "sig_b",
     )
 
-    def estimate(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or t.num_columns == 0:
-            return pa.table(
-                {"id_a": pa.array([], pa.int64()),
-                 "id_b": pa.array([], pa.int64()),
-                 "est_jaccard": pa.array([], pa.float64())}
-            )
-        sa = _blob_fixed_matrix(t["sig_a"], num_perm)
-        sb = _blob_fixed_matrix(t["sig_b"], num_perm)
-        est = (sa == sb).mean(axis=1)
-        keep = est >= threshold
-        return pa.table(
-            {
-                "id_a": t["id_a"].combine_chunks().cast(pa.int64()).filter(pa.array(keep)),
-                "id_b": t["id_b"].combine_chunks().cast(pa.int64()).filter(pa.array(keep)),
-                "est_jaccard": pa.array(est[keep]),
-            }
-        )
-
-    return with_b.map_batches(estimate, batch_format="pyarrow")
+    return with_b.map_batches(_estimate_fn(num_perm, threshold), batch_format="pyarrow")
