@@ -373,3 +373,47 @@ def test_root_banner():  # handlers/root.rs:9-14
     c = IndexCatalog(tempfile.mkdtemp(prefix="toshi_root_"))
     out = c.root()
     assert out["name"] == "toshi-ray" and out["version"]
+
+
+def test_concurrent_publish_on_write_appends_keep_every_doc(ray_session, monkeypatch):
+    """Two publish-on-write appends racing through the segment build
+    must both stay visible: each picks its doc ids from the manifest,
+    so without one commit lock around the whole append both take the
+    same ids and segment name and one acknowledged doc is lost."""
+    import threading
+
+    from toshi_ray import api
+
+    c = IndexCatalog(tempfile.mkdtemp(prefix="toshi_race_"))
+    c.create_index("race", F2_SCHEMA)
+    # both builds meet here when they can overlap; under the lock the
+    # first gives up waiting and the second finds the barrier broken
+    barrier = threading.Barrier(2, timeout=2)
+    real_build = api.build_segment_tables
+
+    def build_at_barrier(*args, **kwargs):
+        try:
+            barrier.wait()
+        except threading.BrokenBarrierError:
+            pass
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(api, "build_segment_tables", build_at_barrier)
+    results, errors = [], []
+
+    def add(i):
+        try:
+            results.append(c.add_document("race", {"document": F2_DOCS[i]}))
+        except Exception as e:  # surfaced by the assertion below
+            errors.append(e)
+
+    threads = [threading.Thread(target=add, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert results == [{"created": True}] * 2
+    assert c.all_docs("race")["hits"] == 2
+    assert c.index_summary("race")["summaries"]["num_docs"] == 2

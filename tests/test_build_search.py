@@ -8,6 +8,8 @@ import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toshi_ray.functions.oracle import BruteForceIndex
 from toshi_ray.pipelines.build import build_index
@@ -328,7 +330,7 @@ def test_blockmax_prunes_and_stays_exact(ray_session):
     want = list(zip(exhaustive_ids[order].tolist(),
                     np.round(exhaustive_scores[order], 12).tolist()))
 
-    ids, scores = scorer._topk_term_blockmax(plan, scorer.readers[0], stats, 10)
+    ids, scores = scorer._topk_blockmax([plan], scorer.readers[0], stats, 10)
     got = list(zip(ids.tolist(), np.round(scores, 12).tolist()))
     assert got == want
     pc = scorer.perf_counters()
@@ -372,7 +374,7 @@ def test_union_blockmax_exact_and_prunes(ray_session):
     order = np.lexsort((ex_ids, -ex_scores))[:10]
     want = list(zip(ex_ids[order].tolist(),
                     np.round(ex_scores[order], 12).tolist()))
-    ids, scores = scorer._topk_union_blockmax(plan, scorer.readers[0], stats, 10)
+    ids, scores = scorer._topk_blockmax(list(plan.should), scorer.readers[0], stats, 10)
     got = list(zip(ids.tolist(), np.round(scores, 12).tolist()))
     assert got == want
     pc = scorer.perf_counters()
@@ -393,6 +395,76 @@ def test_union_blockmax_exact_and_prunes(ray_session):
         e_ids, e_sc = e_ids[keep], e_sc[keep]
     o2 = np.lexsort((e_ids, -e_sc))[:10]
     assert [d["doc"]["doc_id"] for d in r2["docs"]] == e_ids[o2].tolist()
+
+
+BLOCKMAX_POOL = ["the", "of", "www", "page", "w00018", "w00042", "w00100",
+                 "w00964", "w01000", "w05338", "missingterm", "zzabsent"]
+
+
+@pytest.fixture(scope="module")
+def blockmax_states(ray_session):
+    """One corpus in three states: fresh (4 segments), merged with hot
+    terms split into several `shard` rows, and that merged index after
+    a delete_by_term (tombstones applied at query time)."""
+    import shutil
+
+    fresh = tempfile.mkdtemp(prefix="toshi_bm_fresh_")
+    build_index(pages_dataset(3000, parallelism=2), page_schema(), fresh,
+                docs_per_segment=750)
+    merged = tempfile.mkdtemp(prefix="toshi_bm_merged_")
+    shutil.copytree(fresh, merged, dirs_exist_ok=True)
+    merge_segments(merged, hot_df_threshold=200, shard_span=500)
+    deleted = tempfile.mkdtemp(prefix="toshi_bm_deleted_")
+    shutil.copytree(merged, deleted, dirs_exist_ok=True)
+    assert delete_by_term(deleted, "text", "w00201") > 0
+    return {name: Searcher(root, distributed=False)
+            for name, root in [("fresh", fresh), ("merged", merged), ("deleted", deleted)]}
+
+
+def test_blockmax_states_cover_shards_and_tombstones(blockmax_states):
+    merged = blockmax_states["merged"]
+    merged._ensure_groups()
+    reader = merged._groups[0][1].readers[0]
+    assert reader.postings_for_terms("text", ["the"], ["shard"]).num_rows > 1
+    assert blockmax_states["deleted"]._stats_state.tombstones.size > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    state=st.sampled_from(["fresh", "merged", "deleted"]),
+    words=st.lists(st.sampled_from(BLOCKMAX_POOL), min_size=1, max_size=4),
+    k=st.sampled_from([0, 1, 10, 100]),
+)
+def test_blockmax_equals_exhaustive_topk(blockmax_states, state, words, k):
+    """`_topk_blockmax` over 1-4 text terms returns exactly the top-k of
+    the exhaustive evaluator (ids AND scores, tombstones excluded)."""
+    s = blockmax_states[state]
+    q = ({"term": {"text": words[0]}} if len(words) == 1
+         else {"bool": {"should": [{"term": {"text": w}} for w in words]}})
+    plan = s._plan({"query": q}).query
+    terms = [plan] if len(words) == 1 else list(plan.should)
+    stats = s._stats_for(plan)
+    s._ensure_groups()
+    for _, scorer in s._groups:
+        for reader in scorer.readers:
+            ids, scores = scorer._eval(plan, reader, stats)
+            keep = ~np.isin(ids, stats.tombstones)
+            ids, scores = ids[keep], scores[keep]
+            top = np.lexsort((ids, -scores))[:k]
+            got_ids, got_scores = scorer._topk_blockmax(terms, reader, stats, k)
+            assert np.array_equal(got_ids, ids[top]), (state, words, k)
+            assert np.array_equal(got_scores, scores[top]), (state, words, k)
+
+
+def test_single_should_equals_bare_term(blockmax_states):
+    for s in blockmax_states.values():
+        for t in ["the", "w00042", "w01000", "missingterm"]:
+            for k in (10, 100):
+                bare = s.search({"query": {"term": {"text": t}}, "limit": k})
+                one = s.search({"query": {"bool": {"should": [{"term": {"text": t}}]}},
+                                "limit": k})
+                assert one["hits"] == bare["hits"], t
+                assert one["docs"] == bare["docs"], t
 
 
 def test_conjunction_skip_exact_and_prunes(ray_session):

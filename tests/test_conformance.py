@@ -391,8 +391,8 @@ def test_levenshtein_transposition_is_restricted_damerau():
     under OSA (full Damerau would give 2)."""
     from toshi_ray.search import _levenshtein_filter
 
-    assert _levenshtein_filter(["ba"], "ab", 1, True) == ["ba"]
-    assert _levenshtein_filter(["ba"], "ab", 1, False) == []
-    assert _levenshtein_filter(["ba"], "ab", 2, False) == ["ba"]
-    assert _levenshtein_filter(["abc"], "ca", 2, True) == []   # OSA: 3
-    assert _levenshtein_filter(["abc"], "ca", 3, True) == ["abc"]
+    assert _levenshtein_filter(pa.array(["ba"]), "ab", 1, True) == ["ba"]
+    assert _levenshtein_filter(pa.array(["ba"]), "ab", 1, False) == []
+    assert _levenshtein_filter(pa.array(["ba"]), "ab", 2, False) == ["ba"]
+    assert _levenshtein_filter(pa.array(["abc"]), "ca", 2, True) == []   # OSA: 3
+    assert _levenshtein_filter(pa.array(["abc"]), "ca", 3, True) == ["abc"]

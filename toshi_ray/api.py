@@ -112,10 +112,12 @@ class IndexCatalog:
         self._pending: dict[str, list[dict]] = {}
         self._opstamp: dict[str, int] = {}
         self._mutex = threading.Lock()  # guards _pending/_opstamp (ticker thread)
-        self._flush_lock = threading.Lock()  # serializes WHOLE commits:
-        # publish_manifest is load-then-write, so two concurrent flushes
-        # (user thread + ticker) could publish a stale segment list and
-        # silently drop a just-committed segment
+        self._flush_lock = threading.RLock()  # serializes WHOLE commits:
+        # publish_manifest is load-then-write and an append takes its doc
+        # ids from the loaded manifest, so two concurrent commits (user
+        # threads, ticker) could reuse ids and a segment name or publish
+        # a stale segment list — silently dropping acknowledged docs.
+        # Re-entrant: flush() holds it around its own _append_docs call
         self._bulk_lock = threading.Event()
         self._watcher: AutoCommitWatcher | None = None
         if auto_commit_s:
@@ -321,31 +323,33 @@ class IndexCatalog:
                 raise QueryError.json(f"invalid type: {json.dumps(v)}, expected i64")
 
     def _append_docs(self, name: str, docs: list[dict]) -> None:
-        """Micro-segment append: docs → one new segment + manifest bump."""
+        """Micro-segment append: docs → one new segment + manifest bump,
+        under the commit lock from manifest load to publish."""
         if not docs:
             return
-        root = self._require(name)
-        schema = self._schema(name)
-        manifest = load_manifest(root)
-        next_id = 1 + max((s["max_doc_id"] for s in manifest["segments"]), default=-1)
-        rows = {"doc_id": pa.array(
-            np.arange(next_id, next_id + len(docs), dtype=np.uint64))}
-        for f in schema.fields:
-            if f.name == "doc_id":
-                continue
-            vals = [d.get(f.name) for d in docs]
-            if f.type in ("i64",):
-                rows[f.name] = pa.array(vals, type=pa.int64())
-            elif f.type == "u64":
-                rows[f.name] = pa.array(vals, type=pa.uint64())
-            else:
-                rows[f.name] = pa.array(
-                    [str(v) if v is not None else None for v in vals], type=pa.string()
-                )
-        batch = pa.table(rows)
-        postings, dv, store, meta = build_segment_tables(batch, schema)
-        meta = write_segment(os.path.join(root, SEGMENTS_DIR), postings, dv, store, meta)
-        publish_manifest(root, manifest["segments"] + [meta],
-                         extra={k: v for k, v in manifest.items()
-                                if k not in ("version", "segments")})
-        self._invalidate(name)
+        with self._flush_lock:
+            root = self._require(name)
+            schema = self._schema(name)
+            manifest = load_manifest(root)
+            next_id = 1 + max((s["max_doc_id"] for s in manifest["segments"]), default=-1)
+            rows = {"doc_id": pa.array(
+                np.arange(next_id, next_id + len(docs), dtype=np.uint64))}
+            for f in schema.fields:
+                if f.name == "doc_id":
+                    continue
+                vals = [d.get(f.name) for d in docs]
+                if f.type in ("i64",):
+                    rows[f.name] = pa.array(vals, type=pa.int64())
+                elif f.type == "u64":
+                    rows[f.name] = pa.array(vals, type=pa.uint64())
+                else:
+                    rows[f.name] = pa.array(
+                        [str(v) if v is not None else None for v in vals], type=pa.string()
+                    )
+            batch = pa.table(rows)
+            postings, dv, store, meta = build_segment_tables(batch, schema)
+            meta = write_segment(os.path.join(root, SEGMENTS_DIR), postings, dv, store, meta)
+            publish_manifest(root, manifest["segments"] + [meta],
+                             extra={k: v for k, v in manifest.items()
+                                    if k not in ("version", "segments")})
+            self._invalidate(name)

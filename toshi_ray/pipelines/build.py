@@ -34,7 +34,9 @@ import os
 import time
 import uuid
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from toshi_ray.schema import Schema
 from toshi_ray.segments import build_segment_tables, write_segment
@@ -42,6 +44,7 @@ from toshi_ray.segments import build_segment_tables, write_segment
 MANIFEST_FILE = "manifest.json"
 SCHEMA_FILE = "schema.json"
 SEGMENTS_DIR = "segments"
+TOMBSTONES_DIR = "tombstones"
 
 # bump when the segment layout OR the analyzer vocabulary changes
 # incompatibly (readers check this; an index built under an older
@@ -116,6 +119,16 @@ def load_manifest(index_root: str) -> dict | None:
         return None
     with open(mpath) as f:
         return json.load(f)
+
+
+def load_tombstones(index_root: str) -> np.ndarray:
+    """Sorted unique tombstoned doc ids of an index (delete-by-term
+    writes them; merge drops them physically, readers filter them)."""
+    d = os.path.join(index_root, TOMBSTONES_DIR)
+    if not os.path.isdir(d) or not os.listdir(d):
+        return np.empty(0, np.uint64)
+    t = pq.read_table(d)
+    return np.unique(t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64))
 
 
 def build_index(

@@ -50,16 +50,21 @@ from toshi_ray import codecs
 from toshi_ray.pipelines.build import (
     MANIFEST_FILE,
     SEGMENTS_DIR,
+    TOMBSTONES_DIR,
     load_manifest,
+    load_tombstones,
     publish_manifest,
 )
 from toshi_ray.segments import (
     DOCVALUES_FILE,
     META_FILE,
     POSTINGS_FILE,
+    POSTINGS_SCHEMA,
     STORE_BLOCK_ROWS,
     STORE_COMPRESSION,
     STORE_FILE,
+    _binary_from_offsets,
+    empty_postings,
 )
 
 def _storage():
@@ -104,27 +109,6 @@ def log_merge_candidates(
     return [names for names in levels if len(names) >= min_merge_size]
 
 
-_MERGED_SCHEMA = pa.schema(
-    [
-        ("field", pa.string()),
-        ("term", pa.string()),
-        ("shard", pa.int32()),
-        ("df", pa.uint32()),
-        ("first_doc", pa.uint64()),
-        ("total_tf", pa.uint64()),
-        ("max_tf", pa.uint32()),
-        ("doc_ids", pa.large_binary()),
-        ("tfs", pa.large_binary()),
-        ("positions", pa.large_binary()),
-        ("block_max_tf", pa.large_binary()),
-        ("block_min_norm", pa.large_binary()),
-        ("block_doc_offsets", pa.large_binary()),
-        ("block_tf_offsets", pa.large_binary()),
-        ("block_last_doc", pa.large_binary()),
-    ]
-)
-
-
 def _binary_parts(col: pa.Array, n: int):
     """(contiguous byte buffer, relative per-row byte offsets) of a
     LargeBinary column."""
@@ -153,7 +137,7 @@ def _merge_partition(t: pa.Table) -> pa.Table:
     ).combine_chunks()
     n = t.num_rows
     if n == 0:
-        return pa.table({f.name: pa.array([], type=f.type) for f in _MERGED_SCHEMA})
+        return empty_postings()
     fields = t["field"].to_numpy(zero_copy_only=False)
     terms = t["term"].to_numpy(zero_copy_only=False)
     shards = t["shard_out"].to_numpy(zero_copy_only=False)
@@ -229,7 +213,7 @@ def _merge_partition(t: pa.Table) -> pa.Table:
     pos_col = t["positions"].combine_chunks()
     if pos_col.null_count == 0:
         pos_big, pos_rel = _binary_parts(pos_col, n)
-        pos_arr = _binary_from_offsets_local(pos_big.tobytes(), pos_rel[g_offsets])
+        pos_arr = _binary_from_offsets(pos_big.tobytes(), pos_rel[g_offsets])
     elif pos_col.null_count == n:
         pos_arr = pa.nulls(n_groups, type=pa.large_binary())
     else:  # mixed (multiple fields in one partition) — python join per group
@@ -250,31 +234,22 @@ def _merge_partition(t: pa.Table) -> pa.Table:
             "first_doc": pa.array(first_doc),
             "total_tf": pa.array(total_tf),
             "max_tf": pa.array(max_tf_g),
-            "doc_ids": _binary_from_offsets_local(new_payload, doc_byte_offs),
-            "tfs": _binary_from_offsets_local(tf_big.tobytes(), tf_group_offs),
+            "doc_ids": _binary_from_offsets(new_payload, doc_byte_offs),
+            "tfs": _binary_from_offsets(tf_big.tobytes(), tf_group_offs),
             "positions": pos_arr,
-            "block_max_tf": _binary_from_offsets_local(bm_payload, bm_boffs),
-            "block_min_norm": _binary_from_offsets_local(bn_payload, blk_list_offs),
-            "block_doc_offsets": _binary_from_offsets_local(
+            "block_max_tf": _binary_from_offsets(bm_payload, bm_boffs),
+            "block_min_norm": _binary_from_offsets(bn_payload, blk_list_offs),
+            "block_doc_offsets": _binary_from_offsets(
                 rel_doc.astype(np.int32).tobytes(), ent_base * 4
             ),
-            "block_tf_offsets": _binary_from_offsets_local(
+            "block_tf_offsets": _binary_from_offsets(
                 rel_tf.astype(np.int32).tobytes(), ent_base * 4
             ),
-            "block_last_doc": _binary_from_offsets_local(
+            "block_last_doc": _binary_from_offsets(
                 blk_last.astype(np.uint64).tobytes(), blk_list_offs * 8
             ),
         },
-        schema=_MERGED_SCHEMA,
-    )
-
-
-def _binary_from_offsets_local(payload, byte_offsets):
-    from toshi_ray.segments import _binary_from_offsets
-
-    return _binary_from_offsets(
-        payload if isinstance(payload, bytes) else bytes(payload),
-        np.asarray(byte_offsets, dtype=np.int64),
+        schema=POSTINGS_SCHEMA,
     )
 
 
@@ -398,7 +373,7 @@ def apply_tombstones_to_postings(batch: pa.Table, tombs: np.ndarray) -> pa.Table
     new_pos_offs = np.zeros(row_sel.size + 1, np.int64)
     np.cumsum(kept_pos_per_row, out=new_pos_offs[1:])
     pos_payload, pos_boffs = codecs.segmented_varint_encode(kept_pos_gaps, new_pos_offs)
-    pos_arr = _binary_from_offsets_local(pos_payload, pos_boffs)
+    pos_arr = _binary_from_offsets(pos_payload, pos_boffs)
     if not has_pos_row.all():
         pos_arr = pa.compute.if_else(
             pa.array(has_pos_row[row_sel]), pos_arr,
@@ -415,18 +390,18 @@ def apply_tombstones_to_postings(batch: pa.Table, tombs: np.ndarray) -> pa.Table
             "first_doc": pa.array(doc_kept[new_row_offs[:-1]].astype(np.uint64)),
             "total_tf": pa.array(np.add.reduceat(tf_kept, new_row_offs[:-1]).astype(np.uint64)),
             "max_tf": pa.array(np.maximum.reduceat(tf_kept, new_row_offs[:-1]).astype(np.uint32)),
-            "doc_ids": _binary_from_offsets_local(doc_payload, doc_byte_offs),
-            "tfs": _binary_from_offsets_local(tf_payload, tf_row_offs),
+            "doc_ids": _binary_from_offsets(doc_payload, doc_byte_offs),
+            "tfs": _binary_from_offsets(tf_payload, tf_row_offs),
             "positions": pos_arr,
-            "block_max_tf": _binary_from_offsets_local(bm_payload, bm_boffs),
-            "block_min_norm": _binary_from_offsets_local(bn_payload, blk_list_offs),
-            "block_doc_offsets": _binary_from_offsets_local(
+            "block_max_tf": _binary_from_offsets(bm_payload, bm_boffs),
+            "block_min_norm": _binary_from_offsets(bn_payload, blk_list_offs),
+            "block_doc_offsets": _binary_from_offsets(
                 rel_doc.astype(np.int32).tobytes(), ent_base * 4
             ),
-            "block_tf_offsets": _binary_from_offsets_local(
+            "block_tf_offsets": _binary_from_offsets(
                 rel_tf.astype(np.int32).tobytes(), ent_base * 4
             ),
-            "block_last_doc": _binary_from_offsets_local(
+            "block_last_doc": _binary_from_offsets(
                 blk_last.astype(np.uint64).tobytes(), blk_list_offs * 8
             ),
         }
@@ -840,17 +815,6 @@ def gc_segments(index_root: str, *, checkpoint_grace_s: float = 3600.0) -> int:
 # Delete-by-term (reference `handle.rs:184-210`): tombstones now, physical
 # removal at merge. Readers subtract tombstones at query time.
 # ---------------------------------------------------------------------------
-
-TOMBSTONES_DIR = "tombstones"
-
-
-def load_tombstones(index_root: str) -> np.ndarray:
-    d = os.path.join(index_root, TOMBSTONES_DIR)
-    if not os.path.isdir(d) or not os.listdir(d):
-        return np.empty(0, np.uint64)
-    t = pq.read_table(d)
-    return np.unique(t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64))
-
 
 def delete_by_term(index_root: str, field: str, term: str,
                    *, distributed: bool | None = None) -> int:

@@ -56,7 +56,13 @@ from toshi_ray.query import (
     parse_raw,
 )
 from toshi_ray.schema import Schema
-from toshi_ray.segments import POSTINGS_SANS_POSITIONS, SegmentReader
+from toshi_ray.segments import (
+    POSTINGS_SANS_POSITIONS,
+    SegmentReader,
+    decode_block,
+    decode_positions,
+    decode_posting_row,
+)
 
 import logging
 
@@ -134,53 +140,35 @@ class _StatsState:
         self.df_cache: dict = {}  # (field, term) -> global df
 
 
-def _levenshtein_filter_arrow(
+def _levenshtein_filter(
     terms: "pa.Array | pa.ChunkedArray", query: str, distance: int, transposition: bool
 ) -> list[str]:
-    """Arrow-native fuzzy expansion over the segment's on-disk term
-    dict column (already unique): length-prefilter with pc.utf8_length
-    so only the |len−qlen| ≤ d window is ever materialized into Python,
-    then the vectorized DP on the survivors. Avoids the to_pylist +
-    sorted(set(...)) churn of a web-scale dict (10^7 terms)."""
+    """Terms of an Arrow string column (the segment's unique term dict)
+    within edit distance of ``query`` — a vectorized DP over the
+    candidate code-point matrix. A pc.utf8_length mask keeps only the
+    |len−qlen| ≤ d window, and the DP's verdict is applied as a mask
+    too, so only matching terms ever become Python strings."""
     if isinstance(terms, pa.ChunkedArray):
         terms = terms.combine_chunks()
     if distance == 0:
         return terms.filter(pc.equal(terms, query)).to_pylist()
-    lens = pc.utf8_length(terms).to_numpy(zero_copy_only=False)
-    mask = np.abs(lens.astype(np.int64) - len(query)) <= distance
-    if not mask.any():
-        return []
-    return _levenshtein_filter(
-        terms.filter(pa.array(mask)).to_pylist(), query, distance, transposition,
-        _prefiltered=True,
-    )
-
-
-def _levenshtein_filter(
-    terms: list[str], query: str, distance: int, transposition: bool,
-    _prefiltered: bool = False,
-) -> list[str]:
-    """Terms within edit distance — vectorized DP over the candidate matrix."""
-    if distance == 0:
-        return [t for t in terms if t == query]
     q = np.frombuffer(query.encode("utf-32-le"), dtype=np.uint32)
-    cands = (
-        terms if _prefiltered
-        else [t for t in terms if abs(len(t) - len(query)) <= distance]
-    )
-    if not cands:
+    lens = pc.utf8_length(terms).to_numpy(zero_copy_only=False).astype(np.int64)
+    window = np.abs(lens - q.size) <= distance
+    if not window.any():
         return []
+    cands = terms.filter(pa.array(window))
+    lens = lens[window]
+    n = len(cands)
     # candidate code-point matrix in ONE encode + one vectorized scatter
-    codes = np.frombuffer("".join(cands).encode("utf-32-le"), dtype=np.uint32)
-    lens = np.fromiter((len(t) for t in cands), dtype=np.int64, count=len(cands))
-    offs = np.zeros(len(cands) + 1, np.int64)
+    codes = np.frombuffer("".join(cands.to_pylist()).encode("utf-32-le"), dtype=np.uint32)
+    offs = np.zeros(n + 1, np.int64)
     np.cumsum(lens, out=offs[1:])
     maxlen = int(lens.max())
-    mat = np.zeros((len(cands), maxlen), dtype=np.uint32)
-    rows = np.repeat(np.arange(len(cands), dtype=np.int64), lens)
+    mat = np.zeros((n, maxlen), dtype=np.uint32)
+    rows = np.repeat(np.arange(n, dtype=np.int64), lens)
     cols = np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(offs[:-1], lens)
     mat[rows, cols] = codes
-    n = len(cands)
     prev = np.broadcast_to(np.arange(maxlen + 1, dtype=np.int32), (n, maxlen + 1)).copy()
     prev2 = None
     for j in range(1, q.size + 1):
@@ -199,7 +187,7 @@ def _levenshtein_filter(
                 )
         prev2, prev = prev, cur
     d = prev[np.arange(n), lens]
-    return [t for t, di in zip(cands, d) if di <= distance]
+    return cands.filter(pa.array(d <= distance)).to_pylist()
 
 
 class SegmentGroupScorer:
@@ -266,31 +254,25 @@ class SegmentGroupScorer:
         (rows [(doc_id, score, seg_idx_local)], facet_counts dict)."""
         top_rows: list[tuple[int, float, int]] = []
         facet_counts: dict[str, int] = {}
-        # block-max WAND fast path: single text-term relevance query with
-        # no facet/sort side-outputs → skip low-upper-bound blocks
+        # block-max WAND: a text term, or a should-only disjunction of
+        # text terms (the one-term case included), with no facet/sort
+        # side-outputs → skip blocks whose upper bound cannot reach θ
+        if isinstance(plan, TermQuery):
+            bm_terms = [plan]
+        elif isinstance(plan, BoolQuery) and not plan.must and not plan.must_not:
+            bm_terms = list(plan.should)
+        else:
+            bm_terms = []
         use_blockmax = (
             sort_by is None
             and not facets
-            and isinstance(plan, TermQuery)
-            and (fd := self.schema.field(plan.field)) is not None
-            and fd.is_text
-            and fd.indexed
-        )
-        # block-max UNION: pure disjunction of text terms (should-only
-        # bool) → region-overlay WAND, skipped blocks never decoded
-        use_union = (
-            sort_by is None
-            and not facets
-            and isinstance(plan, BoolQuery)
-            and not plan.must
-            and not plan.must_not
-            and len(plan.should) >= 2
+            and bool(bm_terms)
             and all(
                 isinstance(q, TermQuery)
                 and (fd := self.schema.field(q.field)) is not None
                 and fd.is_text
                 and fd.indexed
-                for q in plan.should
+                for q in bm_terms
             )
         )
         readers_iter = list(enumerate(self.readers))
@@ -327,9 +309,7 @@ class SegmentGroupScorer:
                 ):
                     continue
             if use_blockmax:
-                doc_ids, scores = self._topk_term_blockmax(plan, reader, stats, k)
-            elif use_union:
-                doc_ids, scores = self._topk_union_blockmax(plan, reader, stats, k)
+                doc_ids, scores = self._topk_blockmax(bm_terms, reader, stats, k)
             else:
                 doc_ids, scores = self._eval(plan, reader, stats)
             if stats.tombstones is not None and stats.tombstones.size and doc_ids.size:
@@ -421,7 +401,7 @@ class SegmentGroupScorer:
         return fdef
 
     def _postings(self, reader: SegmentReader, field: str, term: str):
-        """Concatenated (doc_ids, tfs, rows) across hot-term shards.
+        """Concatenated (doc_ids, tfs) across hot-term shards.
 
         Shard rows are ordered by first_doc (shards partition disjoint
         doc ranges) so the concatenation is globally doc-id sorted
@@ -429,162 +409,84 @@ class SegmentGroupScorer:
         sorted WITHIN each shuffle partition file."""
         tbl = reader.postings_for_terms(field, [term], POSTINGS_SANS_POSITIONS)
         if tbl.num_rows == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.uint64), []
+            return np.empty(0, np.uint64), np.empty(0, np.uint64)
         if tbl.num_rows > 1:
             tbl = tbl.sort_by("first_doc")
-        rows = tbl.to_pylist()
-        parts = [codecs.decode_doc_ids_blocked(r["doc_ids"], r["df"]) for r in rows]
-        tf_parts = [codecs.varint_decode(r["tfs"]) for r in rows]
-        return np.concatenate(parts), np.concatenate(tf_parts), rows
+        ids, tfs = zip(*(decode_posting_row(r) for r in tbl.to_pylist()))
+        return np.concatenate(ids), np.concatenate(tfs)
 
-    def _topk_term_blockmax(self, node: TermQuery, reader: SegmentReader, stats: Stats, k: int):
-        """Block-max WAND for a single-term query: process 128-doc blocks
-        in descending upper-bound order and stop once the next block's
-        bound is below the running k-th score θ — skipped blocks are
-        never even DECODED (their byte ranges carry the bound in
-        `block_max_tf`/`block_min_norm`, offsets in `block_doc_offsets`).
-        Returns the segment-local top-k only (exact, tie-break-safe:
-        skipping requires bound < θ strictly, so equal-score lower-doc
-        candidates are always examined)."""
+    def _topk_blockmax(self, terms: list, reader: SegmentReader, stats: Stats, k: int):
+        """Block-max WAND over a disjunction of one or more text terms
+        (a bare term query is the one-list case): overlay every term's
+        128-doc blocks into doc-range REGIONS, bound each region by the
+        sum of the covering blocks' upper bounds (from `block_max_tf`/
+        `block_min_norm`, no payload decode), and process regions in
+        descending bound order — stop when the next region's bound is
+        strictly below the running k-th score θ. Blocks in skipped
+        regions are never decoded. Returns the segment-local top-k,
+        exact incl. ties: the strict-inequality stop always examines
+        equal-score lower-doc candidates."""
         if k <= 0:  # limit=0: empty result, not a partition kth error
             return np.empty(0, np.uint64), np.empty(0, np.float64)
-        field = node.field
-        w = stats.idf.get((field, node.value), 0.0)
-        tbl = reader.postings_for_terms(field, [node.value], POSTINGS_SANS_POSITIONS)
-        if tbl.num_rows == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        rows = tbl.to_pylist()
-        avgdl = max(stats.avgdl.get(field, 0.0), 1e-9)
-
-        blocks = []  # (upper_bound, row idx, block idx)
-        for ri, r in enumerate(rows):
-            bmax = codecs.varint_decode(r["block_max_tf"]).astype(np.float64)
-            dlmin = id_to_fieldnorm(np.frombuffer(r["block_min_norm"], np.uint8)).astype(
-                np.float64
-            )
-            ub = w * (K1 + 1.0) * bmax / (bmax + K1 * (1.0 - B + B * dlmin / avgdl))
-            blocks.extend((float(ub[b]), ri, b) for b in range(ub.size))
-        blocks.sort(key=lambda x: -x[0])
-        self.blocks_total += len(blocks)
-
-        cand_ids: list[np.ndarray] = []
-        cand_scores: list[np.ndarray] = []
-        n_cand = 0
-        theta = -np.inf
-        # bounded running top-k buffer: a doc appears in exactly one
-        # block of the posting list, so the k-th largest of
-        # (buffer ∪ new block scores) IS the global k-th largest —
-        # θ maintenance is O(k + block) per block, not O(candidates)
-        topk_buf = np.empty(0, np.float64)
-        for ub, ri, b in blocks:
-            if n_cand >= k and ub < theta:
-                break
-            r = rows[ri]
-            dof = np.frombuffer(r["block_doc_offsets"], np.int32)
-            tfo = np.frombuffer(r["block_tf_offsets"], np.int32)
-            gaps = codecs.varint_decode(r["doc_ids"][dof[b] : dof[b + 1]])
-            ids = np.cumsum(gaps, dtype=np.uint64)  # block restarts absolutely
-            tfs = codecs.varint_decode(r["tfs"][tfo[b] : tfo[b + 1]])
-            self.blocks_decoded += 1
-            if stats.tombstones is not None and stats.tombstones.size:
-                keep = ~np.isin(ids, stats.tombstones)
-                ids, tfs = ids[keep], tfs[keep]
-            if ids.size == 0:
-                continue
-            scores = self._bm25(reader, field, ids, tfs, w, stats)
-            cand_ids.append(ids)
-            cand_scores.append(scores)
-            n_cand += ids.size
-            topk_buf = np.concatenate([topk_buf, scores])
-            if topk_buf.size > k:
-                topk_buf = np.partition(topk_buf, topk_buf.size - k)[topk_buf.size - k :]
-            if n_cand >= k:
-                theta = float(topk_buf.min())
-        if not cand_ids:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        ids = np.concatenate(cand_ids)
-        scores = np.concatenate(cand_scores)
-        order = np.lexsort((ids, -scores))[:k]
-        return ids[order], scores[order]
-
-    def _topk_union_blockmax(self, node: BoolQuery, reader: SegmentReader,
-                             stats: Stats, k: int):
-        """Block-max WAND for a pure disjunction of text terms
-        (should-only bool): overlay every term's 128-doc blocks into
-        doc-range REGIONS, bound each region by the sum of the covering
-        blocks' upper bounds, and process regions in descending bound
-        order — stop when the next region's bound is strictly below the
-        running k-th score θ. Blocks in skipped regions are never
-        decoded. Exact incl. ties (strict-inequality stop, like the
-        single-term path)."""
-        if k <= 0:  # limit=0: empty result, not a partition kth error
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        avgdl = {f: max(stats.avgdl.get(f, 0.0), 1e-9)
-                 for f in {q.field for q in node.should}}
-        per_term = []  # (field, weight, rows, lasts, ub, row_of_blk, loc_blk)
-        for q in node.should:
+        per_term = []  # (field, weight, [(row, block)], lasts, ub) per present term
+        for q in terms:
             tbl = reader.postings_for_terms(q.field, [q.value], POSTINGS_SANS_POSITIONS)
             if tbl.num_rows == 0:
                 continue
             if tbl.num_rows > 1:
-                tbl = tbl.sort_by("first_doc")
+                tbl = tbl.sort_by("first_doc")  # shard order = doc order
             rows = tbl.to_pylist()
-            lasts_p, ub_p, rob_p, loc_p = [], [], [], []
             w = stats.idf.get((q.field, q.value), 0.0)
-            for ri, r in enumerate(rows):
-                lasts = np.frombuffer(r["block_last_doc"], np.uint64)
-                bmax = codecs.varint_decode(r["block_max_tf"]).astype(np.float64)
-                dlmin = id_to_fieldnorm(
-                    np.frombuffer(r["block_min_norm"], np.uint8)
-                ).astype(np.float64)
-                ub = (w * (K1 + 1.0) * bmax
-                      / (bmax + K1 * (1.0 - B + B * dlmin / avgdl[q.field])))
-                lasts_p.append(lasts)
-                ub_p.append(ub)
-                rob_p.append(np.full(lasts.size, ri, np.int64))
-                loc_p.append(np.arange(lasts.size, dtype=np.int64))
+            avgdl = max(stats.avgdl.get(q.field, 0.0), 1e-9)
+            lasts_p = [np.frombuffer(r["block_last_doc"], np.uint64) for r in rows]
             lasts = np.concatenate(lasts_p)
+            bmax = np.concatenate(
+                [codecs.varint_decode(r["block_max_tf"]) for r in rows]
+            ).astype(np.float64)
+            dlmin = id_to_fieldnorm(
+                np.frombuffer(b"".join(r["block_min_norm"] for r in rows), np.uint8)
+            ).astype(np.float64)
+            ub = w * (K1 + 1.0) * bmax / (bmax + K1 * (1.0 - B + B * dlmin / avgdl))
+            blocks = [(r, b) for r, x in zip(rows, lasts_p) for b in range(x.size)]
             self.blocks_total += lasts.size
-            per_term.append((q.field, w, rows, lasts, np.concatenate(ub_p),
-                             np.concatenate(rob_p), np.concatenate(loc_p)))
+            per_term.append((q.field, w, blocks, lasts, ub))
         if not per_term:
             return np.empty(0, np.uint64), np.empty(0, np.float64)
 
         # region edges = union of every term's block-last boundaries;
         # region r covers (edges[r-1], edges[r]] and never straddles any
         # term's block boundary → one covering block (or none) per term
-        edges = np.unique(np.concatenate([t[3] for t in per_term]))
-        n_reg = edges.size
-        cover = []  # per term: block index covering each region (or n)
-        bounds = np.zeros(n_reg, np.float64)
-        for _, _, _, lasts, ub, _, _ in per_term:
-            j = np.searchsorted(lasts, edges, side="left")
-            valid = j < lasts.size
-            bounds += np.where(valid, ub[np.minimum(j, lasts.size - 1)], 0.0)
-            cover.append(np.where(valid, j, lasts.size))
+        cover = []  # per term: (covering block per region or n, block-in-one-region)
+        if len(per_term) == 1:  # one list: its blocks are the regions
+            _, _, _, edges, bounds = per_term[0]
+            cover.append((range(edges.size), [True] * edges.size))
+        else:
+            edges = np.unique(np.concatenate([t[3] for t in per_term]))
+            bounds = np.zeros(edges.size, np.float64)
+            for _, _, _, lasts, ub in per_term:
+                j = np.searchsorted(lasts, edges, side="left")
+                valid = j < lasts.size
+                bounds += np.where(valid, ub[np.minimum(j, lasts.size - 1)], 0.0)
+                # a block covering exactly one region lies wholly inside
+                # it and needs no doc-range mask
+                whole = np.bincount(j[valid], minlength=lasts.size) == 1
+                cover.append((np.where(valid, j, lasts.size).tolist(), whole.tolist()))
 
         order = np.argsort(-bounds, kind="stable")
         decoded: dict = {}  # (term idx, concat block idx) -> (ids, scores)
 
         def block_scores(ti: int, j: int):
             key = (ti, j)
-            if key in decoded:
-                return decoded[key]
-            field, w, rows, lasts, ub, rob, loc = per_term[ti]
-            r, b = rows[int(rob[j])], int(loc[j])
-            dof = np.frombuffer(r["block_doc_offsets"], np.int32)
-            tfo = np.frombuffer(r["block_tf_offsets"], np.int32)
-            gaps = codecs.varint_decode(r["doc_ids"][dof[b]: dof[b + 1]])
-            ids = np.cumsum(gaps, dtype=np.uint64)
-            tfs = codecs.varint_decode(r["tfs"][tfo[b]: tfo[b + 1]])
-            self.blocks_decoded += 1
-            if stats.tombstones is not None and stats.tombstones.size:
-                # filter BEFORE θ accounting: tombstoned docs must not
-                # inflate the pruning threshold
-                keep = ~np.isin(ids, stats.tombstones)
-                ids, tfs = ids[keep], tfs[keep]
-            sc = self._bm25(reader, field, ids, tfs, w, stats)
-            decoded[key] = (ids, sc)
+            if key not in decoded:
+                field, w, blocks, _, _ = per_term[ti]
+                ids, tfs = decode_block(*blocks[j])
+                self.blocks_decoded += 1
+                if stats.tombstones is not None and stats.tombstones.size:
+                    # filter BEFORE θ accounting: tombstoned docs must not
+                    # inflate the pruning threshold
+                    keep = ~np.isin(ids, stats.tombstones)
+                    ids, tfs = ids[keep], tfs[keep]
+                decoded[key] = (ids, self._bm25(reader, field, ids, tfs, w, stats))
             return decoded[key]
 
         cand_ids: list[np.ndarray] = []
@@ -592,28 +494,31 @@ class SegmentGroupScorer:
         n_cand = 0
         theta = -np.inf
         topk_buf = np.empty(0, np.float64)
-        for r in order:
+        bounds = bounds.tolist()  # Python scalars: cheaper per region
+        for r in order.tolist():
             if n_cand >= k and bounds[r] < theta:
                 break
-            lo = edges[r - 1] if r > 0 else np.uint64(0)
             hi = edges[r]
             parts_i, parts_s = [], []
-            for ti, covj in enumerate(cover):
-                j = int(covj[r])
-                if j >= per_term[ti][3].size:
+            for ti, (covj, whole) in enumerate(cover):
+                j = covj[r]
+                if j >= len(whole):
                     continue
                 ids, sc = block_scores(ti, j)
-                m = (ids <= hi) if r == 0 else ((ids > lo) & (ids <= hi))
-                if m.any():
-                    parts_i.append(ids[m])
-                    parts_s.append(sc[m])
+                if not whole[j]:
+                    m = (ids <= hi) if r == 0 else ((ids > edges[r - 1]) & (ids <= hi))
+                    ids, sc = ids[m], sc[m]
+                if ids.size:
+                    parts_i.append(ids)
+                    parts_s.append(sc)
             if not parts_i:
                 continue
-            ids = np.concatenate(parts_i)
-            sc = np.concatenate(parts_s)
-            uids, inv = np.unique(ids, return_inverse=True)
-            usc = np.zeros(uids.size, np.float64)
-            np.add.at(usc, inv, sc)
+            if len(parts_i) == 1:  # one block's ids are already unique
+                uids, usc = parts_i[0], parts_s[0]
+            else:
+                uids, inv = np.unique(np.concatenate(parts_i), return_inverse=True)
+                usc = np.zeros(uids.size, np.float64)
+                np.add.at(usc, inv, np.concatenate(parts_s))
             cand_ids.append(uids)
             cand_scores.append(usc)
             n_cand += uids.size
@@ -629,8 +534,8 @@ class SegmentGroupScorer:
             return np.empty(0, np.uint64), np.empty(0, np.float64)
         ids = np.concatenate(cand_ids)
         scores = np.concatenate(cand_scores)
-        order2 = np.lexsort((ids, -scores))[:k]
-        return ids[order2], scores[order2]
+        top = np.lexsort((ids, -scores))[:k]
+        return ids[top], scores[top]
 
     def _bm25(self, reader, field, doc_ids, tfs, weight_idf, stats: Stats) -> np.ndarray:
         dl = self._norm_lookup(reader, field, doc_ids).astype(np.float64)
@@ -647,7 +552,7 @@ class SegmentGroupScorer:
         if isinstance(node, TermQuery):
             fdef = self._field_or_raise(node.field)
             if fdef.is_text:
-                doc_ids, tfs, _ = self._postings(reader, node.field, node.value)
+                doc_ids, tfs = self._postings(reader, node.field, node.value)
                 if doc_ids.size == 0:
                     return doc_ids, np.empty(0, np.float64)
                 w = stats.idf.get((node.field, node.value), 0.0)
@@ -695,7 +600,7 @@ class SegmentGroupScorer:
                 dict_tbl = reader.term_dict(node.field)
                 terms_arr = pc.unique(dict_tbl["term"].combine_chunks())
                 if isinstance(node, FuzzyQuery):
-                    matched = _levenshtein_filter_arrow(
+                    matched = _levenshtein_filter(
                         terms_arr, node.value, node.distance, node.transposition
                     )
                 else:
@@ -803,7 +708,7 @@ class SegmentGroupScorer:
         # would shave a constant factor at the cost of a format bump.)
         fetched = []  # (ids, tfs) per term, rows sorted by first_doc
         for t in node.terms:
-            ids, tfs, _ = self._postings(reader, node.field, t)
+            ids, tfs = self._postings(reader, node.field, t)
             if ids.size == 0:
                 return np.empty(0, np.uint64), np.empty(0, np.float64)
             fetched.append((ids, tfs))
@@ -826,22 +731,12 @@ class SegmentGroupScorer:
             rows = tbl.to_pylist()
             df_offs = np.zeros(len(rows) + 1, np.int64)
             np.cumsum([r["df"] for r in rows], out=df_offs[1:])
-            pos_parts, off_parts = [], []
-            for k, r in enumerate(rows):
-                tfr = tfs[df_offs[k]: df_offs[k + 1]]
-                gaps = codecs.varint_decode(r["positions"])
-                offs = np.zeros(tfr.size + 1, np.int64)
-                np.cumsum(tfr.astype(np.int64), out=offs[1:])
-                cs = np.cumsum(gaps, dtype=np.uint64)
-                base = cs[offs[:-1]] - gaps[offs[:-1]]
-                pos = cs - np.repeat(base, np.diff(offs))
-                pos_parts.append(pos)
-                off_parts.append(offs)
-            # concat offset arrays across shard rows
-            pos = np.concatenate(pos_parts)
-            lens = np.concatenate([np.diff(o) for o in off_parts])
-            offs = np.zeros(lens.size + 1, np.int64)
-            np.cumsum(lens, out=offs[1:])
+            pos = np.concatenate([
+                decode_positions(r, tfs[df_offs[i]: df_offs[i + 1]])[0]
+                for i, r in enumerate(rows)
+            ])
+            offs = np.zeros(tfs.size + 1, np.int64)
+            np.cumsum(tfs.astype(np.int64), out=offs[1:])
             per_term.append((ids, pos.astype(np.int64), offs))
 
         survivors = None
@@ -886,13 +781,11 @@ class SegmentGroupScorer:
             need = need[need < lasts.size]
             if need.size == 0:
                 continue
-            dof = np.frombuffer(r["block_doc_offsets"], np.int32)
-            tfo = np.frombuffer(r["block_tf_offsets"], np.int32)
             self.blocks_decoded += need.size
             for b in need:
-                gaps = codecs.varint_decode(r["doc_ids"][dof[b] : dof[b + 1]])
-                id_parts.append(np.cumsum(gaps, dtype=np.uint64))
-                tf_parts.append(codecs.varint_decode(r["tfs"][tfo[b] : tfo[b + 1]]))
+                ids, tfs = decode_block(r, b)
+                id_parts.append(ids)
+                tf_parts.append(tfs)
         if not id_parts:
             return np.empty(0, np.uint64), np.empty(0, np.uint64)
         return np.concatenate(id_parts), np.concatenate(tf_parts)
@@ -914,7 +807,7 @@ class SegmentGroupScorer:
                 key=lambda q: -stats.idf.get((q.field, q.value), 0.0),  # rarest first
             )
             first = order[0]
-            ids, tfs, _ = self._postings(reader, first.field, first.value)
+            ids, tfs = self._postings(reader, first.field, first.value)
             w = stats.idf.get((first.field, first.value), 0.0)
             scores = (
                 self._bm25(reader, first.field, ids, tfs, w, stats)
@@ -1076,7 +969,7 @@ class Searcher:
             self._refresh_stop = None
 
     def refresh(self) -> None:
-        from toshi_ray.pipelines.build import FORMAT_VERSION
+        from toshi_ray.pipelines.build import FORMAT_VERSION, load_tombstones
 
         with open(os.path.join(self.index_root, MANIFEST_FILE)) as f:
             self.manifest = json.load(f)
@@ -1096,7 +989,7 @@ class Searcher:
                 totals[fname] = totals.get(fname, 0) + st["total_tokens"]
         for fname, tot in totals.items():
             avgdl[fname] = tot / n_docs if n_docs else 0.0
-        tombstones = self._load_tombstones()
+        tombstones = load_tombstones(self.index_root)
         # ONE atomic rebind: in-flight queries snapshot _stats_state once
         # and see a consistent (n_docs, avgdl, df cache, tombstones) set —
         # piecemeal attribute swaps would tear stats mid-query (stale df
@@ -1107,15 +1000,6 @@ class Searcher:
         self.avgdl = avgdl
         self.tombstones = tombstones
         self._teardown_groups()
-
-    def _load_tombstones(self) -> np.ndarray:
-        import pyarrow.parquet as pq
-
-        d = os.path.join(self.index_root, "tombstones")
-        if not os.path.isdir(d) or not os.listdir(d):
-            return np.empty(0, np.uint64)
-        t = pq.read_table(d)
-        return np.unique(t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64))
 
     def _kill_pools(self, pools) -> None:
         for kind, g in pools:
