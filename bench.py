@@ -276,24 +276,17 @@ def _bench_merge_on_clone(index_root: str, tombstone_pct: float = 0.0) -> float:
     same source set). Optionally tombstones ~tombstone_pct of docs first
     to exercise the vectorized delete path."""
     from toshi_ray.pipelines.build import load_manifest
-    from toshi_ray.pipelines.merge import merge_segments
+    from toshi_ray.pipelines.merge import commit_tombstones, merge_segments
 
     clone = _clone_index(index_root)
     try:
         if tombstone_pct > 0:
             import numpy as np
-            import pyarrow as pa
-            import pyarrow.parquet as pq
 
-            tomb_dir = os.path.join(clone, "tombstones")
-            os.makedirs(tomb_dir, exist_ok=True)
             ids = np.random.default_rng(0).choice(
                 N_PAGES, size=max(1, int(N_PAGES * tombstone_pct)), replace=False
             )
-            pq.write_table(
-                pa.table({"doc_id": pa.array(np.sort(ids).astype(np.uint64))}),
-                os.path.join(tomb_dir, "bench.parquet"),
-            )
+            commit_tombstones(clone, np.sort(ids).astype(np.uint64))
         bucket = [s["name"] for s in load_manifest(clone)["segments"][:16]]
         t0 = time.perf_counter()
         merge_segments(clone, bucket, hot_df_threshold=20_000, shard_span=20_000)

@@ -15,14 +15,16 @@ Mirrors the route table at `toshi-server/src/router.rs:52-74`:
 
 The reference's catalog is a dir-scan over a base path
 (`toshi-server/src/index.rs:102-124`); ours scans for index manifests.
-"Commit" everywhere is an atomic manifest swap, which also gives the
-bulk path its whole-batch rollback for free (parse error ⇒ nothing
-published — `handlers/bulk.rs:121-129` semantics).
+"Commit" everywhere is `pipelines.build.commit`, an atomic manifest
+swap under the index's writer lock, which also gives the bulk path its
+whole-batch rollback for free (parse error ⇒ nothing published —
+`handlers/bulk.rs:121-129` semantics).
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 
@@ -33,14 +35,16 @@ from toshi_ray.pipelines.build import (
     MANIFEST_FILE,
     SCHEMA_FILE,
     SEGMENTS_DIR,
+    _atomic_write,
+    commit,
     load_manifest,
-    publish_manifest,
 )
 from toshi_ray.query import QueryError
 from toshi_ray.schema import Schema
 from toshi_ray.search import Searcher
 from toshi_ray.segments import build_segment_tables, write_segment
 
+_LOG = logging.getLogger("toshi_ray.api")
 
 class AutoCommitWatcher:
     """Analogue of the reference's commit watcher (`commit.rs:11-28`):
@@ -61,21 +65,17 @@ class AutoCommitWatcher:
         return self
 
     def _run(self) -> None:
-        import logging
-
         while not self._stop.wait(self.every_s):
             try:
                 self.tick()
             except Exception:
                 # one failing commit must not kill the ticker thread
-                logging.getLogger("toshi_ray.api").exception("auto-commit tick failed")
+                _LOG.exception("auto-commit tick failed")
 
     def tick(self) -> list[str]:
         """One watcher pass; returns the indexes committed (callable
         directly for deterministic tests, mirroring commit.rs:88-109).
         One failing index must not starve the others."""
-        import logging
-
         c = self.catalog
         if c._bulk_lock.is_set():  # suppressed during bulk ingest
             return []
@@ -86,9 +86,7 @@ class AutoCommitWatcher:
                     c.flush(name)
                     out.append(name)
                 except Exception:
-                    logging.getLogger("toshi_ray.api").exception(
-                        "auto-commit failed for index %r", name
-                    )
+                    _LOG.exception("auto-commit failed for index %r", name)
         return out
 
     def stop(self) -> None:
@@ -112,12 +110,6 @@ class IndexCatalog:
         self._pending: dict[str, list[dict]] = {}
         self._opstamp: dict[str, int] = {}
         self._mutex = threading.Lock()  # guards _pending/_opstamp (ticker thread)
-        self._flush_lock = threading.RLock()  # serializes WHOLE commits:
-        # publish_manifest is load-then-write and an append takes its doc
-        # ids from the loaded manifest, so two concurrent commits (user
-        # threads, ticker) could reuse ids and a segment name or publish
-        # a stale segment list — silently dropping acknowledged docs.
-        # Re-entrant: flush() holds it around its own _append_docs call
         self._bulk_lock = threading.Event()
         self._watcher: AutoCommitWatcher | None = None
         if auto_commit_s:
@@ -144,13 +136,16 @@ class IndexCatalog:
     # ---- S5: create ----
     def create_index(self, name: str, schema_json: list[dict]) -> dict:
         root = self._root(name)
-        if os.path.exists(os.path.join(root, MANIFEST_FILE)):
-            raise QueryError.index(f"Index {name} already exists")
-        os.makedirs(os.path.join(root, SEGMENTS_DIR), exist_ok=True)
         schema = Schema.from_json(schema_json)
-        with open(os.path.join(root, SCHEMA_FILE), "w") as f:
-            f.write(schema.dumps())
-        publish_manifest(root, [])
+        os.makedirs(os.path.join(root, SEGMENTS_DIR), exist_ok=True)
+
+        def create(manifest: dict) -> dict:
+            if manifest:  # checked under the lock: one racing create wins
+                raise QueryError.index(f"Index {name} already exists")
+            _atomic_write(os.path.join(root, SCHEMA_FILE), schema.dumps())
+            return {"segments": []}
+
+        commit(root, create)
         return {"created": name}
 
     # ---- S6/S9: catalog refresh + list (sorted, deduped — index.rs:51-56) ----
@@ -187,25 +182,20 @@ class IndexCatalog:
     # ---- S7: flush/commit (publish pending docs + bump the version) ----
     def flush(self, name: str) -> dict:
         root = self._require(name)
-        with self._flush_lock:
-            with self._mutex:
-                pending = self._pending.pop(name, [])
-                self._opstamp[name] = 0
-            if pending:
-                try:
-                    self._append_docs(name, pending)
-                except Exception:
-                    with self._mutex:  # re-stage: a failed commit loses nothing
-                        self._pending[name] = pending + self._pending.get(name, [])
-                        self._opstamp[name] = self._opstamp.get(name, 0) + len(pending)
-                    raise
-                return {"opstamp": load_manifest(root)["version"]}
-            manifest = load_manifest(root)
-            m = publish_manifest(root, manifest["segments"],
-                                 extra={k: v for k, v in manifest.items()
-                                        if k not in ("version", "segments")})
+        with self._mutex:
+            pending = self._pending.pop(name, [])
+            self._opstamp[name] = 0
+        if not pending:
+            m = commit(root, lambda manifest: manifest)
             self._invalidate(name)
             return {"opstamp": m["version"]}
+        try:
+            return {"opstamp": self._append_docs(name, pending)["version"]}
+        except Exception:
+            with self._mutex:  # re-stage: a failed commit loses nothing
+                self._pending[name] = pending + self._pending.get(name, [])
+                self._opstamp[name] = self._opstamp.get(name, 0) + len(pending)
+            raise
 
     # ---- S3: single-doc add (PUT /{idx}) ----
     def add_document(self, name: str, body: dict) -> dict:
@@ -322,34 +312,30 @@ class IndexCatalog:
             elif fdef.type == "i64" and (not isinstance(v, int) or isinstance(v, bool)):
                 raise QueryError.json(f"invalid type: {json.dumps(v)}, expected i64")
 
-    def _append_docs(self, name: str, docs: list[dict]) -> None:
-        """Micro-segment append: docs → one new segment + manifest bump,
-        under the commit lock from manifest load to publish."""
+    def _append_docs(self, name: str, docs: list[dict]) -> dict | None:
+        """Micro-segment append: docs → one new segment, built inside the
+        commit so its doc ids come from the locked manifest."""
         if not docs:
-            return
-        with self._flush_lock:
-            root = self._require(name)
-            schema = self._schema(name)
-            manifest = load_manifest(root)
+            return None
+        root = self._require(name)
+        schema = self._schema(name)
+        rows = {}
+        for f in schema.fields:
+            vals = [d.get(f.name) for d in docs]
+            if f.type in ("i64", "u64"):
+                rows[f.name] = pa.array(vals, type=pa.int64() if f.type == "i64" else pa.uint64())
+            else:
+                rows[f.name] = pa.array([None if v is None else str(v) for v in vals], pa.string())
+
+        def append(manifest: dict) -> dict:
             next_id = 1 + max((s["max_doc_id"] for s in manifest["segments"]), default=-1)
-            rows = {"doc_id": pa.array(
-                np.arange(next_id, next_id + len(docs), dtype=np.uint64))}
-            for f in schema.fields:
-                if f.name == "doc_id":
-                    continue
-                vals = [d.get(f.name) for d in docs]
-                if f.type in ("i64",):
-                    rows[f.name] = pa.array(vals, type=pa.int64())
-                elif f.type == "u64":
-                    rows[f.name] = pa.array(vals, type=pa.uint64())
-                else:
-                    rows[f.name] = pa.array(
-                        [str(v) if v is not None else None for v in vals], type=pa.string()
-                    )
-            batch = pa.table(rows)
+            ids = pa.array(np.arange(next_id, next_id + len(docs), dtype=np.uint64))
+            batch = pa.table({**rows, "doc_id": ids})  # ids replace any doc_id field
             postings, dv, store, meta = build_segment_tables(batch, schema)
-            meta = write_segment(os.path.join(root, SEGMENTS_DIR), postings, dv, store, meta)
-            publish_manifest(root, manifest["segments"] + [meta],
-                             extra={k: v for k, v in manifest.items()
-                                    if k not in ("version", "segments")})
-            self._invalidate(name)
+            manifest["segments"].append(
+                write_segment(os.path.join(root, SEGMENTS_DIR), postings, dv, store, meta))
+            return manifest
+
+        m = commit(root, append)
+        self._invalidate(name)
+        return m

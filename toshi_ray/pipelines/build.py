@@ -10,9 +10,9 @@ same logical stages become:
                                              #   task writes its segment dir
                                              #   atomically and emits meta
       → driver collects tiny metas           # "commit": atomic manifest swap
-                                             #   (replaces the writer mutex at
-                                             #   handle.rs:29 — partitioning
-                                             #   removes the global lock)
+                                             #   under the index lock (`commit`;
+                                             #   handle.rs:29's writer mutex,
+                                             #   held for the swap only)
 
 This is a map-only build: NO all-to-all shuffle — each input partition
 becomes one immutable segment (doc-range partitioned, like shards of
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 import uuid
 
@@ -40,6 +41,7 @@ import pyarrow.parquet as pq
 
 from toshi_ray.schema import Schema
 from toshi_ray.segments import build_segment_tables, write_segment
+from toshi_ray.storage import get_storage
 
 MANIFEST_FILE = "manifest.json"
 SCHEMA_FILE = "schema.json"
@@ -60,7 +62,10 @@ TOMBSTONES_DIR = "tombstones"
 #      `term_bloom`) — term/phrase/bool queries and the stats phase
 #      skip segments that provably lack every requested term without
 #      opening postings; pre-v5 caches lack the side file
-FORMAT_VERSION = 5
+# v6 = deletes are committed: the manifest's `tombstones` list names the
+#      live delete files under tombstones/ — a v5 reader would ignore
+#      the list and serve deleted docs
+FORMAT_VERSION = 6
 
 
 class SegmentBuilder:
@@ -88,29 +93,42 @@ class SegmentBuilder:
 
 
 def _atomic_write(path: str, payload: str) -> None:
-    from toshi_ray.storage import get_storage
-
     tmp = f"{path}.tmp-{uuid.uuid4().hex[:8]}"
     with open(tmp, "w") as f:
         f.write(payload)
     get_storage().publish_file(tmp, path)
 
 
-def publish_manifest(index_root: str, segments: list[dict], extra: dict | None = None) -> dict:
-    """Commit = atomic manifest swap (the opstamp analogue, SURVEY.md §4)."""
-    prev_version = 0
+_in_commit = threading.local()
+
+
+def commit(index_root: str, mutate) -> dict:
+    """The one manifest writer (the opstamp analogue, SURVEY.md §4):
+    under the index's writer lock (`storage.lock`) re-read the manifest
+    (``{}`` if none), publish ``mutate(manifest)`` with the version
+    bumped, the format stamped and the segments sorted. Keys ``mutate``
+    leaves alone carry over; it may raise to publish nothing, and must
+    not call ``commit`` (the lock is not re-entrant: refused, not hung)."""
+    if getattr(_in_commit, "active", False):
+        raise RuntimeError("commit() called from inside a commit mutate")
     mpath = os.path.join(index_root, MANIFEST_FILE)
-    if os.path.exists(mpath):
-        with open(mpath) as f:
-            prev_version = json.load(f).get("version", 0)
-    manifest = {
-        "version": prev_version + 1,
-        "format": FORMAT_VERSION,
-        "segments": sorted(segments, key=lambda s: s["min_doc_id"]),
-        **(extra or {}),
-    }
-    _atomic_write(mpath, json.dumps(manifest, indent=1))
+    with get_storage().lock(index_root):
+        _in_commit.active = True
+        try:
+            prev = load_manifest(index_root) or {}
+            manifest = mutate(dict(prev))
+        finally:
+            _in_commit.active = False
+        manifest["version"] = prev.get("version", 0) + 1
+        manifest["format"] = FORMAT_VERSION
+        manifest["segments"] = sorted(manifest["segments"], key=lambda s: s["min_doc_id"])
+        _atomic_write(mpath, json.dumps(manifest, indent=1))
     return manifest
+
+
+def publish_manifest(index_root: str, segments: list[dict], extra: dict | None = None) -> dict:
+    """Replace the whole manifest with ``segments`` (+ ``extra`` keys)."""
+    return commit(index_root, lambda _: {"segments": segments, **(extra or {})})
 
 
 def load_manifest(index_root: str) -> dict | None:
@@ -121,13 +139,14 @@ def load_manifest(index_root: str) -> dict | None:
         return json.load(f)
 
 
-def load_tombstones(index_root: str) -> np.ndarray:
-    """Sorted unique tombstoned doc ids of an index (delete-by-term
-    writes them; merge drops them physically, readers filter them)."""
-    d = os.path.join(index_root, TOMBSTONES_DIR)
-    if not os.path.isdir(d) or not os.listdir(d):
+def load_tombstones(index_root: str, manifest: dict) -> np.ndarray:
+    """Sorted unique tombstoned doc ids of one manifest snapshot: the
+    delete files its ``tombstones`` list names (delete-by-term commits
+    them; merge drops them physically, readers filter them)."""
+    files = [os.path.join(index_root, TOMBSTONES_DIR, f) for f in manifest.get("tombstones", [])]
+    if not files:
         return np.empty(0, np.uint64)
-    t = pq.read_table(d)
+    t = pq.read_table(files)
     return np.unique(t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64))
 
 
@@ -157,12 +176,13 @@ def build_index(
         # scratch. The rmtree matters for overwrite: segment dir names
         # are keyed by (min_doc_id, num_docs) only, and write_segment
         # skips existing dirs — without it a rebuild over changed text
-        # with the same doc-id layout would republish stale postings.
+        # with the same doc-id layout would republish stale postings
+        # (the manifest goes first, so a crash never leaves it naming them).
         import shutil
 
+        os.remove(os.path.join(index_root, MANIFEST_FILE))
         shutil.rmtree(os.path.join(index_root, SEGMENTS_DIR), ignore_errors=True)
         os.makedirs(os.path.join(index_root, SEGMENTS_DIR), exist_ok=True)
-        os.remove(os.path.join(index_root, MANIFEST_FILE))
 
     _atomic_write(os.path.join(index_root, SCHEMA_FILE), schema.dumps())
 
@@ -177,23 +197,14 @@ def build_index(
         batch_size=docs_per_segment,
         zero_copy_batch=True,
     )
-    builder = SegmentBuilder(
-        schema.to_json(), os.path.join(index_root, SEGMENTS_DIR), doc_id_col
-    )
+    args = (schema.to_json(), os.path.join(index_root, SEGMENTS_DIR), doc_id_col)
     if concurrency is not None:
         # actor pool — state (parsed schema) amortized per actor
-        meta_rows = ds.map_batches(
-            SegmentBuilder,
-            fn_constructor_args=(
-                schema.to_json(),
-                os.path.join(index_root, SEGMENTS_DIR),
-                doc_id_col,
-            ),
-            concurrency=concurrency,
-            **kwargs,
-        ).take_all()
+        ds = ds.map_batches(SegmentBuilder, fn_constructor_args=args,
+                            concurrency=concurrency, **kwargs)
     else:
-        meta_rows = ds.map_batches(builder, **kwargs).take_all()
+        ds = ds.map_batches(SegmentBuilder(*args), **kwargs)
+    meta_rows = ds.take_all()
     secs = time.perf_counter() - t0
 
     metas = [json.loads(r["meta"]) for r in meta_rows]
@@ -213,9 +224,7 @@ def build_index(
                 # If cpu_secs/doc is flat across parallelism levels the
                 # pipeline conserves work (no coordination overhead) —
                 # the scaling evidence that survives noisy-neighbor VMs.
-                "cpu_secs": round(
-                    sum(m.get("cpu_secs", 0.0) for m in metas), 3
-                ),
+                "cpu_secs": round(sum(m.get("cpu_secs", 0.0) for m in metas), 3),
             },
         },
     )

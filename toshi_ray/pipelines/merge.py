@@ -40,6 +40,7 @@ import json
 import math
 import os
 import shutil
+import time
 import uuid
 
 import numpy as np
@@ -48,12 +49,11 @@ import pyarrow.parquet as pq
 
 from toshi_ray import codecs
 from toshi_ray.pipelines.build import (
-    MANIFEST_FILE,
     SEGMENTS_DIR,
     TOMBSTONES_DIR,
+    commit,
     load_manifest,
     load_tombstones,
-    publish_manifest,
 )
 from toshi_ray.segments import (
     DOCVALUES_FILE,
@@ -66,14 +66,7 @@ from toshi_ray.segments import (
     _binary_from_offsets,
     empty_postings,
 )
-
-def _storage():
-    """Driver-side storage backend (see toshi_ray.storage): publish /
-    link primitives behind the object-store seam."""
-    from toshi_ray.storage import get_storage
-
-    return get_storage()
-
+from toshi_ray.storage import get_storage
 
 # reference defaults (config/config.toml:14-17)
 MIN_MERGE_SIZE = 8
@@ -414,11 +407,7 @@ def _segment_content_sig(seg_dir: str, name: str) -> str:
     """Content identity of one source segment's postings: file names +
     sizes + mtimes. Shared by merge-checkpoint keying and gc's
     resumability check — the two must agree exactly."""
-    p = _resolve(os.path.join(seg_dir, name, POSTINGS_FILE))
-    files = (
-        sorted(os.path.join(p, f) for f in os.listdir(p))
-        if os.path.isdir(p) else [p]
-    )
+    files = _resolve(os.path.join(seg_dir, name, POSTINGS_FILE))
     st = [(os.path.basename(f), os.path.getsize(f),
            os.stat(f).st_mtime_ns) for f in files]
     return f"{name}:{st}"
@@ -434,6 +423,10 @@ def merge_segments(
     n_parts: int = 64,
 ) -> dict:
     """Merge the named segments (default: all) into one; publish manifest.
+
+    The publish rebases onto the LATEST manifest (its segments minus the
+    sources), so commits made while the merge ran survive it; if a
+    source has left the manifest meanwhile, it raises and publishes nothing.
 
     Resumable (north_rule): the merge identity is content-keyed
     (source set + tombstone state), every shuffle partition's merged
@@ -451,9 +444,8 @@ def merge_segments(
     segs = {s["name"]: s for s in manifest["segments"]}
     names = seg_names or list(segs)
     sources = [segs[n] for n in names]
-    keep_segments = [s for s in manifest["segments"] if s["name"] not in names]
 
-    tombs = load_tombstones(index_root) if apply_deletes else np.empty(0, np.uint64)
+    tombs = load_tombstones(index_root, manifest) if apply_deletes else np.empty(0, np.uint64)
 
     seg_dir = os.path.join(index_root, SEGMENTS_DIR)
 
@@ -476,7 +468,7 @@ def merge_segments(
              hashlib.sha1(tombs.tobytes()).hexdigest()]
         ).encode()
     ).hexdigest()[:12]
-    post_paths = [_resolve(os.path.join(seg_dir, n, POSTINGS_FILE)) for n in names]
+    post_paths = [f for n in names for f in _resolve(os.path.join(seg_dir, n, POSTINGS_FILE))]
     ds = ray.data.read_parquet(post_paths)
 
     # ---- hot-term detection: map-side, no shuffle ----
@@ -534,7 +526,7 @@ def merge_segments(
     # normalize per-term shard order by first_doc (shards partition
     # disjoint doc ranges). A trailing .sort() here would be a second
     # all-to-all over the full merged postings for nothing.
-    t0 = __import__("time").perf_counter()
+    t0 = time.perf_counter()
     ckpt = os.path.join(index_root, ".merge-ckpt", merge_key)
     os.makedirs(ckpt, exist_ok=True)
     # record the checkpoint's source identity so gc can keep it exactly
@@ -545,7 +537,7 @@ def merge_segments(
         with open(src_meta + ".tmp", "w") as f:
             json.dump({"names": sorted(names),
                        "sigs": [_content_sig(n) for n in sorted(names)]}, f)
-        _storage().publish_file(src_meta + ".tmp", src_meta)
+        get_storage().publish_file(src_meta + ".tmp", src_meta)
 
     def merge_and_write(t: pa.Table) -> pa.Table:
         """One shuffle partition → one idempotent checkpoint file."""
@@ -557,8 +549,6 @@ def merge_segments(
         if os.path.exists(out_path):  # per-partition checkpoint hit
             return pa.table({"part": [part], "resumed": [True]})
         merged = _merge_partition(t)
-        from toshi_ray.storage import get_storage
-
         tmp_path = f"{out_path}.tmp-{uuid.uuid4().hex[:8]}"
         pq.write_table(merged, tmp_path)
         get_storage().publish_file(tmp_path, out_path)
@@ -579,7 +569,7 @@ def merge_segments(
     os.makedirs(os.path.join(tmp, "postings"), exist_ok=True)
     for f in sorted(os.listdir(ckpt)):  # link checkpoints in: no copy
         if f.endswith(".parquet"):
-            _storage().link_or_copy(
+            get_storage().link_or_copy(
                 os.path.join(ckpt, f), os.path.join(tmp, "postings", f)
             )
 
@@ -596,21 +586,16 @@ def merge_segments(
             dst = os.path.join(tmp, fname.replace(".parquet", ""))
             os.makedirs(dst, exist_ok=True)
             for i, n in enumerate(ordered):
-                src = _resolve(os.path.join(seg_dir, n, fname))
-                parts = (
-                    sorted(os.listdir(src)) if os.path.isdir(src) else [None]
-                )
-                for j, part in enumerate(parts):
-                    sp = src if part is None else os.path.join(src, part)
+                for j, sp in enumerate(_resolve(os.path.join(seg_dir, n, fname))):
                     dp = os.path.join(dst, f"{i:05d}-{j:04d}.parquet")
-                    _storage().link_or_copy(sp, dp)
+                    get_storage().link_or_copy(sp, dp)
     else:
         ctx = ray.data.DataContext.get_current()
         prev_preserve = ctx.execution_options.preserve_order
         ctx.execution_options.preserve_order = True
         try:
             for fname in (DOCVALUES_FILE, STORE_FILE):
-                paths = [_resolve(os.path.join(seg_dir, n, fname)) for n in ordered]
+                paths = [f for n in ordered for f in _resolve(os.path.join(seg_dir, n, fname))]
                 side = ray.data.read_parquet(paths)
                 tomb_sorted = tombs
 
@@ -713,31 +698,37 @@ def merge_segments(
         "name": new_name,
         "num_docs": int(n_docs),
         "min_doc_id": int(id_min) if id_min is not None else 0,
-        "max_doc_id": int(id_max) if id_max is not None else 0,
+        # the sources' max: appends must never reissue a deleted doc's id
+        "max_doc_id": max(s["max_doc_id"] for s in sources),
         "field_stats": field_stats,
         "fastfield_stats": zone,
         **({"term_bloom": bloom_meta} if bloom_meta is not None else {}),
         "merged_from": names,  # lineage
         "metrics": {
-            "merge_secs": round(__import__("time").perf_counter() - t0, 3),
+            "merge_secs": round(time.perf_counter() - t0, 3),
             "parts": len(part_rows),
             "parts_resumed": n_resumed,
         },
     }
     with open(os.path.join(tmp, META_FILE), "w") as f:
         json.dump(meta, f)
-    if not _storage().publish_dir(tmp, final, META_FILE):
-        # an identical merge (same content key) already published
-        with open(os.path.join(final, META_FILE)) as f:
-            meta = json.load(f)
 
-    new_manifest = publish_manifest(
-        index_root,
-        keep_segments + [meta],
-        extra={"garbage": manifest.get("garbage", []) + names,
-               "tombstones": [] if apply_deletes else manifest.get("tombstones", [])},
-    )
-    return new_manifest
+    def rebase(latest: dict) -> dict:
+        gone = set(names) - {s["name"] for s in latest["segments"]}
+        if gone:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise RuntimeError(f"merge sources left the manifest meanwhile: {sorted(gone)}")
+        # publish the dir under the lock, or a gc in between would delete it;
+        # False = an identical merge (same content key) already published
+        merged = meta
+        if not get_storage().publish_dir(tmp, final, META_FILE):
+            with open(os.path.join(final, META_FILE)) as f:
+                merged = json.load(f)
+        latest["segments"] = [s for s in latest["segments"] if s["name"] not in names] + [merged]
+        latest["garbage"] = latest.get("garbage", []) + names
+        return latest
+
+    return commit(index_root, rebase)
 
 
 def maybe_merge(index_root: str, **kw) -> list[dict]:
@@ -765,50 +756,53 @@ def gc_segments(index_root: str, *, checkpoint_grace_s: float = 3600.0) -> int:
     `sources.json` (pre-upgrade), where age is the only signal.
 
     In-flight protection: `.tmp-*` assembly dirs are never touched."""
-    import time
-
-    manifest = load_manifest(index_root)
-    live = {s["name"] for s in manifest["segments"]}
     seg_dir = os.path.join(index_root, SEGMENTS_DIR)
-    n = 0
-    for name in list(os.listdir(seg_dir)):
-        if name not in live and not name.startswith(".tmp"):
-            shutil.rmtree(os.path.join(seg_dir, name), ignore_errors=True)
-            n += 1
-    ckpt_root = os.path.join(index_root, ".merge-ckpt")
-    if os.path.isdir(ckpt_root):
-        now = time.time()
-        for key in list(os.listdir(ckpt_root)):
-            d = os.path.join(ckpt_root, key)
-            src_meta = os.path.join(d, "sources.json")
-            if os.path.exists(src_meta):
+    removed = []
+
+    # the sweep runs inside the commit: no segment can be published
+    # between reading the live set and deleting what it leaves out
+    def sweep(manifest: dict) -> dict:
+        live = {s["name"] for s in manifest["segments"]}
+        for name in list(os.listdir(seg_dir)):
+            if name not in live and not name.startswith(".tmp"):
+                shutil.rmtree(os.path.join(seg_dir, name), ignore_errors=True)
+                removed.append(name)
+        ckpt_root = os.path.join(index_root, ".merge-ckpt")
+        if os.path.isdir(ckpt_root):
+            now = time.time()
+            for key in list(os.listdir(ckpt_root)):
+                d = os.path.join(ckpt_root, key)
+                src_meta = os.path.join(d, "sources.json")
+                if os.path.exists(src_meta):
+                    try:
+                        with open(src_meta) as f:
+                            src = json.load(f)
+                        resumable = all(nm in live for nm in src["names"]) and [
+                            _segment_content_sig(seg_dir, nm) for nm in src["names"]
+                        ] == src["sigs"]
+                    except (OSError, ValueError, KeyError):
+                        resumable = False
+                    if not resumable:
+                        shutil.rmtree(d, ignore_errors=True)
+                    continue
+                # legacy checkpoint without source metadata: age heuristic,
+                # floored at 10 minutes — a merge that JUST created its dir
+                # (window between makedirs and the sources.json rename) must
+                # not be reaped by an aggressive checkpoint_grace_s=0 sweep
                 try:
-                    with open(src_meta) as f:
-                        src = json.load(f)
-                    resumable = all(nm in live for nm in src["names"]) and [
-                        _segment_content_sig(seg_dir, nm) for nm in src["names"]
-                    ] == src["sigs"]
-                except (OSError, ValueError, KeyError):
-                    resumable = False
-                if not resumable:
+                    newest = max(
+                        (os.path.getmtime(os.path.join(d, f)) for f in os.listdir(d)),
+                        default=os.path.getmtime(d),
+                    )
+                except OSError:
+                    continue
+                if now - newest > max(checkpoint_grace_s, 600.0):
                     shutil.rmtree(d, ignore_errors=True)
-                continue
-            # legacy checkpoint without source metadata: age heuristic,
-            # floored at 10 minutes — a merge that JUST created its dir
-            # (window between makedirs and the sources.json rename) must
-            # not be reaped by an aggressive checkpoint_grace_s=0 sweep
-            try:
-                newest = max(
-                    (os.path.getmtime(os.path.join(d, f)) for f in os.listdir(d)),
-                    default=os.path.getmtime(d),
-                )
-            except OSError:
-                continue
-            if now - newest > max(checkpoint_grace_s, 600.0):
-                shutil.rmtree(d, ignore_errors=True)
-    manifest["garbage"] = []
-    publish_manifest(index_root, manifest["segments"], extra={"garbage": []})
-    return n
+        manifest["garbage"] = []
+        return manifest
+
+    commit(index_root, sweep)
+    return len(removed)
 
 
 # ---------------------------------------------------------------------------
@@ -826,14 +820,10 @@ def delete_by_term(index_root: str, field: str, term: str,
     (≤ 8 segments) evaluate in-process to skip actor spin-up."""
     from toshi_ray.search import Searcher
 
-    manifest = load_manifest(index_root)
     if distributed is None:
-        try:
-            import ray
+        import ray
 
-            distributed = ray.is_initialized() and len(manifest["segments"]) > 8
-        except Exception:
-            distributed = False
+        distributed = ray.is_initialized() and len(load_manifest(index_root)["segments"]) > 8
     s = Searcher(index_root, distributed=distributed)
     # match_doc_ids already subtracts existing tombstones → every id
     # returned is newly affected
@@ -842,20 +832,27 @@ def delete_by_term(index_root: str, field: str, term: str,
     )
     s.close()
     if new.size:
-        os.makedirs(os.path.join(index_root, TOMBSTONES_DIR), exist_ok=True)
-        pq.write_table(
-            pa.table({"doc_id": pa.array(new, type=pa.uint64())}),
-            os.path.join(index_root, TOMBSTONES_DIR, f"del-{uuid.uuid4().hex[:8]}.parquet"),
-        )
+        commit_tombstones(index_root, new)
     return int(new.size)
 
 
-def _resolve(path: str) -> str:
-    """A segment file may be a single parquet file (fresh build) or a
-    directory of part files (merged segment)."""
+def commit_tombstones(index_root: str, doc_ids: np.ndarray) -> dict:
+    """Write one delete file and commit it into the manifest's
+    ``tombstones`` list: readers see the delete at the next version."""
+    name = f"del-{uuid.uuid4().hex[:8]}.parquet"
+    os.makedirs(os.path.join(index_root, TOMBSTONES_DIR), exist_ok=True)
+    pq.write_table(pa.table({"doc_id": pa.array(doc_ids, type=pa.uint64())}),
+                   os.path.join(index_root, TOMBSTONES_DIR, name))
+    return commit(index_root, lambda m: {**m, "tombstones": m.get("tombstones", []) + [name]})
+
+
+def _resolve(path: str) -> list[str]:
+    """The files of one segment file: a single parquet file (fresh
+    build) or the sorted part files of a directory (merged segment).
+    Always files: Ray's read_parquet rejects a list mixing the two."""
     if os.path.exists(path):
-        return path
+        return [path]
     alt = path.replace(".parquet", "")
     if os.path.isdir(alt):
-        return alt
+        return sorted(os.path.join(alt, f) for f in os.listdir(alt))
     raise FileNotFoundError(path)

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +40,14 @@ import pyarrow.compute as pc
 
 from toshi_ray import codecs
 from toshi_ray.fieldnorm import id_to_fieldnorm
+from toshi_ray.pipelines.build import (
+    FORMAT_VERSION,
+    MANIFEST_FILE,
+    SCHEMA_FILE,
+    SEGMENTS_DIR,
+    load_manifest,
+    load_tombstones,
+)
 from toshi_ray.query import (
     AllQuery,
     BoolQuery,
@@ -70,10 +77,6 @@ _SEARCH_LOG = logging.getLogger("toshi_ray.search")
 
 K1 = 1.2
 B = 0.75
-
-MANIFEST_FILE = "manifest.json"
-SCHEMA_FILE = "schema.json"
-SEGMENTS_DIR = "segments"
 
 
 def idf(n_docs: int, df) -> np.ndarray | float:
@@ -944,9 +947,7 @@ class Searcher:
         def run():
             while not self._refresh_stop.wait(every_s):
                 try:
-                    with open(os.path.join(self.index_root, MANIFEST_FILE)) as f:
-                        v = json.load(f).get("version")
-                    if v != self.manifest.get("version"):
+                    if load_manifest(self.index_root)["version"] != self.manifest["version"]:
                         self.refresh()
                         self.last_refresh_error = None
                 except QueryError as e:
@@ -969,8 +970,6 @@ class Searcher:
             self._refresh_stop = None
 
     def refresh(self) -> None:
-        from toshi_ray.pipelines.build import FORMAT_VERSION, load_tombstones
-
         with open(os.path.join(self.index_root, MANIFEST_FILE)) as f:
             self.manifest = json.load(f)
         fmt = self.manifest.get("format")
@@ -989,7 +988,7 @@ class Searcher:
                 totals[fname] = totals.get(fname, 0) + st["total_tokens"]
         for fname, tot in totals.items():
             avgdl[fname] = tot / n_docs if n_docs else 0.0
-        tombstones = load_tombstones(self.index_root)
+        tombstones = load_tombstones(self.index_root, self.manifest)
         # ONE atomic rebind: in-flight queries snapshot _stats_state once
         # and see a consistent (n_docs, avgdl, df cache, tombstones) set —
         # piecemeal attribute swaps would tear stats mid-query (stale df

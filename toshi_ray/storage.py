@@ -18,16 +18,22 @@ one backend swap instead of a hunt through build/merge/segments:
 - ``link_or_copy(src, dst)``: tombstone-free merges reuse side files
   without rewriting them. POSIX: hard link, falling back to copy
   across devices. Object stores: server-side copy.
+- ``lock(index_root)``: the writer lock every manifest commit
+  (``pipelines.build.commit``) holds. POSIX: ``flock`` on ``.lock`` in
+  the index root — each call opens its own file description, so it
+  excludes other threads and processes alike, and dies with its holder;
+  it is not re-entrant. Object stores: a conditional PUT of the manifest
+  on the version it read, re-read and retried on a precondition failure.
 
 Backend selection is process-local (``set_storage``); Ray workers get
 the module default, so a cluster deployment selects its backend at
-import time (e.g. an env var consulted here), not per-call. The
-manifest swap in ``pipelines.build.publish_manifest`` already maps to
-the object-store model: segments first, one small manifest PUT last.
+import time (e.g. an env var consulted here), not per-call.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import os
 import shutil
 
@@ -63,6 +69,16 @@ class LocalFileStorage:
             os.link(src, dst)
         except OSError:  # cross-device / link-less filesystem
             shutil.copyfile(src, dst)
+
+    @contextlib.contextmanager
+    def lock(self, index_root: str):
+        """Hold the index's exclusive writer lock for the block."""
+        fd = os.open(os.path.join(index_root, ".lock"), os.O_RDWR | os.O_CREAT, 0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            yield
+        finally:
+            os.close(fd)  # closing the description releases the flock
 
 
 class CopyOnlyStorage(LocalFileStorage):
