@@ -261,6 +261,11 @@ def test_apply_tombstones_vectorized():
     far = np.array([10_000_000], dtype=np.uint64)
     assert apply_tombstones_to_postings(postings, far).equals(postings)
 
+    # every doc deleted: a zero-row table with the input schema
+    gone = apply_tombstones_to_postings(postings, np.arange(n, dtype=np.uint64))
+    assert gone.num_rows == 0
+    assert gone.schema == postings.schema
+
 
 def test_build_is_resumable(ray_session):
     root = tempfile.mkdtemp(prefix="toshi_resume_")

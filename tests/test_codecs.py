@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toshi_ray import codecs
+from toshi_ray import codecs, segments
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**63), max_size=200))
@@ -21,13 +21,6 @@ def test_doc_id_roundtrip(vals):
     assert codecs.decode_doc_ids(codecs.encode_doc_ids(a)).tolist() == a.tolist()
 
 
-@given(st.lists(st.integers(min_value=0, max_value=2**30), max_size=400))
-@settings(max_examples=30, deadline=None)
-def test_bitpack_roundtrip(vals):
-    a = np.asarray(vals, dtype=np.uint64)
-    assert codecs.bitpack_decode(codecs.bitpack_encode(a), a.size).tolist() == a.tolist()
-
-
 def test_segmented_encode_matches_per_list():
     rng = np.random.default_rng(7)
     lists = [np.sort(rng.integers(0, 10**8, n).astype(np.uint64)) for n in (0, 1, 5, 300, 2)]
@@ -40,3 +33,56 @@ def test_segmented_encode_matches_per_list():
         assert codecs.decode_doc_ids(blob).tolist() == lst.tolist()
         # per-list encode is byte-identical to the segmented pass
         assert blob == codecs.encode_doc_ids(lst)
+
+
+# list lengths around the 128-doc block edges, plus any length in between
+_LIST_LENS = st.one_of(st.sampled_from([1, 127, 128, 129, 256, 257]), st.integers(1, 300))
+
+
+@given(st.lists(_LIST_LENS, min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_encode_postings_roundtrip(lens, seed):
+    """`segments.encode_postings` against a per-block recomputation: the
+    segmented decode, the per-row and per-block decoders, the block
+    tables and the per-list stats all give back the input."""
+    rng = np.random.default_rng(seed)
+    ids = [np.cumsum(rng.integers(1, rng.choice([2, 300, 2**20]), n)).astype(np.uint64) for n in lens]
+    tfs = [rng.integers(1, rng.choice([2, 300]), n).astype(np.uint64) for n in lens]
+    norms = [rng.integers(0, 256, n).astype(np.uint8) for n in lens]
+    offsets = np.zeros(len(lens) + 1, np.int64)
+    np.cumsum(lens, out=offsets[1:])
+    k = len(lens)
+    table = segments.encode_postings(
+        ["f"] * k, [f"t{i}" for i in range(k)], np.zeros(k, np.int32),
+        np.concatenate(ids), np.concatenate(tfs), np.concatenate(norms), offsets, None,
+    )
+    assert table.schema == segments.POSTINGS_SCHEMA
+
+    flat_ids, flat_tfs, flat_offs = segments.decode_postings(table)
+    np.testing.assert_array_equal(flat_ids, np.concatenate(ids))
+    np.testing.assert_array_equal(flat_tfs, np.concatenate(tfs))
+    np.testing.assert_array_equal(flat_offs, offsets)
+
+    for i, row in enumerate(table.to_pylist()):
+        row_ids, row_tfs = segments.decode_posting_row(row)
+        np.testing.assert_array_equal(row_ids, ids[i])
+        np.testing.assert_array_equal(row_tfs, tfs[i])
+        cuts = list(range(0, lens[i], codecs.BLOCK)) + [lens[i]]
+        blocks = list(zip(cuts[:-1], cuts[1:]))
+        for b, (lo, hi) in enumerate(blocks):
+            blk_ids, blk_tfs = segments.decode_block(row, b)
+            np.testing.assert_array_equal(blk_ids, ids[i][lo:hi])
+            np.testing.assert_array_equal(blk_tfs, tfs[i][lo:hi])
+        assert codecs.varint_decode(row["block_max_tf"]).tolist() == [
+            int(tfs[i][lo:hi].max()) for lo, hi in blocks
+        ]
+        assert np.frombuffer(row["block_min_norm"], np.uint8).tolist() == [
+            int(norms[i][lo:hi].min()) for lo, hi in blocks
+        ]
+        assert np.frombuffer(row["block_last_doc"], np.uint64).tolist() == [
+            int(ids[i][hi - 1]) for _, hi in blocks
+        ]
+        assert row["df"] == lens[i]
+        assert row["first_doc"] == ids[i][0]
+        assert row["total_tf"] == tfs[i].sum()
+        assert row["max_tf"] == tfs[i].max()

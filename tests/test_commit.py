@@ -104,9 +104,34 @@ def test_delete_committed_mid_merge_stays_deleted(mid_merge):
     assert _hits(c, "common") == 2
 
 
+def test_full_merge_unlists_the_delete_files_it_applied():
+    c, root = _catalog()
+    c.delete_term("ix", {"text": "doc1"})
+    assert load_manifest(root)["tombstones"]
+    m = merge_segments(root)
+    assert m["tombstones"] == []
+    assert _hits(c, "doc1") == 0
+    assert _hits(c, "common") == 2
+    s = Searcher(root, distributed=False)
+    assert s.tombstones.size == 0
+    assert s.count({"query": {"term": {"text": "doc1"}}}) == 0
+    s.close()
+
+
+def test_partial_merge_keeps_the_delete_files_listed():
+    c, root = _catalog()
+    c.delete_term("ix", {"text": "doc1"})
+    before = load_manifest(root)
+    m = merge_segments(root, [s["name"] for s in before["segments"]][:2])
+    assert m["tombstones"] == before["tombstones"]
+    assert _hits(c, "doc1") == 0
+    assert _hits(c, "common") == 2
+
+
 def test_append_after_the_top_doc_is_deleted_and_merged_is_visible():
-    """A merge drops deleted docs physically but the delete file stays
-    listed, so doc-id allocation must not reissue a deleted doc's id."""
+    """A merge drops deleted docs physically, but a delete file can stay
+    listed (a partial merge keeps it, and one committed mid-merge outlives
+    the merge), so doc-id allocation must not reissue a deleted doc's id."""
     c, root = _catalog()
     c.delete_term("ix", {"text": "doc2"})
     merge_segments(root)

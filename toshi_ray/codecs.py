@@ -1,17 +1,15 @@
 """Posting-list compression codecs — vectorized numpy, no Python loops over values.
 
-Two codecs, mirroring what a Tantivy-style segment uses for postings
-(reference: Toshi pins tantivy 0.19, see SURVEY.md §1.1 "Segment"):
-
-* **delta + varint** (LEB128): doc-id gaps / term freqs / position gaps.
-* **bitpacked blocks** (frame-of-reference, 128-value blocks): the
-  block codec used for long posting lists; block boundaries carry the
-  per-block max doc_id so readers can skip blocks (block-max metadata
-  for WAND lives beside it in the segment, see segments.py).
+One codec, **delta + varint** (LEB128), for doc-id gaps, term freqs and
+position gaps. Doc-id deltas restart from an absolute id at every
+128-doc block, so a block decodes on its own (the WAND skip unit); the
+block tables beside it live in the segment (see
+`segments.encode_postings`). Reference: Toshi pins tantivy 0.19, see
+SURVEY.md §1.1 "Segment".
 
 All encoders take / return numpy arrays and stay vectorized: encode
-loops are bounded by max-bytes-per-value (≤10) or bits-per-value
-(≤32), never by the number of values.
+loops are bounded by max-bytes-per-value (≤10), never by the number of
+values.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ _U64 = np.uint64
 _SEVEN = _U64(7)
 _MASK7 = _U64(0x7F)
 
-BLOCK = 128  # values per bitpacked block (Lucene/Tantivy-style)
+BLOCK = 128  # docs per posting block (Lucene/Tantivy-style)
 
 
 def varint_byte_lengths(values: np.ndarray) -> np.ndarray:
@@ -38,19 +36,7 @@ def varint_byte_lengths(values: np.ndarray) -> np.ndarray:
 
 def varint_encode(values: np.ndarray) -> bytes:
     """LEB128-encode a uint array into one contiguous byte string."""
-    v = np.asarray(values, dtype=_U64)
-    if v.size == 0:
-        return b""
-    nbytes = varint_byte_lengths(v)
-    starts = np.zeros(v.size, dtype=np.int64)
-    np.cumsum(nbytes[:-1], out=starts[1:])
-    out = np.zeros(int(starts[-1] + nbytes[-1]), dtype=np.uint8)
-    for j in range(int(nbytes.max())):
-        mask = nbytes > j
-        byte = ((v[mask] >> _U64(7 * j)) & _MASK7).astype(np.uint8)
-        cont = (nbytes[mask] - 1 > j).astype(np.uint8) << 7
-        out[starts[mask] + j] = byte | cont
-    return out.tobytes()
+    return segmented_varint_encode(values, [0])[0]
 
 
 def varint_decode(buf: bytes | np.ndarray) -> np.ndarray:
@@ -115,19 +101,6 @@ def block_offsets_for(count: int) -> np.ndarray:
     return offs
 
 
-def encode_doc_ids_blocked(doc_ids: np.ndarray) -> tuple[bytes, np.ndarray, np.ndarray]:
-    """Delta+varint with an ABSOLUTE restart at every 128-doc block so
-    blocks decode independently (the WAND skip unit).
-
-    Returns (payload, per-block byte offsets incl. end, per-block last doc)."""
-    v = np.asarray(doc_ids, dtype=_U64)
-    offs = block_offsets_for(v.size)
-    gaps = segmented_delta(v, offs)
-    payload, boffs = segmented_varint_encode(gaps, offs)
-    last = v[np.maximum(offs[1:] - 1, 0)] if v.size else np.empty(0, _U64)
-    return payload, boffs, last
-
-
 def decode_doc_ids_blocked(buf: bytes, count: int) -> np.ndarray:
     gaps = varint_decode(buf)
     return segmented_delta_decode(gaps, block_offsets_for(count))
@@ -140,60 +113,6 @@ def encode_doc_ids(doc_ids: np.ndarray) -> bytes:
 
 def decode_doc_ids(buf: bytes) -> np.ndarray:
     return delta_decode(varint_decode(buf))
-
-
-# ---------------------------------------------------------------------------
-# Bitpacked frame-of-reference blocks (alternate codec for long runs)
-# ---------------------------------------------------------------------------
-
-def bitpack_encode(values: np.ndarray) -> bytes:
-    """Pack uint32 values in 128-value frame-of-reference blocks.
-
-    Layout per block: u8 bitwidth | u32 min | ceil(n*width/8) bytes of
-    little-endian bit-packed (value - min). The final block may be short
-    (its length is implied by the total count, which the caller stores).
-    """
-    v = np.asarray(values, dtype=np.uint64)
-    chunks: list[bytes] = []
-    for s in range(0, v.size, BLOCK):
-        blk = v[s:s + BLOCK]
-        lo = int(blk.min()) if blk.size else 0
-        rel = (blk - _U64(lo)).astype(np.uint64)
-        width = int(rel.max()).bit_length() if rel.size else 0
-        head = bytes([width]) + int(lo).to_bytes(8, "little")
-        if width == 0:
-            chunks.append(head)
-            continue
-        # bit matrix (n, width), LSB-first, then packbits
-        bits = ((rel[:, None] >> np.arange(width, dtype=np.uint64)) & _U64(1)).astype(np.uint8)
-        packed = np.packbits(bits.reshape(-1), bitorder="little")
-        chunks.append(head + packed.tobytes())
-    return b"".join(chunks)
-
-
-def bitpack_decode(buf: bytes, count: int) -> np.ndarray:
-    out = np.empty(count, dtype=np.uint64)
-    pos = 0
-    done = 0
-    mv = memoryview(buf)
-    while done < count:
-        n = min(BLOCK, count - done)
-        width = mv[pos]
-        lo = int.from_bytes(mv[pos + 1:pos + 9], "little")
-        pos += 9
-        if width == 0:
-            out[done:done + n] = lo
-            done += n
-            continue
-        nbytes = (n * width + 7) // 8
-        bits = np.unpackbits(
-            np.frombuffer(mv[pos:pos + nbytes], dtype=np.uint8), bitorder="little"
-        )[: n * width].reshape(n, width).astype(np.uint64)
-        vals = (bits << np.arange(width, dtype=np.uint64)).sum(axis=1)
-        out[done:done + n] = vals + np.uint64(lo)
-        pos += nbytes
-        done += n
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +150,16 @@ def segmented_varint_encode(
     Arrow BinaryArray without per-list Python work.
     """
     v = np.asarray(values, dtype=_U64)
-    payload = varint_encode(v)
-    nbytes = varint_byte_lengths(v) if v.size else np.empty(0, np.int64)
+    nbytes = varint_byte_lengths(v)
     cum = np.zeros(v.size + 1, dtype=np.int64)
     np.cumsum(nbytes, out=cum[1:])
-    byte_offsets = cum[np.asarray(list_offsets, dtype=np.int64)]
-    return payload, byte_offsets
+    out = np.empty(int(cum[-1]), dtype=np.uint8)
+    # every value's first byte in one pass; later bytes only for the
+    # values that need them
+    out[cum[:-1]] = (v & _MASK7).astype(np.uint8) | ((nbytes > 1).astype(np.uint8) << 7)
+    for j in range(1, int(nbytes.max(initial=1))):
+        mask = nbytes > j
+        byte = ((v[mask] >> _U64(7 * j)) & _MASK7).astype(np.uint8)
+        cont = (nbytes[mask] - 1 > j).astype(np.uint8) << 7
+        out[cum[:-1][mask] + j] = byte | cont
+    return out.tobytes(), cum[np.asarray(list_offsets, dtype=np.int64)]

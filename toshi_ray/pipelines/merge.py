@@ -8,8 +8,8 @@ SURVEY.md §2.6 A3), re-expressed as a Ray Data job:
     read_parquet([seg_i/postings])                    # one row per (term, shard)
       → map_batches(tag hot terms with doc-range salt)  # skew handling
       → groupby(hash(field,term,shard) % 64)          # the all-to-all shuffle
-          .map_groups(vectorized partition merge)     # ONE segmented
-                                                      #   decode/encode pass
+          .map_groups(vectorized partition merge)     # ONE decode_postings
+                                                      #   + encode_postings
                                                       #   per partition
       → sort(field, term, shard) → write_parquet      # merged term dictionary
 
@@ -31,7 +31,9 @@ concatenation — doc ranges of input segments are disjoint.
 
 Tombstones (delete-by-term, reference `handle.rs:184-210`, SURVEY.md
 §2.2 T5) are applied physically here: tombstoned doc_ids drop out of
-postings, docvalues and store; df/tf statistics are recomputed.
+postings (re-encoded through the same `encode_postings`, so df/tf
+statistics and block tables are recomputed), docvalues and store. A
+merge of every segment then unlists the delete files it applied.
 """
 
 from __future__ import annotations
@@ -59,12 +61,14 @@ from toshi_ray.segments import (
     DOCVALUES_FILE,
     META_FILE,
     POSTINGS_FILE,
-    POSTINGS_SCHEMA,
     STORE_BLOCK_ROWS,
     STORE_COMPRESSION,
     STORE_FILE,
     _binary_from_offsets,
+    _binary_parts,
+    decode_postings,
     empty_postings,
+    encode_postings,
 )
 from toshi_ray.storage import get_storage
 
@@ -102,28 +106,29 @@ def log_merge_candidates(
     return [names for names in levels if len(names) >= min_merge_size]
 
 
-def _binary_parts(col: pa.Array, n: int):
-    """(contiguous byte buffer, relative per-row byte offsets) of a
-    LargeBinary column."""
-    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
-    voffs = np.frombuffer(col.buffers()[1], np.int64)[col.offset : col.offset + n + 1]
-    data = np.frombuffer(col.buffers()[2], np.uint8) if col.buffers()[2] is not None else np.empty(0, np.uint8)
-    big = data[voffs[0] : voffs[-1]]
-    return big, (voffs - voffs[0]).astype(np.int64)
+def _row_min_norm(t: pa.Table) -> np.ndarray:
+    """Each postings row's smallest block_min_norm code (255 if it has
+    none): the conservative per-posting norm bound the merge and delete
+    application hand `encode_postings`, which keeps no per-doc norms."""
+    big, rel = _binary_parts(t["block_min_norm"])
+    out = np.full(t.num_rows, 255, np.uint8)
+    nz = np.diff(rel) > 0
+    if big.size:
+        out[nz] = np.minimum.reduceat(big, rel[:-1][nz])
+    return out
 
 
 def _merge_partition(t: pa.Table) -> pa.Table:
     """Vectorized merge of ALL posting rows in one coarse partition.
 
-    One segmented varint decode of every run, one segmented re-encode
-    with fresh per-group 128-doc block restarts — no per-term Python
-    loop (the per-group work that remains is pure numpy reduceat).
-    tf / position payloads are byte-level concatenations (their streams
-    are context-free / restart per doc), so they are sliced from the
-    combined buffer, never re-encoded.
+    The rows of one (field, term, shard_out) group concatenate in
+    first_doc order (sources cover disjoint doc ranges): one
+    `decode_postings` of every row, one `encode_postings` of every group
+    with fresh 128-doc blocks — no per-term Python loop. Each group's
+    block_min_norm is its source rows' minimum (conservative). Position
+    streams restart per doc, so a group's positions are the byte
+    concatenation of its rows', never re-encoded.
     """
-    from toshi_ray.segments import _block_starts
-
     t = t.sort_by(
         [("field", "ascending"), ("term", "ascending"),
          ("shard_out", "ascending"), ("first_doc", "ascending")]
@@ -134,7 +139,6 @@ def _merge_partition(t: pa.Table) -> pa.Table:
     fields = t["field"].to_numpy(zero_copy_only=False)
     terms = t["term"].to_numpy(zero_copy_only=False)
     shards = t["shard_out"].to_numpy(zero_copy_only=False)
-    df_rows = t["df"].to_numpy(zero_copy_only=False).astype(np.int64)
 
     new_g = np.ones(n, dtype=bool)
     new_g[1:] = (
@@ -142,107 +146,29 @@ def _merge_partition(t: pa.Table) -> pa.Table:
     )
     g_starts = np.nonzero(new_g)[0]
     g_offsets = np.concatenate([g_starts, [n]]).astype(np.int64)
-    n_groups = g_starts.size
 
-    # ---- decode every doc-id run in ONE pass ----
-    doc_big, doc_rel = _binary_parts(t["doc_ids"], n)
-    gaps = codecs.varint_decode(doc_big)
-    row_val_offs = np.zeros(n + 1, np.int64)
-    np.cumsum(df_rows, out=row_val_offs[1:])
-    old_bstarts, _ = _block_starts(row_val_offs)
-    old_bounds = np.concatenate([old_bstarts, [row_val_offs[-1]]]).astype(np.int64)
-    doc_flat = codecs.segmented_delta_decode(gaps, old_bounds)
+    doc_ids, tfs, row_offs = decode_postings(t)
+    g_val_offs = row_offs[g_offsets]
+    grp_min = np.minimum.reduceat(_row_min_norm(t), g_starts)
 
-    g_val_offs = row_val_offs[g_offsets]
-
-    # ---- re-encode with per-GROUP block restarts ----
-    new_bstarts, new_nblocks = _block_starts(g_val_offs)
-    new_bounds = np.concatenate([new_bstarts, [g_val_offs[-1]]]).astype(np.int64)
-    new_gaps = codecs.segmented_delta(doc_flat, new_bounds)
-    new_payload, new_blk_bytes = codecs.segmented_varint_encode(new_gaps, new_bounds)
-    blk_list_offs = np.zeros(n_groups + 1, np.int64)
-    np.cumsum(new_nblocks, out=blk_list_offs[1:])
-    doc_byte_offs = new_blk_bytes[blk_list_offs]
-
-    # ---- tfs: values decoded once (for block max), payload = byte slices ----
-    tf_big, tf_rel = _binary_parts(t["tfs"], n)
-    tfs_flat = codecs.varint_decode(tf_big)
-    tf_lens = codecs.varint_byte_lengths(tfs_flat)
-    tf_cum = np.zeros(tfs_flat.size + 1, np.int64)
-    np.cumsum(tf_lens, out=tf_cum[1:])
-    tf_group_offs = tf_rel[g_offsets]
-    tf_blk_bytes = tf_cum[new_bounds]
-
-    # ---- per-term block tables (relative i32 offsets + u64 last docs) ----
-    n_entries = new_nblocks + 1
-    ent_base = np.zeros(n_groups + 1, dtype=np.int64)
-    np.cumsum(n_entries, out=ent_base[1:])
-    gather = np.repeat(blk_list_offs[:-1], n_entries) + (
-        np.arange(int(n_entries.sum()), dtype=np.int64) - np.repeat(ent_base[:-1], n_entries)
-    )
-    rel_doc = new_blk_bytes[gather] - np.repeat(new_blk_bytes[blk_list_offs[:-1]], n_entries)
-    rel_tf = tf_blk_bytes[gather] - np.repeat(tf_blk_bytes[blk_list_offs[:-1]], n_entries)
-    blk_last = doc_flat[new_bounds[1:] - 1] if doc_flat.size else np.empty(0, np.uint64)
-
-    # ---- block max tf / conservative min norm ----
-    blk_max = np.maximum.reduceat(tfs_flat, new_bstarts).astype(np.uint64)
-    bm_payload, bm_boffs = codecs.segmented_varint_encode(blk_max, blk_list_offs)
-    bn_big, bn_rel = _binary_parts(t["block_min_norm"], n)
-    nonzero_rows = np.diff(bn_rel) > 0
-    row_min = np.full(n, 255, np.uint8)
-    if bn_big.size:
-        starts_nz = bn_rel[:-1][nonzero_rows]
-        row_min[nonzero_rows] = np.minimum.reduceat(bn_big, starts_nz)
-    grp_min = np.minimum.reduceat(row_min, g_offsets[:-1])
-    bn_payload = np.repeat(grp_min, new_nblocks).tobytes()
-
-    # ---- per-group scalar stats ----
-    df_g = np.diff(g_val_offs).astype(np.uint32)
-    total_tf = np.add.reduceat(tfs_flat, g_val_offs[:-1]).astype(np.uint64)
-    max_tf_g = np.maximum.reduceat(tfs_flat, g_val_offs[:-1]).astype(np.uint32)
-    first_doc = doc_flat[g_val_offs[:-1]].astype(np.uint64)
-
-    # ---- positions: byte-level concat per group (restart-per-doc streams) ----
-    pos_col = t["positions"].combine_chunks()
-    if pos_col.null_count == 0:
-        pos_big, pos_rel = _binary_parts(pos_col, n)
-        pos_arr = _binary_from_offsets(pos_big.tobytes(), pos_rel[g_offsets])
-    elif pos_col.null_count == n:
-        pos_arr = pa.nulls(n_groups, type=pa.large_binary())
-    else:  # mixed (multiple fields in one partition) — python join per group
-        vals = pos_col.to_pylist()
-        joined = [
-            b"".join(v for v in vals[a:b] if v is not None) or None
-            for a, b in zip(g_offsets[:-1], g_offsets[1:])
-        ]
-        pos_arr = pa.array(joined, type=pa.large_binary())
-
+    # a field records positions in all of its rows or in none
     take_starts = pa.array(g_starts)
-    return pa.table(
-        {
-            "field": t["field"].take(take_starts),
-            "term": t["term"].take(take_starts),
-            "shard": pa.array(shards[g_starts].astype(np.int32)),
-            "df": pa.array(df_g),
-            "first_doc": pa.array(first_doc),
-            "total_tf": pa.array(total_tf),
-            "max_tf": pa.array(max_tf_g),
-            "doc_ids": _binary_from_offsets(new_payload, doc_byte_offs),
-            "tfs": _binary_from_offsets(tf_big.tobytes(), tf_group_offs),
-            "positions": pos_arr,
-            "block_max_tf": _binary_from_offsets(bm_payload, bm_boffs),
-            "block_min_norm": _binary_from_offsets(bn_payload, blk_list_offs),
-            "block_doc_offsets": _binary_from_offsets(
-                rel_doc.astype(np.int32).tobytes(), ent_base * 4
-            ),
-            "block_tf_offsets": _binary_from_offsets(
-                rel_tf.astype(np.int32).tobytes(), ent_base * 4
-            ),
-            "block_last_doc": _binary_from_offsets(
-                blk_last.astype(np.uint64).tobytes(), blk_list_offs * 8
-            ),
-        },
-        schema=POSTINGS_SCHEMA,
+    pos_col = t["positions"].combine_chunks()
+    pos_big, pos_rel = _binary_parts(pos_col)
+    pos_arr = _binary_from_offsets(pos_big.tobytes(), pos_rel[g_offsets])
+    if pos_col.null_count:
+        pos_arr = pa.compute.if_else(
+            pos_col.is_valid().take(take_starts), pos_arr, pa.nulls(g_starts.size, pa.large_binary())
+        )
+    return encode_postings(
+        t["field"].take(take_starts),
+        t["term"].take(take_starts),
+        shards[g_starts].astype(np.int32),
+        doc_ids,
+        tfs,
+        np.repeat(grp_min, np.diff(g_val_offs)),
+        g_val_offs,
+        pos_arr,
     )
 
 
@@ -254,11 +180,11 @@ def apply_tombstones_to_postings(batch: pa.Table, tombs: np.ndarray) -> pa.Table
     Rows whose [first_doc, last_block_doc] range does not intersect the
     (sorted) tombstone set pass through UNTOUCHED — the common case at
     scale, where deletes hit a tiny doc-id range. Touched rows go
-    through one segmented varint decode + one segmented re-encode with
-    fresh 128-doc block restarts (no per-row Python loop).
+    decode → mask → encode: one `decode_postings`, the tombstoned
+    postings dropped, one `encode_postings` with fresh 128-doc blocks
+    (each row's block_min_norm stays its old row minimum, conservative).
     """
     from toshi_ray.search import take_ranges
-    from toshi_ray.segments import _block_starts
 
     n = batch.num_rows
     if n == 0 or tombs.size == 0:
@@ -267,7 +193,7 @@ def apply_tombstones_to_postings(batch: pa.Table, tombs: np.ndarray) -> pa.Table
 
     # ---- range pre-filter: which rows CAN contain a tombstone? ----
     first = batch["first_doc"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    bld_big, bld_rel = _binary_parts(batch["block_last_doc"], n)
+    bld_big, bld_rel = _binary_parts(batch["block_last_doc"])
     lasts_all = np.frombuffer(bld_big.tobytes(), np.uint64)
     row_last = lasts_all[(bld_rel[1:] // 8) - 1]
     pos_t = np.searchsorted(tombs, first)
@@ -278,95 +204,33 @@ def apply_tombstones_to_postings(batch: pa.Table, tombs: np.ndarray) -> pa.Table
         return batch
     clean = batch.filter(pa.array(~hit))
     sub = batch.filter(pa.array(hit)).combine_chunks()
-    m = sub.num_rows
 
-    # ---- one segmented decode of every touched row ----
-    df_rows = sub["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-    row_offs = np.zeros(m + 1, np.int64)
-    np.cumsum(df_rows, out=row_offs[1:])
-    old_bstarts, _ = _block_starts(row_offs)
-    old_bounds = np.concatenate([old_bstarts, [row_offs[-1]]]).astype(np.int64)
-    doc_big, _ = _binary_parts(sub["doc_ids"], m)
-    doc_flat = codecs.segmented_delta_decode(codecs.varint_decode(doc_big), old_bounds)
-    tf_big, _ = _binary_parts(sub["tfs"], m)
-    tfs_flat = codecs.varint_decode(tf_big)
-
-    keep = ~np.isin(doc_flat, tombs)
-    kept_per_row = np.add.reduceat(keep, row_offs[:-1]).astype(np.int64)
+    doc_ids, tfs, row_offs = decode_postings(sub)
+    keep = ~np.isin(doc_ids, tombs)
     if keep.all():  # range overlapped but no actual doc matched
         return batch
-
-    # ---- positions: per-doc gap spans survive doc drops unchanged ----
-    pos_col = sub["positions"].combine_chunks()
-    if pos_col.null_count == 0:
-        has_pos_row = np.ones(m, bool)
-    elif pos_col.null_count == m:
-        has_pos_row = np.zeros(m, bool)
-    else:
-        has_pos_row = ~pos_col.is_null().to_numpy(zero_copy_only=False)
-    pos_big, _ = _binary_parts(pos_col, m)
-    pos_gaps_all = codecs.varint_decode(pos_big)
-    val_has_pos = np.repeat(has_pos_row, df_rows)
-    pos_counts = np.where(val_has_pos, tfs_flat.astype(np.int64), 0)
-    pos_offs = np.zeros(pos_counts.size + 1, np.int64)
-    np.cumsum(pos_counts, out=pos_offs[1:])
-
-    # ---- surviving rows / values ----
+    kept_per_row = np.add.reduceat(keep, row_offs[:-1]).astype(np.int64)
     row_sel = np.nonzero(kept_per_row > 0)[0]
     if row_sel.size == 0:
         return clean
+    new_offs = np.zeros(row_sel.size + 1, np.int64)
+    np.cumsum(kept_per_row[row_sel], out=new_offs[1:])
+
+    # ---- positions: per-doc gap spans survive doc drops unchanged ----
+    pos_col = sub["positions"].combine_chunks()
+    has_pos_row = ~pos_col.is_null().to_numpy(zero_copy_only=False)
+    pos_counts = np.where(np.repeat(has_pos_row, np.diff(row_offs)), tfs.astype(np.int64), 0)
+    pos_offs = np.zeros(pos_counts.size + 1, np.int64)
+    np.cumsum(pos_counts, out=pos_offs[1:])
     kidx = np.nonzero(keep)[0]
-    new_df = kept_per_row[row_sel]
-    new_row_offs = np.zeros(new_df.size + 1, np.int64)
-    np.cumsum(new_df, out=new_row_offs[1:])
-    doc_kept = doc_flat[keep]
-    tf_kept = tfs_flat[keep]
-
-    # ---- re-encode docs with fresh per-row 128-doc block restarts ----
-    new_bstarts, new_nblocks = _block_starts(new_row_offs)
-    new_bounds = np.concatenate([new_bstarts, [new_row_offs[-1]]]).astype(np.int64)
-    gaps2 = codecs.segmented_delta(doc_kept, new_bounds)
-    doc_payload, blk_bytes2 = codecs.segmented_varint_encode(gaps2, new_bounds)
-    blk_list_offs = np.zeros(new_df.size + 1, np.int64)
-    np.cumsum(new_nblocks, out=blk_list_offs[1:])
-    doc_byte_offs = blk_bytes2[blk_list_offs]
-
-    tf_payload = codecs.varint_encode(tf_kept)
-    tf_lens = codecs.varint_byte_lengths(tf_kept) if tf_kept.size else np.empty(0, np.int64)
-    tf_cum = np.zeros(tf_kept.size + 1, np.int64)
-    np.cumsum(tf_lens, out=tf_cum[1:])
-    tf_blk_bytes = tf_cum[new_bounds]
-    tf_row_offs = tf_cum[new_row_offs]
-
-    # ---- per-row block tables (relative i32 offsets + u64 last docs) ----
-    n_entries = new_nblocks + 1
-    ent_base = np.zeros(new_df.size + 1, np.int64)
-    np.cumsum(n_entries, out=ent_base[1:])
-    gather = np.repeat(blk_list_offs[:-1], n_entries) + (
-        np.arange(int(n_entries.sum()), dtype=np.int64)
-        - np.repeat(ent_base[:-1], n_entries)
+    kept_pos_gaps = take_ranges(
+        codecs.varint_decode(_binary_parts(pos_col)[0]), pos_offs[:-1][kidx], pos_counts[kidx]
     )
-    rel_doc = blk_bytes2[gather] - np.repeat(blk_bytes2[blk_list_offs[:-1]], n_entries)
-    rel_tf = tf_blk_bytes[gather] - np.repeat(tf_blk_bytes[blk_list_offs[:-1]], n_entries)
-    blk_last = doc_kept[new_bounds[1:] - 1]
-    blk_max = np.maximum.reduceat(tf_kept, new_bstarts).astype(np.uint64)
-    bm_payload, bm_boffs = codecs.segmented_varint_encode(blk_max, blk_list_offs)
-
-    # ---- block_min_norm: conservative old-row min, repeated per block ----
-    bn_big, bn_rel = _binary_parts(sub["block_min_norm"], m)
-    row_min = np.full(m, 255, np.uint8)
-    nz = np.diff(bn_rel) > 0
-    if bn_big.size:
-        row_min[nz] = np.minimum.reduceat(bn_big, bn_rel[:-1][nz])
-    bn_payload = np.repeat(row_min[row_sel], new_nblocks).tobytes()
-
-    # ---- positions payload for kept docs ----
-    kept_pos_gaps = take_ranges(pos_gaps_all, pos_offs[:-1][kidx], pos_counts[kidx])
-    kept_pos_per_row = np.add.reduceat(pos_counts * keep, row_offs[:-1])[row_sel]
     new_pos_offs = np.zeros(row_sel.size + 1, np.int64)
-    np.cumsum(kept_pos_per_row, out=new_pos_offs[1:])
-    pos_payload, pos_boffs = codecs.segmented_varint_encode(kept_pos_gaps, new_pos_offs)
-    pos_arr = _binary_from_offsets(pos_payload, pos_boffs)
+    np.cumsum(np.add.reduceat(pos_counts * keep, row_offs[:-1])[row_sel], out=new_pos_offs[1:])
+    pos_arr = _binary_from_offsets(
+        *codecs.segmented_varint_encode(kept_pos_gaps, new_pos_offs)
+    )
     if not has_pos_row.all():
         pos_arr = pa.compute.if_else(
             pa.array(has_pos_row[row_sel]), pos_arr,
@@ -374,30 +238,15 @@ def apply_tombstones_to_postings(batch: pa.Table, tombs: np.ndarray) -> pa.Table
         )
 
     take = pa.array(row_sel)
-    rebuilt = pa.table(
-        {
-            "field": sub["field"].take(take),
-            "term": sub["term"].take(take),
-            "shard": sub["shard"].take(take),
-            "df": pa.array(new_df.astype(np.uint32)),
-            "first_doc": pa.array(doc_kept[new_row_offs[:-1]].astype(np.uint64)),
-            "total_tf": pa.array(np.add.reduceat(tf_kept, new_row_offs[:-1]).astype(np.uint64)),
-            "max_tf": pa.array(np.maximum.reduceat(tf_kept, new_row_offs[:-1]).astype(np.uint32)),
-            "doc_ids": _binary_from_offsets(doc_payload, doc_byte_offs),
-            "tfs": _binary_from_offsets(tf_payload, tf_row_offs),
-            "positions": pos_arr,
-            "block_max_tf": _binary_from_offsets(bm_payload, bm_boffs),
-            "block_min_norm": _binary_from_offsets(bn_payload, blk_list_offs),
-            "block_doc_offsets": _binary_from_offsets(
-                rel_doc.astype(np.int32).tobytes(), ent_base * 4
-            ),
-            "block_tf_offsets": _binary_from_offsets(
-                rel_tf.astype(np.int32).tobytes(), ent_base * 4
-            ),
-            "block_last_doc": _binary_from_offsets(
-                blk_last.astype(np.uint64).tobytes(), blk_list_offs * 8
-            ),
-        }
+    rebuilt = encode_postings(
+        sub["field"].take(take),
+        sub["term"].take(take),
+        sub["shard"].take(take),
+        doc_ids[keep],
+        tfs[keep],
+        np.repeat(_row_min_norm(sub), np.diff(row_offs))[keep],
+        new_offs,
+        pos_arr,
     )
     rebuilt = rebuilt.select(batch.column_names).cast(batch.schema)
     return pa.concat_tables([clean, rebuilt])
@@ -446,6 +295,15 @@ def merge_segments(
     sources = [segs[n] for n in names]
 
     tombs = load_tombstones(index_root, manifest) if apply_deletes else np.empty(0, np.uint64)
+    # a merge of every segment applies every delete file it read, and
+    # doc ids are never reissued (the merged max_doc_id is the sources'),
+    # so the rebase unlists those files; files committed after this read
+    # stay listed. The files stay on disk until a reader-safe gc.
+    applied = (
+        set(manifest.get("tombstones", []))
+        if apply_deletes and set(names) == set(segs)
+        else set()
+    )
 
     seg_dir = os.path.join(index_root, SEGMENTS_DIR)
 
@@ -726,6 +584,8 @@ def merge_segments(
                 merged = json.load(f)
         latest["segments"] = [s for s in latest["segments"] if s["name"] not in names] + [merged]
         latest["garbage"] = latest.get("garbage", []) + names
+        if applied:
+            latest["tombstones"] = [f for f in latest.get("tombstones", []) if f not in applied]
         return latest
 
     return commit(index_root, rebase)

@@ -7,9 +7,9 @@ re-expressed as Parquet so Ray Data / pyarrow can stream it:
     seg-<min_doc>-<n>/
       postings.parquet   term dictionary + compressed posting lists
                          (field, term, shard, df, doc_ids Δ+varint,
-                          tfs varint, positions Δ+varint,
-                          block_max_tf / block_min_norm per 128-doc block,
-                          max_tf)       — sorted by (field, term, shard)
+                          tfs varint, positions Δ+varint, max_tf,
+                          skip tables per 128-doc block)
+                                        — sorted by (field, term, shard)
       docvalues.parquet  per-doc columnar values: doc_id, 1-byte fieldnorm
                          codes per text field, numeric fast fields,
                          facet paths  — sorted by doc_id
@@ -20,8 +20,10 @@ re-expressed as Parquet so Ray Data / pyarrow can stream it:
                          (global BM25 stats are summed from these)
 
 All posting lists for one batch of documents are built in ONE
-vectorized pass (dictionary-encode + lexsort + reduceat); the varint
-payloads for every term are produced by a single segmented encode.
+vectorized pass (dictionary-encode + lexsort + reduceat). Postings rows
+have one writer, `encode_postings` (one segmented encode of every list:
+payloads, blocks and block tables), which the build, the merge and
+delete application all call; `decode_postings` is its bulk inverse.
 
 Multiple rows may exist for one (field, term): hot terms are sharded by
 doc-range (`shard` column) so the merge stage can salt skewed keys and
@@ -97,6 +99,15 @@ def _binary_from_offsets(payload: bytes, byte_offsets: np.ndarray) -> pa.Array:
     )
 
 
+def _binary_parts(col: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse of `_binary_from_offsets`: (contiguous byte buffer,
+    per-row byte offsets from 0) of a LargeBinary column, no copy."""
+    col = col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
+    voffs = np.frombuffer(col.buffers()[1], np.int64)[col.offset : col.offset + len(col) + 1]
+    data = np.frombuffer(col.buffers()[2], np.uint8) if col.buffers()[2] is not None else np.empty(0, np.uint8)
+    return data[voffs[0] : voffs[-1]], (voffs - voffs[0]).astype(np.int64)
+
+
 def _block_starts(list_offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Starts of 128-doc blocks for many concatenated lists.
 
@@ -107,6 +118,88 @@ def _block_starts(list_offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     reps = np.repeat(list_offsets[:-1], n_blocks)
     within = (np.arange(n_blocks.sum()) - np.repeat(np.cumsum(n_blocks) - n_blocks, n_blocks))
     return reps + within * codecs.BLOCK, n_blocks
+
+
+def encode_postings(
+    field,
+    term,
+    shard,
+    doc_ids: np.ndarray,
+    tfs: np.ndarray,
+    norms: np.ndarray,
+    offsets: np.ndarray,
+    positions: pa.Array | None,
+) -> pa.Table:
+    """POSTINGS_SCHEMA rows for many posting lists in one vectorized
+    pass — the one writer of the posting layout (build, merge and delete
+    application all call it).
+
+    ``doc_ids`` (ascending within each list), ``tfs`` and ``norms`` (the
+    u8 fieldnorm code of each posting's doc) are flat arrays cut into
+    non-empty lists by ``offsets`` (len = n_lists + 1); ``field``,
+    ``term`` and ``shard`` hold one value per list. ``positions`` come
+    already encoded, one binary per list (None: a field without them).
+
+    Lists are cut into 128-doc blocks. Block bounds are a superset of
+    list bounds, so ONE segmented encode covers both, and every block
+    restarts its doc-id deltas from an absolute id (independent decode =
+    the WAND skip unit). Each block gets its skip entries: max tf, min
+    fieldnorm code, i32 byte offsets into doc_ids / tfs (relative to the
+    list's payload, n_blocks + 1 per list) and its last doc id."""
+    doc_ids = np.asarray(doc_ids, np.uint64)
+    tfs = np.asarray(tfs, np.uint64)
+    offsets = np.asarray(offsets, np.int64)
+    n = offsets.size - 1
+    bstarts, n_blocks = _block_starts(offsets)
+    bounds = np.append(bstarts, offsets[-1])
+    doc_payload, doc_blk = codecs.segmented_varint_encode(
+        codecs.segmented_delta(doc_ids, bounds), bounds
+    )
+    tf_payload, tf_blk = codecs.segmented_varint_encode(tfs, bounds)
+    first_blk = np.zeros(n + 1, np.int64)  # each list's first block, + total
+    np.cumsum(n_blocks, out=first_blk[1:])
+    bm_payload, bm_offs = codecs.segmented_varint_encode(
+        np.maximum.reduceat(tfs, bstarts), first_blk
+    )
+    entry_list = np.repeat(np.arange(n), n_blocks + 1)  # list of each table entry
+    gather = np.arange(entry_list.size) - entry_list  # its index into the bounds
+    table_offs = (first_blk + np.arange(n + 1)) * 4
+    rel_doc = doc_blk[gather] - doc_blk[first_blk[entry_list]]
+    rel_tf = tf_blk[gather] - tf_blk[first_blk[entry_list]]
+    return pa.table(
+        {
+            "field": field,
+            "term": term,
+            "shard": shard,
+            "df": np.diff(offsets).astype(np.uint32),
+            "first_doc": doc_ids[offsets[:-1]],
+            "total_tf": np.add.reduceat(tfs, offsets[:-1]),
+            "max_tf": np.maximum.reduceat(tfs, offsets[:-1]).astype(np.uint32),
+            "doc_ids": _binary_from_offsets(doc_payload, doc_blk[first_blk]),
+            "tfs": _binary_from_offsets(tf_payload, tf_blk[first_blk]),
+            "positions": pa.nulls(n, pa.large_binary()) if positions is None else positions,
+            "block_max_tf": _binary_from_offsets(bm_payload, bm_offs),
+            "block_min_norm": _binary_from_offsets(
+                np.minimum.reduceat(np.asarray(norms, np.uint8), bstarts).tobytes(), first_blk
+            ),
+            "block_doc_offsets": _binary_from_offsets(rel_doc.astype(np.int32).tobytes(), table_offs),
+            "block_tf_offsets": _binary_from_offsets(rel_tf.astype(np.int32).tobytes(), table_offs),
+            "block_last_doc": _binary_from_offsets(doc_ids[bounds[1:] - 1].tobytes(), first_blk * 8),
+        },
+        schema=POSTINGS_SCHEMA,
+    )
+
+
+def decode_postings(table: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(doc_ids, tfs, offsets) of every row of a postings table in one
+    segmented decode — the inverse of `encode_postings`: flat arrays cut
+    into rows by ``offsets``."""
+    offsets = np.zeros(table.num_rows + 1, np.int64)
+    np.cumsum(table["df"].to_numpy(zero_copy_only=False), out=offsets[1:])
+    bstarts, _ = _block_starts(offsets)
+    gaps = codecs.varint_decode(_binary_parts(table["doc_ids"])[0])
+    doc_ids = codecs.segmented_delta_decode(gaps, np.append(bstarts, offsets[-1]))
+    return doc_ids, codecs.varint_decode(_binary_parts(table["tfs"])[0]), offsets
 
 
 @dataclass
@@ -162,7 +255,6 @@ def build_field_postings(
     tfs_flat = np.diff(group_offsets).astype(np.uint64)
     g_term = t[group_starts]
     g_doc = d[group_starts]
-    doc_ids_flat = doc_ids[g_doc].astype(np.uint64)
 
     # term group boundaries over the (term,doc) groups
     new_term = np.empty(g_term.size, dtype=bool)
@@ -170,88 +262,27 @@ def build_field_postings(
     np.not_equal(g_term[1:], g_term[:-1], out=new_term[1:])
     term_starts = np.nonzero(new_term)[0]
     term_offsets = np.concatenate([term_starts, [g_term.size]]).astype(np.int64)
-    df = np.diff(term_offsets).astype(np.uint32)
-    terms_present = vocab_sorted.take(pa.array(g_term[term_starts]))
+    n_terms = term_starts.size
 
-    # block boundaries in (term,doc)-group value space; the first block
-    # of each term starts at the term's offset, so block bounds are a
-    # superset of term bounds — ONE segmented encode covers both, and
-    # every block restarts with an absolute doc id (independent decode
-    # = the WAND skip unit)
-    bstarts, n_blocks = _block_starts(term_offsets)
-    block_bounds = np.concatenate([bstarts, [np.int64(g_term.size)]]).astype(np.int64)
-    gaps = codecs.segmented_delta(doc_ids_flat, block_bounds)
-    doc_payload, blk_byte_offs = codecs.segmented_varint_encode(gaps, block_bounds)
-    tf_payload, tf_blk_byte_offs = codecs.segmented_varint_encode(tfs_flat, block_bounds)
-
-    # per-term first-block indices into the flat block arrays
-    blk_boffs_list = np.zeros(term_offsets.size, dtype=np.int64)
-    np.cumsum(n_blocks, out=blk_boffs_list[1:])
-    doc_boffs = blk_byte_offs[blk_boffs_list]  # per-term byte offsets
-    tf_boffs = tf_blk_byte_offs[blk_boffs_list]
-
-    # per-term aggregates
-    total_tf = np.add.reduceat(tfs_flat, term_offsets[:-1]).astype(np.uint64)
-    max_tf = np.maximum.reduceat(tfs_flat, term_offsets[:-1]).astype(np.uint32)
-
-    # block-max metadata (128-doc blocks within each term's posting list)
-    blk_max_tf = np.maximum.reduceat(tfs_flat, bstarts).astype(np.uint64)
-    bm_payload, bm_boffs = codecs.segmented_varint_encode(blk_max_tf, blk_boffs_list)
-
-    # block min fieldnorm code per block (needs norms per posting doc)
-    norm_codes = fieldnorm_to_id(tc.norms)
-    posting_norms = norm_codes[g_doc].astype(np.uint8)
-    blk_min_norm = np.minimum.reduceat(posting_norms, bstarts).astype(np.uint8)
-    bn_payload = blk_min_norm.tobytes()
-    bn_boffs = blk_boffs_list  # one byte per block
-
-    # per-term block byte-offset tables (n_blocks+1 i32 entries, relative
-    # to the term's blob start) + per-block last doc id (u64)
-    n_entries = n_blocks + 1
-    ent_base = np.zeros(term_offsets.size, dtype=np.int64)
-    np.cumsum(n_entries, out=ent_base[1:])
-    gather = np.repeat(blk_boffs_list[:-1], n_entries) + (
-        np.arange(int(n_entries.sum()), dtype=np.int64) - np.repeat(ent_base[:-1], n_entries)
-    )
-    rel_doc = blk_byte_offs[gather] - np.repeat(blk_byte_offs[blk_boffs_list[:-1]], n_entries)
-    rel_tf = tf_blk_byte_offs[gather] - np.repeat(tf_blk_byte_offs[blk_boffs_list[:-1]], n_entries)
-    bdo_payload = rel_doc.astype(np.int32).tobytes()
-    bto_payload = rel_tf.astype(np.int32).tobytes()
-    bdo_boffs = ent_base * 4
-    block_ends = block_bounds[1:]
-    blk_last = doc_ids_flat[np.maximum(block_ends - 1, 0)]
-    bld_payload = blk_last.astype(np.uint64).tobytes()
-    bld_boffs = blk_boffs_list * 8
-
+    positions = None
     if record_positions:
-        # positions delta-encoded within each (term,doc) group
+        # positions delta-encoded within each (term,doc) group, sliced at
+        # term boundaries in token space
         pos_gaps = codecs.segmented_delta(p.astype(np.uint64), group_offsets)
-        # slice at TERM boundaries: byte offsets of term starts in token space
-        term_token_offsets = group_offsets[:-1][term_starts]
-        term_token_offsets = np.concatenate([term_token_offsets, [t.size]]).astype(np.int64)
-        pos_payload, pos_boffs = codecs.segmented_varint_encode(pos_gaps, term_token_offsets)
-        pos_arr = _binary_from_offsets(pos_payload, pos_boffs)
-    else:
-        pos_arr = pa.nulls(df.size, type=pa.large_binary())
+        term_token_offsets = np.append(group_offsets[term_starts], t.size)
+        positions = _binary_from_offsets(
+            *codecs.segmented_varint_encode(pos_gaps, term_token_offsets)
+        )
 
-    table = pa.table(
-        {
-            "field": pa.array([field_name] * df.size, type=pa.string()),
-            "term": terms_present.cast(pa.string()),
-            "shard": pa.array(np.full(df.size, shard, np.int32)),
-            "df": pa.array(df),
-            "first_doc": pa.array(doc_ids_flat[term_offsets[:-1]]),
-            "total_tf": pa.array(total_tf),
-            "max_tf": pa.array(max_tf),
-            "doc_ids": _binary_from_offsets(doc_payload, doc_boffs),
-            "tfs": _binary_from_offsets(tf_payload, tf_boffs),
-            "positions": pos_arr,
-            "block_max_tf": _binary_from_offsets(bm_payload, bm_boffs),
-            "block_min_norm": _binary_from_offsets(bn_payload, bn_boffs),
-            "block_doc_offsets": _binary_from_offsets(bdo_payload, bdo_boffs),
-            "block_tf_offsets": _binary_from_offsets(bto_payload, bdo_boffs.copy()),
-            "block_last_doc": _binary_from_offsets(bld_payload, bld_boffs),
-        }
+    table = encode_postings(
+        [field_name] * n_terms,
+        vocab_sorted.take(pa.array(g_term[term_starts])),
+        np.full(n_terms, shard, np.int32),
+        doc_ids[g_doc],
+        tfs_flat,
+        fieldnorm_to_id(tc.norms)[g_doc],
+        term_offsets,
+        positions,
     )
     return PostingsBatch(table=table, total_tokens=int(tc.norms.sum())), tc.norms
 
