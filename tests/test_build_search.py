@@ -133,35 +133,79 @@ def test_delete_by_term(ray_session):
     gc_segments(root)
 
 
-def test_size_aware_postings_cache(ray_session):
+def test_size_aware_postings_cache(ray_session, monkeypatch):
     """SegmentReader defaults to caching small segments but must serve
     IDENTICAL results through the parquet-pushdown path chosen for
-    over-threshold segments (cache_max_bytes=0 forces it)."""
+    over-threshold segments (POSTINGS_CACHE_MAX_BYTES=0 forces it) — on
+    a fresh segment and on a merged one whose hot terms' shard rows lie
+    in different part files. Both modes return each term's shard rows
+    in first_doc order, and the same df and term dictionary."""
+    import os
+    from collections import Counter
+
+    import pyarrow as pa
+
+    from toshi_ray import segments
     from toshi_ray.pipelines.build import load_manifest
     from toshi_ray.segments import SegmentReader
-    import os
 
-    root = tempfile.mkdtemp(prefix="toshi_cache_")
-    build_index(pages_dataset(400, parallelism=2), page_schema(), root,
-                docs_per_segment=400)
-    seg = load_manifest(root)["segments"][0]
-    seg_dir = os.path.join(root, "segments", seg["name"])
+    def seg_dirs(n_docs, **merge_kw):
+        root = tempfile.mkdtemp(prefix="toshi_cache_")
+        build_index(pages_dataset(n_docs, parallelism=2), page_schema(), root,
+                    docs_per_segment=400)
+        if merge_kw:
+            merge_segments(root, **merge_kw)
+        return [os.path.join(root, "segments", s["name"]) for s in load_manifest(root)["segments"]]
 
-    r_auto = SegmentReader(seg_dir)
-    assert r_auto.cache_postings is True  # tiny segment → cached
-    r_push = SegmentReader(seg_dir, cache_max_bytes=0)
-    assert r_push.cache_postings is False  # over threshold → pushdown
+    def reader_pair(seg_dir):
+        r_auto = SegmentReader(seg_dir)
+        r_auto.term_dict("text")  # the first touch chooses the mode
+        with monkeypatch.context() as m:
+            m.setattr(segments, "POSTINGS_CACHE_MAX_BYTES", 0)
+            r_push = SegmentReader(seg_dir)
+            r_push.term_dict("text")
+        assert r_auto._postings_all is not None  # tiny segment → cached
+        assert r_push._postings_all is None  # over threshold → pushdown
+        return r_auto, r_push
+
+    def first_docs_ascend(t):
+        fd = t["first_doc"].to_pylist()
+        return fd == sorted(fd) and len(set(fd)) == len(fd)
+
+    (fresh_dir,) = seg_dirs(400)
+    (merged_dir,) = seg_dirs(1200, hot_df_threshold=100, shard_span=200)
+    assert os.path.isdir(os.path.join(merged_dir, "postings"))  # part files
+
+    r_merged = SegmentReader(merged_dir)
+    tdict = r_merged.term_dict("text")
+    hot = sorted(t for t, n in Counter(tdict["term"].to_pylist()).items() if n > 1)
+    assert hot
+    # at least one hot term's shard rows are out of doc order on disk,
+    # so only the reader's ordering puts them right
+    on_disk = r_merged.all_postings()
+    assert any(
+        not first_docs_ascend(on_disk.filter(pa.compute.equal(on_disk["term"], t)))
+        for t in hot
+    )
 
     key = [("field", "ascending"), ("term", "ascending"),
            ("shard", "ascending"), ("first_doc", "ascending")]
-    for terms in (["the"], ["the", "w00042"], ["missingterm"]):
-        a = r_auto.postings_for_terms("text", terms).sort_by(key)
-        b = r_push.postings_for_terms("text", terms).sort_by(key)
-        assert a.equals(b), terms
     tkey = [("field", "ascending"), ("term", "ascending"), ("df", "ascending")]
-    assert r_auto.term_dict("text").sort_by(tkey).equals(
-        r_push.term_dict("text").sort_by(tkey)
-    )
+    for seg_dir, extra in ((fresh_dir, []), (merged_dir, [hot[:3], hot])):
+        r_auto, r_push = reader_pair(seg_dir)
+        for terms in (["the"], ["the", "w00042"], ["missingterm"], *extra):
+            a = r_auto.postings_for_terms("text", terms)
+            b = r_push.postings_for_terms("text", terms)
+            assert a.sort_by(key).equals(b.sort_by(key)), terms
+            assert a.equals(b), terms  # the same order, too
+            assert r_auto.df_for_terms("text", terms) == r_push.df_for_terms("text", terms)
+        for t in hot if seg_dir == merged_dir else ["the"]:
+            for r in (r_auto, r_push):
+                assert first_docs_ascend(r.postings_for_terms("text", [t], ["first_doc"])), t
+        assert r_auto.term_dict("text").sort_by(tkey).equals(
+            r_push.term_dict("text").sort_by(tkey)
+        )
+        assert r_auto.term_dict("text").equals(r_push.term_dict("text"))
 
 
 def test_fuzzy_const_scorer(ray_session, tmp_path):
@@ -199,8 +243,8 @@ def test_apply_tombstones_vectorized():
     from toshi_ray.schema import FieldDef, Schema
     from toshi_ray.segments import (
         build_segment_tables,
-        decode_posting_row,
         decode_positions,
+        decode_postings,
     )
 
     rng = np.random.default_rng(3)
@@ -220,11 +264,11 @@ def test_apply_tombstones_vectorized():
 
     def decode_all(p):
         out = {}
-        for r in p.to_pylist():
-            ids, tfs = decode_posting_row(r)
+        for i, r in enumerate(p.to_pylist()):
+            ids, tfs, _ = decode_postings(p.slice(i, 1))
             posmap = None
             if r["positions"] is not None:
-                pos, offs = decode_positions(r, tfs)
+                pos, offs = decode_positions(p.slice(i, 1), tfs)
                 posmap = {
                     int(i): pos[offs[j] : offs[j + 1]].tolist()
                     for j, i in enumerate(ids)

@@ -1,13 +1,15 @@
 """Posting codec roundtrips, incl. property tests (hypothesis)."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toshi_ray import codecs, segments
 
 
-@given(st.lists(st.integers(min_value=0, max_value=2**63), max_size=200))
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=200))
+@example([2**64 - 1])
+@example([0, 127, 128, 2**64 - 1, 1, 2**63])
 @settings(max_examples=50, deadline=None)
 def test_varint_roundtrip(vals):
     a = np.asarray(vals, dtype=np.uint64)
@@ -43,8 +45,9 @@ _LIST_LENS = st.one_of(st.sampled_from([1, 127, 128, 129, 256, 257]), st.integer
 @settings(max_examples=40, deadline=None)
 def test_encode_postings_roundtrip(lens, seed):
     """`segments.encode_postings` against a per-block recomputation: the
-    segmented decode, the per-row and per-block decoders, the block
-    tables and the per-list stats all give back the input."""
+    segmented decode of the whole table and of each one-row slice, the
+    per-block decoder, the block tables and the per-list stats all give
+    back the input."""
     rng = np.random.default_rng(seed)
     ids = [np.cumsum(rng.integers(1, rng.choice([2, 300, 2**20]), n)).astype(np.uint64) for n in lens]
     tfs = [rng.integers(1, rng.choice([2, 300]), n).astype(np.uint64) for n in lens]
@@ -64,7 +67,7 @@ def test_encode_postings_roundtrip(lens, seed):
     np.testing.assert_array_equal(flat_offs, offsets)
 
     for i, row in enumerate(table.to_pylist()):
-        row_ids, row_tfs = segments.decode_posting_row(row)
+        row_ids, row_tfs, _ = segments.decode_postings(table.slice(i, 1))
         np.testing.assert_array_equal(row_ids, ids[i])
         np.testing.assert_array_equal(row_tfs, tfs[i])
         cuts = list(range(0, lens[i], codecs.BLOCK)) + [lens[i]]

@@ -170,3 +170,42 @@ def test_termbloom_survives_merge(ray_session):
     assert got == want == list(range(200, 300))
     # and the miss path still returns clean empties post-merge
     assert s.search({"query": {"term": {"text": "nosuchtoken"}}, "limit": 5})["hits"] == 0
+
+
+def test_warm_reader_answers_from_its_dictionary(ray_session, monkeypatch):
+    """Once a lookup has built a reader's term dictionary, the exact
+    dictionary answers every later lookup: no bloom probe, and the same
+    answers as a cold reader (which still asks the bloom first)."""
+    import os
+
+    from toshi_ray.segments import SegmentReader
+
+    root = _marker_index()
+    seg = Searcher(root, distributed=False).segments[1]  # docs 100-199
+    seg_dir = os.path.join(root, "segments", seg["name"])
+    probes: list[list[str]] = []
+    orig = termbloom.may_contain
+
+    def spy(bits, field_meta, terms, k=termbloom.BLOOM_K):
+        probes.append(list(terms))
+        return orig(bits, field_meta, terms, k)
+
+    monkeypatch.setattr(termbloom, "may_contain", spy)
+    warm = SegmentReader(seg_dir)
+    assert warm.df_for_terms("text", ["marker1"]) == {"marker1": 100}
+    assert probes == [["marker1"]]  # cold: the bloom answers first
+
+    probes.clear()
+    terms = ["marker1", "nosuchtoken"]
+    df = warm.df_for_terms("text", terms)
+    rows = warm.postings_for_terms("text", terms)
+    assert probes == []
+    assert df == {"marker1": 100}
+    assert rows["term"].to_pylist() == ["marker1"]
+    assert warm.df_for_terms("text", ["nosuchtoken"]) == {}
+    assert warm.postings_for_terms("text", ["nosuchtoken"]).num_rows == 0
+    assert probes == []
+
+    cold = SegmentReader(seg_dir)
+    assert cold.df_for_terms("text", terms) == df
+    assert cold.postings_for_terms("text", terms).equals(rows)

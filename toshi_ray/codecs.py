@@ -40,25 +40,22 @@ def varint_encode(values: np.ndarray) -> bytes:
 
 
 def varint_decode(buf: bytes | np.ndarray) -> np.ndarray:
-    """Decode a LEB128 byte string back to uint64 values (vectorized)."""
+    """Decode a LEB128 byte string back to uint64 values (vectorized):
+    value ends are the bytes below 0x80, and byte ``j`` of a value is
+    OR-ed in only for the values that still have one."""
     b = np.frombuffer(buf, dtype=np.uint8) if not isinstance(buf, np.ndarray) else buf
-    if b.size == 0:
-        return np.empty(0, dtype=_U64)
-    is_last = (b & 0x80) == 0
-    n_vals = int(is_last.sum())
-    # token_id[i] = index of the value byte i belongs to
-    token_id = np.zeros(b.size, dtype=np.int64)
-    np.cumsum(is_last[:-1], out=token_id[1:])
-    ends = np.nonzero(is_last)[0]
-    starts = np.empty(n_vals, dtype=np.int64)
-    starts[0] = 0
+    ends = np.flatnonzero(b < 0x80)
+    starts = np.empty_like(ends)
+    starts[:1] = 0
     starts[1:] = ends[:-1] + 1
-    pos_in_token = np.arange(b.size, dtype=np.int64) - starts[token_id]
-    vals = np.zeros(n_vals, dtype=_U64)
-    payload = (b & 0x7F).astype(_U64)
-    for j in range(int(pos_in_token.max()) + 1):
-        sel = pos_in_token == j
-        vals[token_id[sel]] |= payload[sel] << _U64(7 * j)
+    vals = (b[starts] & 0x7F).astype(_U64)
+    live = np.flatnonzero(ends > starts)  # values with a byte j
+    j = 1
+    while live.size:
+        at = starts[live] + j
+        vals[live] |= (b[at] & 0x7F).astype(_U64) << _U64(7 * j)
+        live = live[ends[live] > at]
+        j += 1
     return vals
 
 
@@ -118,6 +115,15 @@ def decode_doc_ids(buf: bytes) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Flat-array helpers for encoding MANY posting lists in one vectorized pass
 # ---------------------------------------------------------------------------
+
+def take_ranges(values: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """Gather many [start, start+len) slices of ``values`` (vectorized)."""
+    if starts.size == 0 or lens.sum() == 0:
+        return values[:0]
+    total = int(lens.sum())
+    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return values[np.arange(total, dtype=np.int64) + shift]
+
 
 def segmented_delta(values: np.ndarray, list_offsets: np.ndarray) -> np.ndarray:
     """Delta-encode many concatenated sorted lists at once.

@@ -184,8 +184,6 @@ def apply_tombstones_to_postings(batch: pa.Table, tombs: np.ndarray) -> pa.Table
     postings dropped, one `encode_postings` with fresh 128-doc blocks
     (each row's block_min_norm stays its old row minimum, conservative).
     """
-    from toshi_ray.search import take_ranges
-
     n = batch.num_rows
     if n == 0 or tombs.size == 0:
         return batch
@@ -223,7 +221,7 @@ def apply_tombstones_to_postings(batch: pa.Table, tombs: np.ndarray) -> pa.Table
     pos_offs = np.zeros(pos_counts.size + 1, np.int64)
     np.cumsum(pos_counts, out=pos_offs[1:])
     kidx = np.nonzero(keep)[0]
-    kept_pos_gaps = take_ranges(
+    kept_pos_gaps = codecs.take_ranges(
         codecs.varint_decode(_binary_parts(pos_col)[0]), pos_offs[:-1][kidx], pos_counts[kidx]
     )
     new_pos_offs = np.zeros(row_sel.size + 1, np.int64)
@@ -380,9 +378,10 @@ def merge_segments(
 
     # NOTE: no global sort after the partition merge — each partition's
     # output is already (field, term, shard)-sorted internally, so
-    # parquet row-group stats prune term lookups per file, and readers
-    # normalize per-term shard order by first_doc (shards partition
-    # disjoint doc ranges). A trailing .sort() here would be a second
+    # parquet row-group stats prune term lookups per file, and a
+    # reader's term dictionary orders each term's shard rows by
+    # first_doc (shards partition disjoint doc ranges), whichever part
+    # file holds them. A trailing .sort() here would be a second
     # all-to-all over the full merged postings for nothing.
     t0 = time.perf_counter()
     ckpt = os.path.join(index_root, ".merge-ckpt", merge_key)

@@ -68,7 +68,7 @@ from toshi_ray.segments import (
     SegmentReader,
     decode_block,
     decode_positions,
-    decode_posting_row,
+    decode_postings,
 )
 
 import logging
@@ -105,15 +105,6 @@ def _zone_excludes(reader, col: str, *, gt=None, gte=None, lt=None, lte=None) ->
     elif lte is not None and zmin > lte:
         return True
     return False
-
-
-def take_ranges(values: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
-    """Gather many [start, start+len) slices of ``values`` (vectorized)."""
-    if starts.size == 0 or lens.sum() == 0:
-        return values[:0]
-    total = int(lens.sum())
-    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    return values[np.arange(total, dtype=np.int64) + shift]
 
 
 @dataclass
@@ -196,9 +187,10 @@ def _levenshtein_filter(
 class SegmentGroupScorer:
     """Holds readers for a group of segments; evaluates query plans.
 
-    This is the stateful stage: norms / fast fields load once per actor
-    (`__init__`-style amortization) and postings are fetched per query
-    with parquet predicate pushdown on (field, term).
+    This is the stateful stage: each reader's term dictionary, norms
+    and fast fields load once per actor (`__init__`-style amortization);
+    per query, posting rows come from the reader's cached table, or
+    from a parquet predicate read on an over-threshold segment.
     """
 
     def __init__(self, seg_dirs: list[str], schema_json: list):
@@ -404,19 +396,10 @@ class SegmentGroupScorer:
         return fdef
 
     def _postings(self, reader: SegmentReader, field: str, term: str):
-        """Concatenated (doc_ids, tfs) across hot-term shards.
-
-        Shard rows are ordered by first_doc (shards partition disjoint
-        doc ranges) so the concatenation is globally doc-id sorted
-        regardless of on-disk row order — merged postings are only
-        sorted WITHIN each shuffle partition file."""
-        tbl = reader.postings_for_terms(field, [term], POSTINGS_SANS_POSITIONS)
-        if tbl.num_rows == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.uint64)
-        if tbl.num_rows > 1:
-            tbl = tbl.sort_by("first_doc")
-        ids, tfs = zip(*(decode_posting_row(r) for r in tbl.to_pylist()))
-        return np.concatenate(ids), np.concatenate(tfs)
+        """(doc_ids, tfs) of one term, its hot-term shards concatenated
+        in doc order (the reader returns shard rows by first_doc)."""
+        tbl = reader.postings_for_terms(field, [term], ["df", "doc_ids", "tfs"])
+        return decode_postings(tbl)[:2]
 
     def _topk_blockmax(self, terms: list, reader: SegmentReader, stats: Stats, k: int):
         """Block-max WAND over a disjunction of one or more text terms
@@ -436,9 +419,7 @@ class SegmentGroupScorer:
             tbl = reader.postings_for_terms(q.field, [q.value], POSTINGS_SANS_POSITIONS)
             if tbl.num_rows == 0:
                 continue
-            if tbl.num_rows > 1:
-                tbl = tbl.sort_by("first_doc")  # shard order = doc order
-            rows = tbl.to_pylist()
+            rows = tbl.to_pylist()  # shard rows in doc order
             w = stats.idf.get((q.field, q.value), 0.0)
             avgdl = max(stats.avgdl.get(q.field, 0.0), 1e-9)
             lasts_p = [np.frombuffer(r["block_last_doc"], np.uint64) for r in rows]
@@ -625,25 +606,16 @@ class SegmentGroupScorer:
                 self._expand_cache[ck] = matched
             if not matched:
                 return np.empty(0, np.uint64), np.empty(0, np.float64)
-            # ONE batched postings fetch for every matched term (a broad
-            # regex can match 10^4 dict terms — per-term calls would be
-            # that many parquet scans); tf payloads are never decoded
-            # because the automaton scorer below is const-1.0
-            tbl = reader.postings_for_terms(
-                node.field, matched, POSTINGS_SANS_POSITIONS
-            )
-            if tbl.num_rows == 0:
-                return np.empty(0, np.uint64), np.empty(0, np.float64)
-            parts = [
-                codecs.decode_doc_ids_blocked(r["doc_ids"], r["df"])
-                for r in tbl.select(["doc_ids", "df"]).to_pylist()
-            ]
+            # ONE batched postings fetch and ONE decode for every matched
+            # term (a broad regex can match 10^4 dict terms — per-term
+            # calls would be that many lookups)
+            tbl = reader.postings_for_terms(node.field, matched, ["df", "doc_ids", "tfs"])
             # Both fuzzy and regex are automaton queries in tantivy 0.19:
             # AutomatonWeight unions matching terms into one BitSetDocSet
             # wrapped in ConstScorer(1.0), so every matching doc scores 1.0
             # regardless of how many edit-distance variants it contains
             # (fuzzy.rs:31 → tantivy automaton_weight.rs).
-            ids = np.unique(np.concatenate(parts))
+            ids = np.unique(decode_postings(tbl)[0])
             return ids, np.ones(ids.size, np.float64)
 
         if isinstance(node, RangeQuery):
@@ -709,7 +681,7 @@ class SegmentGroupScorer:
         # position stream; that stays O(segment), and segments are
         # bounded by docs_per_segment — block-aligned position offsets
         # would shave a constant factor at the cost of a format bump.)
-        fetched = []  # (ids, tfs) per term, rows sorted by first_doc
+        fetched = []  # (ids, tfs) per term
         for t in node.terms:
             ids, tfs = self._postings(reader, node.field, t)
             if ids.size == 0:
@@ -721,25 +693,13 @@ class SegmentGroupScorer:
         if cand.size == 0:
             return cand.astype(np.uint64), np.empty(0, np.float64)
 
-        # pass 2: positions only for the surviving conjunction; tfs are
-        # reused from pass 1 (sliced per shard row by df offsets — both
-        # fetches sort shard rows by first_doc, so they align)
+        # pass 2: positions only for the surviving conjunction, decoded
+        # in one call against pass 1's tfs (both fetches return shard
+        # rows in the same doc order, so they align)
         per_term = []
         for t, (ids, tfs) in zip(node.terms, fetched):
-            tbl = reader.postings_for_terms(
-                node.field, [t], ["df", "first_doc", "positions"]
-            )
-            if tbl.num_rows > 1:
-                tbl = tbl.sort_by("first_doc")  # shard order = doc order
-            rows = tbl.to_pylist()
-            df_offs = np.zeros(len(rows) + 1, np.int64)
-            np.cumsum([r["df"] for r in rows], out=df_offs[1:])
-            pos = np.concatenate([
-                decode_positions(r, tfs[df_offs[i]: df_offs[i + 1]])[0]
-                for i, r in enumerate(rows)
-            ])
-            offs = np.zeros(tfs.size + 1, np.int64)
-            np.cumsum(tfs.astype(np.int64), out=offs[1:])
+            tbl = reader.postings_for_terms(node.field, [t], ["positions"])
+            pos, offs = decode_positions(tbl, tfs)
             per_term.append((ids, pos.astype(np.int64), offs))
 
         survivors = None
@@ -747,7 +707,7 @@ class SegmentGroupScorer:
             delta = offsets[i] - offsets[0]
             sel = np.searchsorted(ids, cand)
             starts, lens = offs[sel], offs[sel + 1] - offs[sel]
-            flat = take_ranges(pos, starts, lens)
+            flat = codecs.take_ranges(pos, starts, lens)
             docidx = np.repeat(np.arange(cand.size, dtype=np.int64), lens)
             adj = flat - delta
             ok = adj >= 0

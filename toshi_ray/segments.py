@@ -420,39 +420,63 @@ POSTINGS_CACHE_MAX_BYTES = 256 << 20  # above this, pushdown instead of caching
 POSTINGS_SANS_POSITIONS = [n for n in POSTINGS_SCHEMA.names if n != "positions"]
 
 
+class _TermDict:
+    """A segment's sorted term dictionary: one entry per postings row —
+    ``field, term, df, max_tf, first_doc`` and ``row`` (its row number
+    in the postings file) — sorted by (field, term, first_doc), so one
+    term's shard rows are adjacent and in doc order."""
+
+    def __init__(self, entries: pa.Table):
+        n = entries.num_rows
+        self.table = (
+            entries.append_column("row", pa.array(np.arange(n, dtype=np.int64)))
+            .sort_by([("field", "ascending"), ("term", "ascending"), ("first_doc", "ascending")])
+            .combine_chunks()
+        )
+        self.terms = self.table["term"].to_numpy(zero_copy_only=False)
+        self.rows = self.table["row"].to_numpy()
+        self.df_cum = np.zeros(n + 1, np.int64)  # df summed over entries [a, b) = cum[b] - cum[a]
+        np.cumsum(self.table["df"].to_numpy(), out=self.df_cum[1:])
+        runs = pa.compute.run_end_encode(self.table["field"].combine_chunks())
+        ends = runs.run_ends.to_numpy().astype(np.int64).tolist()
+        self.spans = dict(zip(runs.values.to_pylist(), zip([0] + ends[:-1], ends)))  # field -> [a, b)
+
+    def lookup(self, field: str, terms: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(present terms, sorted and unique; their first entry; one past
+        their last entry) — a searchsorted over the field's slice."""
+        a, b = self.spans.get(field, (0, 0))
+        want = np.unique(np.asarray(terms, dtype=object))
+        lo = a + np.searchsorted(self.terms[a:b], want, side="left")
+        hi = a + np.searchsorted(self.terms[a:b], want, side="right")
+        hit = hi > lo
+        return want[hit], lo[hit], hi[hit]
+
+
 class SegmentReader:
     """Lazy reader over one segment directory.
 
-    Postings are fetched with a parquet predicate on (field, term) so a
-    query only pulls the posting rows it needs; docvalues (norms / fast
-    fields) load once per reader and are held for the reader's lifetime
-    (the scorer-actor state, SURVEY.md §7.2).
+    Every term-keyed read (`df_for_terms`, `postings_for_terms`,
+    `term_dict`) goes through one in-memory term dictionary, built on
+    first touch (`_TermDict`). Where payload rows come from depends on
+    the segment's postings size: up to ``POSTINGS_CACHE_MAX_BYTES`` the
+    reader keeps the whole postings table (the scorer-actor state,
+    SURVEY.md §7.2) and takes rows from it; above it, the dictionary
+    comes from a column-projected read and payloads from a parquet
+    predicate read per lookup, so a scorer never pulls an over-heap
+    segment into memory. Until the dictionary is built, the term bloom
+    keeps segments that lack every requested term from being read at
+    all. Docvalues (norms / fast fields) load once per reader.
     """
 
-    def __init__(
-        self,
-        seg_dir: str,
-        cache_postings: bool | None = None,
-        cache_max_bytes: int = POSTINGS_CACHE_MAX_BYTES,
-    ):
-        """``cache_postings`` keeps the segment's postings table + a
-        sorted (field, term) index in the reader after first touch —
-        the scorer-actor state (SURVEY.md §7.2). Default (None) chooses
-        by on-disk postings size: segments above ``cache_max_bytes``
-        fall back to parquet predicate pushdown per query so a scorer
-        actor never pulls a whole over-heap segment into memory."""
+    def __init__(self, seg_dir: str):
         self.dir = seg_dir
         with open(os.path.join(seg_dir, META_FILE)) as f:
             self.meta = json.load(f)
-        if cache_postings is None:
-            cache_postings = self._postings_bytes() <= cache_max_bytes
-        self.cache_postings = cache_postings
         self._docvalues: pa.Table | None = None
         self._dv_partial: pa.Table | None = None  # column-projected cache
         self._dv_names: list[str] | None = None
-        self._postings_all: pa.Table | None = None
-        self._term_index: dict | None = None  # field -> (sorted terms np, row idx np)
-        self._df_col: np.ndarray | None = None  # set with the term index
+        self._postings_all: pa.Table | None = None  # set by a cached-mode dictionary
+        self._dict: _TermDict | None = None  # lazy, see _term_dict
         self._bloom_bits: np.ndarray | None = None  # lazy termbloom.bin
         self._store_map: tuple | None = None  # lazy, see _store_blocks
         self.store_blocks_read = 0  # store row groups decoded by store(ids)
@@ -528,19 +552,18 @@ class SegmentReader:
     def doc_ids(self) -> np.ndarray:
         return self.docvalues(["doc_id"])["doc_id"].to_numpy(zero_copy_only=False)
 
-    def _ensure_term_index(self) -> None:
-        if self._term_index is not None:
-            return
-        t = self.all_postings()
-        self._term_index = {}
-        self._df_col = t["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-        fields = t["field"].to_numpy(zero_copy_only=False)
-        terms = t["term"].to_numpy(zero_copy_only=False)
-        for f in np.unique(fields):
-            rows = np.nonzero(fields == f)[0]
-            ft = terms[rows]
-            order = np.argsort(ft, kind="stable")  # shard rows keep order (stable)
-            self._term_index[f] = (ft[order], rows[order])
+    def _term_dict(self) -> _TermDict:
+        """The dictionary, built once. A segment within
+        POSTINGS_CACHE_MAX_BYTES loads (and keeps) its whole postings
+        table; a larger one reads only the dictionary columns."""
+        if self._dict is None:
+            cols = ["field", "term", "df", "max_tf", "first_doc"]
+            if self._postings_bytes() <= POSTINGS_CACHE_MAX_BYTES:
+                self._postings_all = pq.read_table(self._path(POSTINGS_FILE)).combine_chunks()
+                self._dict = _TermDict(self._postings_all.select(cols))
+            else:
+                self._dict = _TermDict(pq.read_table(self._path(POSTINGS_FILE), columns=cols))
+        return self._dict
 
     def _bloom_surviving(self, field: str, terms: list[str]) -> list[str]:
         """Terms the segment MAY contain, per the term bloom filter
@@ -565,88 +588,67 @@ class SegmentReader:
         mask = termbloom.may_contain(self._bloom_bits, fm, terms, bm["k"])
         return [t for t, keep in zip(terms, mask) if keep]
 
-    def df_for_terms(self, field: str, terms: list[str]) -> dict[str, int]:
-        """{term: df summed across shard rows} WITHOUT touching the
-        posting payload columns — the stats phase only needs df, and a
-        hot term's payload is MBs it must not copy."""
-        terms = self._bloom_surviving(field, terms)
+    def _lookup(self, field: str, terms: list[str]):
+        """`_TermDict.lookup` of the requested terms, or None when none
+        is present. Before the dictionary is built the bloom answers
+        first, so an absent term never loads it; after, the exact
+        dictionary answers alone."""
+        if self._dict is None:
+            terms = self._bloom_surviving(field, terms)
         if not terms:
-            return {}
-        if self.cache_postings:
-            self._ensure_term_index()
-            idx = self._term_index.get(field)
-            if idx is None:
-                return {}
-            sorted_terms, rows = idx
-            want = np.asarray(sorted(terms), dtype=object)
-            lo = np.searchsorted(sorted_terms, want, side="left")
-            hi = np.searchsorted(sorted_terms, want, side="right")
-            return {
-                t: int(self._df_col[rows[a:b]].sum())
-                for t, a, b in zip(want, lo, hi)
-                if b > a
-            }
-        import pyarrow.dataset as pads
+            return None
+        want, lo, hi = self._term_dict().lookup(field, terms)
+        return (want, lo, hi) if want.size else None
 
-        expr = (pads.field("field") == field) & pads.field("term").isin(terms)
-        t = pq.read_table(
-            self._path(POSTINGS_FILE), columns=["term", "df"], filters=expr
-        )
-        out: dict[str, int] = {}
-        for term, df in zip(t["term"].to_pylist(), t["df"].to_pylist()):
-            out[term] = out.get(term, 0) + int(df)
-        return out
+    def df_for_terms(self, field: str, terms: list[str]) -> dict[str, int]:
+        """{term: df summed across shard rows}, from the dictionary — the
+        stats phase never touches a posting payload."""
+        found = self._lookup(field, terms)
+        if found is None:
+            return {}
+        want, lo, hi = found
+        cum = self._dict.df_cum
+        return dict(zip(want.tolist(), (cum[hi] - cum[lo]).tolist()))
 
     def postings_for_terms(
         self, field: str, terms: list[str], columns: list[str] | None = None
     ) -> pa.Table:
-        """``columns`` projects the fetch — term scoring passes
-        POSTINGS_SANS_POSITIONS so the positions payload (usually the
-        largest column) is never copied for non-phrase queries."""
-        terms = self._bloom_surviving(field, terms)
-        if not terms:
-            # bloom-pruned: the postings file is never touched
+        """Postings rows of the present ``terms``, in dictionary order:
+        by term, and each term's shard rows by first_doc, so their
+        decoded lists concatenate in doc order. ``columns`` projects the
+        fetch — term scoring passes POSTINGS_SANS_POSITIONS so the
+        positions payload (usually the largest column) is never copied
+        for non-phrase queries."""
+        found = self._lookup(field, terms)
+        if found is None:
             return empty_postings(columns)
-        if self.cache_postings:
-            self._ensure_term_index()
-            src = self.all_postings()
-            if columns is not None:
-                src = src.select(columns)
-            idx = self._term_index.get(field)
-            if idx is None:
-                return src.slice(0, 0)
-            sorted_terms, rows = idx
-            want = np.asarray(sorted(terms), dtype=object)
-            lo = np.searchsorted(sorted_terms, want, side="left")
-            hi = np.searchsorted(sorted_terms, want, side="right")
-            take = np.concatenate(
-                [rows[a:b] for a, b in zip(lo, hi)] or [np.empty(0, np.int64)]
-            )
-            return src.take(pa.array(np.sort(take)))
+        want, lo, hi = found
+        if self._postings_all is not None:
+            src = self._postings_all if columns is None else self._postings_all.select(columns)
+            return src.take(pa.array(codecs.take_ranges(self._dict.rows, lo, hi - lo)))
         import pyarrow.dataset as pads
 
-        expr = (pads.field("field") == field) & pads.field("term").isin(terms)
-        return pq.read_table(
-            self._path(POSTINGS_FILE), filters=expr, columns=columns
-        )
+        key = ["term", "first_doc"]
+        expr = (pads.field("field") == field) & pads.field("term").isin(want.tolist())
+        read = None if columns is None else columns + [c for c in key if c not in columns]
+        t = pq.read_table(self._path(POSTINGS_FILE), filters=expr, columns=read)
+        t = t.sort_by([(c, "ascending") for c in key])
+        return t if columns is None else t.select(columns)
 
-    def all_postings(self, field: str | None = None) -> pa.Table:
-        if self._postings_all is None:
-            self._postings_all = pq.read_table(self._path(POSTINGS_FILE)).combine_chunks()
-        t = self._postings_all
-        if field is not None:
-            t = t.filter(pa.compute.equal(t["field"], field))
-        return t
+    def all_postings(self) -> pa.Table:
+        """Every postings row, in file order."""
+        self._term_dict()
+        if self._postings_all is not None:
+            return self._postings_all
+        return pq.read_table(self._path(POSTINGS_FILE))
 
     def term_dict(self, field: str) -> pa.Table:
-        """(term, df, max_tf) for automaton queries (fuzzy/regex)."""
-        if self.cache_postings:
-            return self.all_postings(field).select(["field", "term", "df", "max_tf"])
-        t = pq.read_table(
-            self._path(POSTINGS_FILE),
-            columns=["field", "term", "df", "max_tf"],
-        )
-        return t.filter(pa.compute.equal(t["field"], field))
+        """The dictionary entries of ``field`` (field, term, df, max_tf,
+        first_doc, row), sorted by (term, first_doc) — for automaton
+        queries (fuzzy/regex) and suggest."""
+        d = self._term_dict()
+        a, b = d.spans.get(field, (0, 0))
+        return d.table.slice(a, b - a)
 
     def _store_blocks(self) -> tuple:
         """The store's block map, built once from the part footers (no
@@ -721,22 +723,11 @@ def decode_block(row: dict, b: int) -> tuple[np.ndarray, np.ndarray]:
     return np.cumsum(gaps, dtype=np.uint64), tfs
 
 
-def decode_posting_row(row: dict) -> tuple[np.ndarray, np.ndarray]:
-    """(doc_ids, tfs) from one postings row (dict of scalars)."""
-    doc_ids = codecs.decode_doc_ids_blocked(row["doc_ids"], int(row["df"]))
-    tfs = codecs.varint_decode(row["tfs"])
-    return doc_ids, tfs
-
-
-def decode_positions(row: dict, tfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Flat positions + per-doc offsets for one postings row."""
-    gaps = codecs.varint_decode(row["positions"])
+def decode_positions(table: pa.Table, tfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flat positions of every posting of a postings table in one
+    segmented decode, plus per-posting offsets into them (``tfs`` are
+    the rows' decoded tfs: a posting's positions restart absolutely)."""
     offsets = np.zeros(tfs.size + 1, dtype=np.int64)
-    np.cumsum(tfs.astype(np.int64), out=offsets[1:])
-    cs = np.cumsum(gaps, dtype=np.uint64)
-    starts = offsets[:-1]
-    valid = starts[starts < cs.size]
-    lens = np.diff(offsets)
-    base_per_group = cs[valid] - gaps[valid]
-    positions = cs - np.repeat(base_per_group, lens[: valid.size])
-    return positions, offsets
+    np.cumsum(tfs, out=offsets[1:])
+    gaps = codecs.varint_decode(_binary_parts(table["positions"])[0])
+    return codecs.segmented_delta_decode(gaps, offsets), offsets

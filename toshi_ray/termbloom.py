@@ -3,11 +3,12 @@ fastfield zone maps (segment meta `fastfield_stats`).
 
 Each segment's meta carries a ``term_bloom`` entry and a sibling
 ``termbloom.bin`` holds one bit array per indexed field, built over the
-segment's term dictionary at write/merge time. A term / phrase / bool
-query consults the bloom BEFORE touching postings: a segment that
-provably lacks every requested term is skipped without opening its
-postings file at all — no parquet footer, no dictionary page, no
-``all_postings`` cache fill. At 10^5+ segments (100 TB, doc-id- or
+segment's term dictionary at write/merge time. A reader consults the
+bloom while its in-memory term dictionary is not yet built: a segment
+that provably lacks every requested term is skipped without opening its
+postings file at all — no parquet footer, no dictionary load. Once a
+lookup has loaded the dictionary, the exact dictionary answers and the
+bloom is no longer probed. At 10^5+ segments (100 TB, doc-id- or
 time-partitioned corpora where vocabularies drift across partitions) a
 rare-term query degrades from O(segments) postings probes to
 O(matching segments); the stats phase (global df) gets the same skip.
