@@ -347,17 +347,42 @@ def test_overwrite_rebuild_serves_fresh_postings(ray_session, tmp_path):
     assert s.count({"query": {"term": {"text": "delta"}}}) == 2
 
 
+def test_format_6_index_is_refused(tmp_path):
+    """A format-6 index (postings with per-block score bounds) is refused
+    loudly, never read with the format-7 layout."""
+    import json
+    import os
+
+    from toshi_ray.api import IndexCatalog
+    from toshi_ray.pipelines.build import MANIFEST_FILE
+    from toshi_ray.query import QueryError
+
+    c = IndexCatalog(str(tmp_path))
+    c.create_index("ix", [{"name": "text", "type": "text", "options": {
+        "indexing": {"record": "position", "tokenizer": "default"}, "stored": True}}])
+    c.add_document("ix", {"document": {"text": "alpha beta"}})
+    path = os.path.join(c._root("ix"), MANIFEST_FILE)
+    with open(path) as f:
+        manifest = json.load(f)
+    manifest["format"] = 6
+    with open(path, "w") as f:
+        json.dump(manifest, f)
+    with pytest.raises(QueryError, match="rebuild the index"):
+        Searcher(c._root("ix"), distributed=False)
+
+
 def test_blockmax_prunes_and_stays_exact(ray_session):
-    """Skewed-tf corpus: the block-max path must skip decoding most
-    blocks for a small k yet return exactly the exhaustive top-k."""
+    """Skewed-tf corpus (high-tf docs bunched in a few 128-doc blocks):
+    the public search returns exactly the exhaustive top-k, ids and
+    scores."""
     import pyarrow as pa
     import ray
 
-    from toshi_ray.search import SegmentGroupScorer, TermQuery
+    from toshi_ray.search import SegmentGroupScorer
 
     n = 4000
-    # tf of "hot" rises with doc_id but block-max varies: put high-tf docs
-    # in a few blocks so most blocks have low upper bounds
+    # the high-tf docs of "hot" sit in every tenth 128-doc block, so a
+    # small k is decided by a few blocks
     texts = []
     for i in range(n):
         tf = 40 if (i // 128) % 10 == 0 else 1
@@ -379,20 +404,14 @@ def test_blockmax_prunes_and_stays_exact(ray_session):
     want = list(zip(exhaustive_ids[order].tolist(),
                     np.round(exhaustive_scores[order], 12).tolist()))
 
-    ids, scores = scorer._topk_blockmax([plan], scorer.readers[0], stats, 10)
-    got = list(zip(ids.tolist(), np.round(scores, 12).tolist()))
+    got = [(i, round(sc, 12)) for i, sc in engine_topk(s, {"term": {"text": "hot"}}, 10)]
     assert got == want
-    pc = scorer.perf_counters()
-    assert pc["blocks_decoded"] < pc["blocks_total"], pc  # pruning happened
-    # and the public search path returns the same
-    r = s.search({"query": {"term": {"text": "hot"}}, "limit": 10})
-    assert [d["doc"]["doc_id"] for d in r["docs"]] == [g[0] for g in got]
 
 
 def test_union_blockmax_exact_and_prunes(ray_session):
-    """Pure-disjunction (should-only) queries go through the region-
-    overlay block-max WAND: identical top-k to exhaustive eval, with
-    blocks skipped on a skewed corpus."""
+    """Pure-disjunction (should-only) query on a skewed corpus: the
+    public search returns exactly the exhaustive top-k, before and
+    after a delete."""
     import pyarrow as pa
     import ray
 
@@ -423,15 +442,9 @@ def test_union_blockmax_exact_and_prunes(ray_session):
     order = np.lexsort((ex_ids, -ex_scores))[:10]
     want = list(zip(ex_ids[order].tolist(),
                     np.round(ex_scores[order], 12).tolist()))
-    ids, scores = scorer._topk_blockmax(list(plan.should), scorer.readers[0], stats, 10)
-    got = list(zip(ids.tolist(), np.round(scores, 12).tolist()))
+    got = [(i, round(sc, 12)) for i, sc in engine_topk(s, q, 10)]
     assert got == want
-    pc = scorer.perf_counters()
-    assert pc["blocks_decoded"] < pc["blocks_total"], pc  # pruning happened
-    # the public path returns the same ranking
-    r = s.search({"query": q, "limit": 10})
-    assert [d["doc"]["doc_id"] for d in r["docs"]] == [g[0] for g in got]
-    # union path + tombstones agrees with generic eval after a delete
+    # the union + tombstones agrees with generic eval after a delete
     delete_by_term(root, "text", "w0000")
     s2 = Searcher(root, distributed=False)
     r2 = s2.search({"query": q, "limit": 10})
@@ -478,31 +491,41 @@ def test_blockmax_states_cover_shards_and_tombstones(blockmax_states):
     assert blockmax_states["deleted"]._stats_state.tombstones.size > 0
 
 
+@pytest.fixture(scope="module")
+def blockmax_oracle():
+    """The brute-force scorer over the corpus of `blockmax_states`: its
+    stats are theirs in every state (deleted docs count until a merge)."""
+    tbl = make_pages_batch(np.arange(3000))
+    docs = [{"doc_id": i, "text": t}
+            for i, t in zip(tbl["doc_id"].to_pylist(), tbl["text"].to_pylist())]
+    return BruteForceIndex(docs, {"text": "default"})
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     state=st.sampled_from(["fresh", "merged", "deleted"]),
     words=st.lists(st.sampled_from(BLOCKMAX_POOL), min_size=1, max_size=4),
     k=st.sampled_from([0, 1, 10, 100]),
 )
-def test_blockmax_equals_exhaustive_topk(blockmax_states, state, words, k):
-    """`_topk_blockmax` over 1-4 text terms returns exactly the top-k of
-    the exhaustive evaluator (ids AND scores, tombstones excluded)."""
+def test_blockmax_equals_exhaustive_topk(blockmax_states, blockmax_oracle, state, words, k):
+    """`Searcher.search` over 1-4 text terms returns exactly the brute-force
+    ranking of `match_doc_ids` (tombstoned docs excluded) scored by the
+    oracle: the same ids in the same order, the same scores."""
     s = blockmax_states[state]
     q = ({"term": {"text": words[0]}} if len(words) == 1
          else {"bool": {"should": [{"term": {"text": w}} for w in words]}})
-    plan = s._plan({"query": q}).query
-    terms = [plan] if len(words) == 1 else list(plan.should)
-    stats = s._stats_for(plan)
-    s._ensure_groups()
-    for _, scorer in s._groups:
-        for reader in scorer.readers:
-            ids, scores = scorer._eval(plan, reader, stats)
-            keep = ~np.isin(ids, stats.tombstones)
-            ids, scores = ids[keep], scores[keep]
-            top = np.lexsort((ids, -scores))[:k]
-            got_ids, got_scores = scorer._topk_blockmax(terms, reader, stats, k)
-            assert np.array_equal(got_ids, ids[top]), (state, words, k)
-            assert np.array_equal(got_scores, scores[top]), (state, words, k)
+    scores: dict[int, float] = {}
+    for w in words:  # the should clauses' sum, in clause order
+        for i, sc in blockmax_oracle.term_scores("text", w).items():
+            scores[i] = scores.get(i, 0.0) + sc
+    live = set(s.match_doc_ids({"query": q}).tolist())
+    tombs = set(s._stats_state.tombstones.tolist())
+    assert live == {int(blockmax_oracle.doc_ids[i]) for i in scores} - tombs
+    want = blockmax_oracle.topk(
+        {i: sc for i, sc in scores.items() if int(blockmax_oracle.doc_ids[i]) in live}, k)
+    got = engine_topk(s, q, k)
+    assert [g[0] for g in got] == [w[0] for w in want], (state, words, k)
+    np.testing.assert_allclose([g[1] for g in got], [w[1] for w in want], rtol=1e-12)
 
 
 def test_single_should_equals_bare_term(blockmax_states):
@@ -1161,9 +1184,8 @@ def test_numeric_term_query_with_null_docvalues(ray_session, tmp_path):
 
 
 def test_limit_zero_returns_empty(ray_session, tmp_path):
-    """limit=0 returns zero docs on every execution path (block-max
-    term, union, and the generic eval path) instead of a numpy
-    partition error."""
+    """limit=0 returns zero docs for a term, a union and match-all
+    instead of a numpy partition error."""
     import pyarrow as pa
     import ray
 

@@ -51,13 +51,12 @@ def test_encode_postings_roundtrip(lens, seed):
     rng = np.random.default_rng(seed)
     ids = [np.cumsum(rng.integers(1, rng.choice([2, 300, 2**20]), n)).astype(np.uint64) for n in lens]
     tfs = [rng.integers(1, rng.choice([2, 300]), n).astype(np.uint64) for n in lens]
-    norms = [rng.integers(0, 256, n).astype(np.uint8) for n in lens]
     offsets = np.zeros(len(lens) + 1, np.int64)
     np.cumsum(lens, out=offsets[1:])
     k = len(lens)
     table = segments.encode_postings(
         ["f"] * k, [f"t{i}" for i in range(k)], np.zeros(k, np.int32),
-        np.concatenate(ids), np.concatenate(tfs), np.concatenate(norms), offsets, None,
+        np.concatenate(ids), np.concatenate(tfs), offsets, None,
     )
     assert table.schema == segments.POSTINGS_SCHEMA
 
@@ -76,12 +75,6 @@ def test_encode_postings_roundtrip(lens, seed):
             blk_ids, blk_tfs = segments.decode_block(row, b)
             np.testing.assert_array_equal(blk_ids, ids[i][lo:hi])
             np.testing.assert_array_equal(blk_tfs, tfs[i][lo:hi])
-        assert codecs.varint_decode(row["block_max_tf"]).tolist() == [
-            int(tfs[i][lo:hi].max()) for lo, hi in blocks
-        ]
-        assert np.frombuffer(row["block_min_norm"], np.uint8).tolist() == [
-            int(norms[i][lo:hi].min()) for lo, hi in blocks
-        ]
         assert np.frombuffer(row["block_last_doc"], np.uint64).tolist() == [
             int(ids[i][hi - 1]) for _, hi in blocks
         ]

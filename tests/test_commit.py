@@ -3,6 +3,7 @@
 index's writer lock from a re-read of the latest manifest, so no writer
 can drop another's acknowledged commit."""
 
+import json
 import os
 import tempfile
 import threading
@@ -188,6 +189,59 @@ def test_appends_racing_merge_and_gc_keep_every_acknowledged_doc(mid_merge):
     docs = c.search("ix", {"query": {"term": {"text": "common"}}, "limit": 10_000})["docs"]
     found = sorted(d["doc"]["text"].split()[1] for d in docs)
     assert found == sorted(["doc0", "doc1", *acked])
+
+
+def _bulk_catalog(texts: list[str]) -> tuple[IndexCatalog, str, list[str]]:
+    """A catalog index of one one-doc segment per text, each appended
+    through ``bulk_insert``; returns the segment names too."""
+    c = IndexCatalog(tempfile.mkdtemp(prefix="toshi_commit_"))
+    c.create_index("ix", SCHEMA)
+    for t in texts:
+        c.bulk_insert("ix", json.dumps({"text": t}) + "\n")
+    root = c._root("ix")
+    return c, root, [s["name"] for s in load_manifest(root)["segments"]]
+
+
+@pytest.mark.parametrize("kept", [2, 0])
+def test_partial_merge_of_fully_deleted_segments_publishes_no_segment(kept):
+    """Merging two fully deleted one-doc segments publishes no segment.
+    With ``kept=0`` they held the highest doc ids, and their delete file
+    stays listed (a partial merge): an append that reissued one of those
+    ids would be tombstoned on arrival."""
+    texts = ["common gone"] * 3
+    texts[kept] = "common kept"
+    c, root, names = _bulk_catalog(texts)
+    c.delete_term("ix", {"text": "gone"})
+    before = load_manifest(root)
+    gone = [n for i, n in enumerate(names) if i != kept]
+    m = merge_segments(root, gone)
+    assert [s["name"] for s in m["segments"]] == [names[kept]]
+    assert set(gone) <= set(m["garbage"])
+    assert m["tombstones"] == before["tombstones"]  # a partial merge keeps them
+    assert m["version"] == before["version"] + 1
+    assert m["max_doc_id"] == max(s["max_doc_id"] for s in before["segments"]
+                                  if s["name"] in gone)
+    assert not [d for d in os.listdir(os.path.join(root, "segments")) if d.startswith(".tmp")]
+    gc_segments(root, checkpoint_grace_s=0)
+    assert _hits(c, "common") == 1
+    assert _hits(c, "kept") == 1
+    c.bulk_insert("ix", json.dumps({"text": "common fresh"}) + "\n")
+    assert _hits(c, "fresh") == 1
+    merge_segments(root)  # a full merge applies and unlists the delete file
+    c.bulk_insert("ix", json.dumps({"text": "common later"}) + "\n")
+    assert _hits(c, "later") == 1
+    assert _hits(c, "common") == 3
+
+
+def test_catalog_search_sees_a_merge_and_gc_run_outside_it():
+    c, root, names = _bulk_catalog(["common one", "common two"])
+    assert _hits(c, "common") == 2  # the catalog now caches a searcher
+    merge_segments(root, names)
+    gc_segments(root, checkpoint_grace_s=0)
+    assert not any(os.path.isdir(os.path.join(root, "segments", n)) for n in names)
+    assert _hits(c, "common") == 2
+    docs = c.search("ix", {"query": {"term": {"text": "two"}}})["docs"]
+    assert [d["doc"]["text"] for d in docs] == ["common two"]
 
 
 def test_commit_inside_a_mutate_raises_at_once():

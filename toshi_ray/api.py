@@ -186,9 +186,7 @@ class IndexCatalog:
             pending = self._pending.pop(name, [])
             self._opstamp[name] = 0
         if not pending:
-            m = commit(root, lambda manifest: manifest)
-            self._invalidate(name)
-            return {"opstamp": m["version"]}
+            return {"opstamp": commit(root, lambda manifest: manifest)["version"]}
         try:
             return {"opstamp": self._append_docs(name, pending)["version"]}
         except Exception:
@@ -263,7 +261,6 @@ class IndexCatalog:
         total = 0
         for field, term in terms.items():
             total += delete_by_term(root, field, str(term))
-        self._invalidate(name)
         return {"docs_affected": total}
 
     # ---- search (POST /{idx}) + all_docs (GET /{idx}) ----
@@ -292,13 +289,20 @@ class IndexCatalog:
             return Schema.loads(f.read())
 
     def _searcher(self, name: str) -> Searcher:
+        """The index's cached searcher, refreshed when the manifest's
+        version moved. Every commit bumps it, the catalog's own writes
+        and those made outside it alike (a job's merge + gc would
+        otherwise leave it reading swept segments), so one small JSON
+        read per search is an exact check where a file stat is not:
+        inode numbers are reused and mtimes are coarse."""
         root = self._require(name)
-        if name not in self._searchers:
-            self._searchers[name] = Searcher(root, distributed=False)
-        return self._searchers[name]
-
-    def _invalidate(self, name: str) -> None:
-        self._searchers.pop(name, None)
+        version = load_manifest(root)["version"]
+        searcher = self._searchers.get(name)
+        if searcher is None:
+            searcher = self._searchers[name] = Searcher(root, distributed=False)
+        elif searcher.manifest["version"] != version:
+            searcher.refresh()
+        return searcher
 
     def _validate(self, schema: Schema, doc: dict) -> None:
         for k, v in doc.items():
@@ -328,7 +332,10 @@ class IndexCatalog:
                 rows[f.name] = pa.array([None if v is None else str(v) for v in vals], pa.string())
 
         def append(manifest: dict) -> dict:
-            next_id = 1 + max((s["max_doc_id"] for s in manifest["segments"]), default=-1)
+            # a merge that left no doc keeps its sources' high-water mark
+            # in the manifest: ids of deleted docs are never reissued
+            next_id = 1 + max([manifest.get("max_doc_id", -1)]
+                              + [s["max_doc_id"] for s in manifest["segments"]])
             ids = pa.array(np.arange(next_id, next_id + len(docs), dtype=np.uint64))
             batch = pa.table({**rows, "doc_id": ids})  # ids replace any doc_id field
             postings, dv, store, meta = build_segment_tables(batch, schema)
@@ -336,6 +343,4 @@ class IndexCatalog:
                 write_segment(os.path.join(root, SEGMENTS_DIR), postings, dv, store, meta))
             return manifest
 
-        m = commit(root, append)
-        self._invalidate(name)
-        return m
+        return commit(root, append)

@@ -2,8 +2,8 @@
 
 One codec, **delta + varint** (LEB128), for doc-id gaps, term freqs and
 position gaps. Doc-id deltas restart from an absolute id at every
-128-doc block, so a block decodes on its own (the WAND skip unit); the
-block tables beside it live in the segment (see
+128-doc block, so a block decodes on its own (the conjunction skip
+unit); the block tables beside it live in the segment (see
 `segments.encode_postings`). Reference: Toshi pins tantivy 0.19, see
 SURVEY.md §1.1 "Segment".
 

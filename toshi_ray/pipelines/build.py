@@ -65,7 +65,10 @@ TOMBSTONES_DIR = "tombstones"
 # v6 = deletes are committed: the manifest's `tombstones` list names the
 #      live delete files under tombstones/ — a v5 reader would ignore
 #      the list and serve deleted docs
-FORMAT_VERSION = 6
+# v7 = postings drop the per-block score bounds (block_max_tf,
+#      block_min_norm): every top-k is exhaustive, so only the skip
+#      tables the conjunction path reads stay
+FORMAT_VERSION = 7
 
 
 class SegmentBuilder:

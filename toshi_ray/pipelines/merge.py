@@ -106,26 +106,13 @@ def log_merge_candidates(
     return [names for names in levels if len(names) >= min_merge_size]
 
 
-def _row_min_norm(t: pa.Table) -> np.ndarray:
-    """Each postings row's smallest block_min_norm code (255 if it has
-    none): the conservative per-posting norm bound the merge and delete
-    application hand `encode_postings`, which keeps no per-doc norms."""
-    big, rel = _binary_parts(t["block_min_norm"])
-    out = np.full(t.num_rows, 255, np.uint8)
-    nz = np.diff(rel) > 0
-    if big.size:
-        out[nz] = np.minimum.reduceat(big, rel[:-1][nz])
-    return out
-
-
 def _merge_partition(t: pa.Table) -> pa.Table:
     """Vectorized merge of ALL posting rows in one coarse partition.
 
     The rows of one (field, term, shard_out) group concatenate in
     first_doc order (sources cover disjoint doc ranges): one
     `decode_postings` of every row, one `encode_postings` of every group
-    with fresh 128-doc blocks — no per-term Python loop. Each group's
-    block_min_norm is its source rows' minimum (conservative). Position
+    with fresh 128-doc blocks — no per-term Python loop. Position
     streams restart per doc, so a group's positions are the byte
     concatenation of its rows', never re-encoded.
     """
@@ -149,7 +136,6 @@ def _merge_partition(t: pa.Table) -> pa.Table:
 
     doc_ids, tfs, row_offs = decode_postings(t)
     g_val_offs = row_offs[g_offsets]
-    grp_min = np.minimum.reduceat(_row_min_norm(t), g_starts)
 
     # a field records positions in all of its rows or in none
     take_starts = pa.array(g_starts)
@@ -166,7 +152,6 @@ def _merge_partition(t: pa.Table) -> pa.Table:
         shards[g_starts].astype(np.int32),
         doc_ids,
         tfs,
-        np.repeat(grp_min, np.diff(g_val_offs)),
         g_val_offs,
         pos_arr,
     )
@@ -181,8 +166,7 @@ def apply_tombstones_to_postings(batch: pa.Table, tombs: np.ndarray) -> pa.Table
     (sorted) tombstone set pass through UNTOUCHED — the common case at
     scale, where deletes hit a tiny doc-id range. Touched rows go
     decode → mask → encode: one `decode_postings`, the tombstoned
-    postings dropped, one `encode_postings` with fresh 128-doc blocks
-    (each row's block_min_norm stays its old row minimum, conservative).
+    postings dropped, one `encode_postings` with fresh 128-doc blocks.
     """
     n = batch.num_rows
     if n == 0 or tombs.size == 0:
@@ -242,7 +226,6 @@ def apply_tombstones_to_postings(batch: pa.Table, tombs: np.ndarray) -> pa.Table
         sub["shard"].take(take),
         doc_ids[keep],
         tfs[keep],
-        np.repeat(_row_min_norm(sub), np.diff(row_offs))[keep],
         new_offs,
         pos_arr,
     )
@@ -274,6 +257,8 @@ def merge_segments(
     The publish rebases onto the LATEST manifest (its segments minus the
     sources), so commits made while the merge ran survive it; if a
     source has left the manifest meanwhile, it raises and publishes nothing.
+    When the deletes leave no source doc, the sources leave the manifest
+    and no segment takes their place.
 
     Resumable (north_rule): the merge identity is content-keyed
     (source set + tombstone state), every shuffle partition's merged
@@ -294,7 +279,8 @@ def merge_segments(
 
     tombs = load_tombstones(index_root, manifest) if apply_deletes else np.empty(0, np.uint64)
     # a merge of every segment applies every delete file it read, and
-    # doc ids are never reissued (the merged max_doc_id is the sources'),
+    # doc ids are never reissued (the merged max_doc_id is the sources';
+    # with no doc left, the manifest keeps it),
     # so the rebase unlists those files; files committed after this read
     # stay listed. The files stay on disk until a reader-safe gc.
     applied = (
@@ -430,6 +416,28 @@ def merge_segments(
                 os.path.join(ckpt, f), os.path.join(tmp, "postings", f)
             )
 
+    def rebase(latest: dict, meta: dict | None) -> dict:
+        """Swap the sources for the merged segment (none when ``meta`` is
+        None: every source doc was deleted) in the latest manifest."""
+        gone = set(names) - {s["name"] for s in latest["segments"]}
+        if gone:
+            shutil.rmtree(tmp, ignore_errors=True)
+            raise RuntimeError(f"merge sources left the manifest meanwhile: {sorted(gone)}")
+        # publish the dir under the lock, or a gc in between would delete it;
+        # False = an identical merge (same content key) already published
+        merged = [] if meta is None else [meta]
+        if merged and not get_storage().publish_dir(tmp, final, META_FILE):
+            with open(os.path.join(final, META_FILE)) as f:
+                merged = [json.load(f)]
+        latest["segments"] = [s for s in latest["segments"] if s["name"] not in names] + merged
+        if not merged:  # keep the sources' high-water mark: ids are never reissued
+            latest["max_doc_id"] = max(latest.get("max_doc_id", -1),
+                                       *(s["max_doc_id"] for s in sources))
+        latest["garbage"] = latest.get("garbage", []) + names
+        if applied:
+            latest["tombstones"] = [f for f in latest.get("tombstones", []) if f not in applied]
+        return latest
+
     # ---- docvalues + store: ORDERED concat of disjoint doc ranges ----
     # source segments cover disjoint doc-id intervals. Without
     # tombstones the side files need NO transform at all — hard-link
@@ -476,7 +484,6 @@ def merge_segments(
     # + row-group statistics) — never a data-page read: at 10^9 docs the
     # doc_id column alone would be ~8 GB of driver RAM
     n_docs = 0
-    stats_missing = False
     # zone maps for EVERY integer fast-field column (doc_id + numerics)
     # from the same footer pass; a column with any stats-less row group
     # is dropped (bounds must never be narrower than the data)
@@ -488,7 +495,8 @@ def merge_segments(
     zone_valid: dict[str, int] = {}
     count_bad: set[str] = set()
     dv_dir = os.path.join(tmp, "docvalues")
-    for fn in os.listdir(dv_dir):
+    # Ray writes no directory for an empty dataset
+    for fn in os.listdir(dv_dir) if os.path.isdir(dv_dir) else []:
         if not fn.endswith(".parquet"):
             continue
         md = pq.ParquetFile(os.path.join(dv_dir, fn)).metadata
@@ -519,9 +527,12 @@ def merge_segments(
             z.append(int(zone_valid[name]))
     for name in zone_bad:
         zone.pop(name, None)
+    if not n_docs:  # every source doc was deleted: publish no segment
+        shutil.rmtree(tmp, ignore_errors=True)
+        return commit(index_root, lambda latest: rebase(latest, None))
     stats_missing = "doc_id" in zone_bad
     id_min, id_max = zone.get("doc_id", (None, None))[:2]
-    if n_docs and (stats_missing or id_min is None):
+    if stats_missing or id_min is None:
         # a writer without column statistics must not silently produce
         # min/max = 0 — doc-id allocation (_append_docs) and merge
         # ordering key off these; fall back to reading the column
@@ -570,24 +581,7 @@ def merge_segments(
     with open(os.path.join(tmp, META_FILE), "w") as f:
         json.dump(meta, f)
 
-    def rebase(latest: dict) -> dict:
-        gone = set(names) - {s["name"] for s in latest["segments"]}
-        if gone:
-            shutil.rmtree(tmp, ignore_errors=True)
-            raise RuntimeError(f"merge sources left the manifest meanwhile: {sorted(gone)}")
-        # publish the dir under the lock, or a gc in between would delete it;
-        # False = an identical merge (same content key) already published
-        merged = meta
-        if not get_storage().publish_dir(tmp, final, META_FILE):
-            with open(os.path.join(final, META_FILE)) as f:
-                merged = json.load(f)
-        latest["segments"] = [s for s in latest["segments"] if s["name"] not in names] + [merged]
-        latest["garbage"] = latest.get("garbage", []) + names
-        if applied:
-            latest["tombstones"] = [f for f in latest.get("tombstones", []) if f not in applied]
-        return latest
-
-    return commit(index_root, rebase)
+    return commit(index_root, lambda latest: rebase(latest, meta))
 
 
 def maybe_merge(index_root: str, **kw) -> list[dict]:

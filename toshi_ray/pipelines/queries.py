@@ -476,7 +476,7 @@ def q_more_like_this(sf_dir: str) -> pd.DataFrame:
     term selection and the rank-ordered ((s1+s2)+s3) BM25 sum."""
     from toshi_ray.ops.textstats import tfidf_keywords
 
-    kw = tfidf_keywords(_docs_ds(sf_dir), k=3, only_ids={0}).take_all()
+    kw = tfidf_keywords(_docs_ds(sf_dir, _ID_TEXT), k=3, only_ids={0}).take_all()
     terms = [r["term"] for r in sorted(kw, key=lambda r: int(r["rank"]))]
     s = searcher_for(sf_dir)
     r = s.search(
@@ -579,22 +579,27 @@ def q_sort_topk(sf_dir: str) -> pd.DataFrame:
 
 # ---- training-data ops ----
 
-def _docs_ds(sf_dir: str):
+# the read projects to the columns each query's op touches
+_ID_TEXT = ["doc_id", "text"]
+_VEC = ["vec_id", "embedding"]
+
+
+def _docs_ds(sf_dir: str, columns: list[str]):
     import ray.data
 
-    return ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"))
+    return ray.data.read_parquet(os.path.join(sf_dir, "documents.parquet"), columns=columns)
 
 
-def _emb_ds(sf_dir: str):
+def _emb_ds(sf_dir: str, columns: list[str]):
     import ray.data
 
-    return ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"))
+    return ray.data.read_parquet(os.path.join(sf_dir, "embeddings.parquet"), columns=columns)
 
 
 def q_dedup_exact(sf_dir: str) -> pd.DataFrame:
     from toshi_ray.ops.dedup import exact_dedup
 
-    rows = exact_dedup(_docs_ds(sf_dir)).take_all()
+    rows = exact_dedup(_docs_ds(sf_dir, _ID_TEXT)).take_all()
     df = pd.DataFrame(rows)[["doc_id", "n_copies"]]
     return df.astype({"doc_id": "int64", "n_copies": "int64"}).sort_values("doc_id").reset_index(drop=True)
 
@@ -603,7 +608,7 @@ def q_dedup_drop(sf_dir: str) -> pd.DataFrame:
     """Materializing dedup: the corpus rows that SURVIVE exact dedup."""
     from toshi_ray.ops.dedup import exact_dedup_drop
 
-    rows = exact_dedup_drop(_docs_ds(sf_dir)).take_all()
+    rows = exact_dedup_drop(_docs_ds(sf_dir, _ID_TEXT)).take_all()
     return pd.DataFrame(
         {"doc_id": sorted(int(r["doc_id"]) for r in rows)}
     ).astype({"doc_id": "int64"})
@@ -622,7 +627,7 @@ def q_dedup_minhash(sf_dir: str) -> pd.DataFrame:
     # the engine's star-cap for oversized buckets (a production guard,
     # pinned by pytest) must not fire in the oracle comparison
     rows = minhash_lsh_pairs(
-        _docs_ds(sf_dir), threshold=0.3, num_perm=64, bands=16, perm_hash="sql",
+        _docs_ds(sf_dir, _ID_TEXT), threshold=0.3, num_perm=64, bands=16, perm_hash="sql",
         bucket_cap=1 << 40,
     ).take_all()
     if not rows:
@@ -674,11 +679,11 @@ def q_dedup_incremental(sf_dir: str) -> pd.DataFrame:
 
     if not _cache_ok():
         build_minhash_index(
-            _docs_ds(sf_dir).map_batches(side(True), batch_format="pyarrow"),
+            _docs_ds(sf_dir, _ID_TEXT).map_batches(side(True), batch_format="pyarrow"),
             path, perm_hash="sql",
         )
     rows = minhash_probe(
-        _docs_ds(sf_dir).map_batches(side(False), batch_format="pyarrow"),
+        _docs_ds(sf_dir, _ID_TEXT).map_batches(side(False), batch_format="pyarrow"),
         path, threshold=20 / 64,
         # the SQL twin does full per-bucket cross joins — production
         # guards run UNCAPPED on oracle-backed queries (CLAUDE.md)
@@ -708,7 +713,7 @@ def q_dedup_cluster(sf_dir: str) -> pd.DataFrame:
     from toshi_ray.ops.dedup import dup_components, minhash_lsh_pairs
 
     pairs = minhash_lsh_pairs(
-        _docs_ds(sf_dir), threshold=0.3, num_perm=64, bands=16, perm_hash="sql",
+        _docs_ds(sf_dir, _ID_TEXT), threshold=0.3, num_perm=64, bands=16, perm_hash="sql",
         bucket_cap=1 << 40,  # SQL twin enumerates all bucket pairs
     )
     rows = dup_components(pairs).take_all()
@@ -733,7 +738,7 @@ def q_curate_corpus(sf_dir: str) -> pd.DataFrame:
     from toshi_ray.pipelines.curate import curate_corpus
 
     corpus = curate_corpus(
-        _docs_ds(sf_dir),
+        _docs_ds(sf_dir, _ID_TEXT),
         min_quality=0.25,
         dedup_threshold=0.3,
         rates_ppm={"en": 800_000, "de": 500_000, "fr": 250_000, "es": 0},
@@ -763,7 +768,7 @@ def q_minhash_verify(sf_dir: str) -> pd.DataFrame:
     from toshi_ray.ops.dedup import minhash_lsh_pairs, ngram_jaccard_verify_pairs
 
     cand = minhash_lsh_pairs(
-        _docs_ds(sf_dir), threshold=0.3, num_perm=64, bands=16, perm_hash="sql",
+        _docs_ds(sf_dir, _ID_TEXT), threshold=0.3, num_perm=64, bands=16, perm_hash="sql",
         bucket_cap=1 << 40,  # SQL twin enumerates all bucket pairs
     ).take_all()
     if not cand:
@@ -771,7 +776,7 @@ def q_minhash_verify(sf_dir: str) -> pd.DataFrame:
                              "id_b": pd.Series(dtype="int64"),
                              "jaccard_x1e6": pd.Series(dtype="int64")})
     pairs = pd.DataFrame(cand)[["id_a", "id_b"]]
-    out = ngram_jaccard_verify_pairs(_docs_ds(sf_dir), pairs, n=3)
+    out = ngram_jaccard_verify_pairs(_docs_ds(sf_dir, _ID_TEXT), pairs, n=3)
     out["jaccard_x1e6"] = np.floor(out["jaccard"] * 1e6).astype("int64")
     return (
         out.drop(columns=["jaccard"])
@@ -788,7 +793,7 @@ def q_simhash(sf_dir: str) -> pd.DataFrame:
     aggregation/voting code is the same)."""
     from toshi_ray.ops.dedup import simhash_signatures
 
-    rows = simhash_signatures(_docs_ds(sf_dir), token_hash="sql").take_all()
+    rows = simhash_signatures(_docs_ds(sf_dir, _ID_TEXT), token_hash="sql").take_all()
     df = pd.DataFrame(rows)
     df["simhash"] = df["simhash"].astype("int64")  # < 2^62, BIGINT-safe
     return df.sort_values("doc_id").reset_index(drop=True)
@@ -801,7 +806,7 @@ def q_ngram_jaccard(sf_dir: str) -> pd.DataFrame:
     # the engine must run uncapped here (the production hot-shingle cap
     # is pinned by pytest separately)
     rows = ngram_jaccard_pairs(
-        _docs_ds(sf_dir), "source", threshold=0.05, max_run=None
+        _docs_ds(sf_dir, ["doc_id", "text", "source"]), "source", threshold=0.05, max_run=None
     ).take_all()
     if not rows:
         return pd.DataFrame({"id_a": pd.Series(dtype="int64"),
@@ -827,7 +832,7 @@ def q_embed_near_dup(sf_dir: str) -> pd.DataFrame:
     from toshi_ray.ops.dedup import embedding_near_dup_pairs
 
     rows = embedding_near_dup_pairs(
-        _emb_ds(sf_dir), threshold=0.3, n_planes=4, planes="axis",
+        _emb_ds(sf_dir, _VEC), threshold=0.3, n_planes=4, planes="axis",
         # the SQL twin does the FULL per-bucket join, so the star cap
         # must not trigger — but keep it BOUNDED (4096² /2 pair indices
         # ≈ 130 MB worst case) so a huge corpus can't OOM the task; the
@@ -854,7 +859,7 @@ def q_ann_bruteforce(sf_dir: str) -> pd.DataFrame:
     from toshi_ray.ops.similarity import brute_force_topk
 
     q, qids = _head_queries(sf_dir)
-    df = brute_force_topk(_emb_ds(sf_dir), q, k=10, query_ids=qids)
+    df = brute_force_topk(_emb_ds(sf_dir, _VEC), q, k=10, query_ids=qids)
     return _quantized_ann_frame(df)
 
 
@@ -863,7 +868,7 @@ def _head_queries(sf_dir: str, n: int = 5):
     query so the selection rule can never drift between them (the SQL
     twins' `ORDER BY vec_id LIMIT n` matches because the embeddings
     table is written sorted by vec_id)."""
-    head = _emb_ds(sf_dir).limit(n).take_all()
+    head = _emb_ds(sf_dir, _VEC).limit(n).take_all()
     return (np.stack([r["embedding"] for r in head]),
             np.array([r["vec_id"] for r in head]))
 
@@ -897,7 +902,7 @@ def q_ann_ivf(sf_dir: str) -> pd.DataFrame:
         train_ivf_centroids,
     )
 
-    emb = _emb_ds(sf_dir)
+    emb = _emb_ds(sf_dir, _VEC)
     q, qids = _head_queries(sf_dir)
     cent = train_ivf_centroids(emb, n_cells=8)
     key = hashlib.sha1(os.path.abspath(sf_dir).encode()).hexdigest()[:12]
@@ -917,7 +922,7 @@ def q_ann_lsh(sf_dir: str) -> pd.DataFrame:
     from toshi_ray.ops.similarity import lsh_topk
 
     q, qids = _head_queries(sf_dir)
-    df = lsh_topk(_emb_ds(sf_dir), q, k=10, n_planes=8, probe_hamming=1,
+    df = lsh_topk(_emb_ds(sf_dir, _VEC), q, k=10, n_planes=8, probe_hamming=1,
                   query_ids=qids, planes="axis")
     return _quantized_ann_frame(df)
 
@@ -942,7 +947,7 @@ def q_semantic_decontam(sf_dir: str) -> pd.DataFrame:
     eval_vecs = _vec_matrix(ev["embedding"])
     eval_ids = ev["vec_id"].to_numpy(zero_copy_only=False)
 
-    train = _emb_ds(sf_dir).map_batches(
+    train = _emb_ds(sf_dir, [*_VEC, "label"]).map_batches(
         lambda b: b.filter(pa.compute.not_equal(b["label"], 0)),
         batch_format="pyarrow",
     )
@@ -963,14 +968,14 @@ def q_ann_pq(sf_dir: str) -> pd.DataFrame:
     from toshi_ray.ops.similarity import hash_pq_codebook, pq_topk
 
     q, qids = _head_queries(sf_dir)
-    df = pq_topk(_emb_ds(sf_dir), q, hash_pq_codebook(), k=10, query_ids=qids)
+    df = pq_topk(_emb_ds(sf_dir, _VEC), q, hash_pq_codebook(), k=10, query_ids=qids)
     return _quantized_ann_frame(df)
 
 
 def q_text_normalize(sf_dir: str) -> pd.DataFrame:
     from toshi_ray.ops.cleaning import normalize_text
 
-    rows = normalize_text(_docs_ds(sf_dir)).take_all()
+    rows = normalize_text(_docs_ds(sf_dir, _ID_TEXT)).take_all()
     df = pd.DataFrame(rows)
     return (
         df.astype({"doc_id": "int64", "chars_before": "int64", "chars_after": "int64"})
@@ -981,7 +986,7 @@ def q_text_normalize(sf_dir: str) -> pd.DataFrame:
 def q_pii_redact(sf_dir: str) -> pd.DataFrame:
     from toshi_ray.ops.cleaning import redact_pii
 
-    rows = redact_pii(_docs_ds(sf_dir)).take_all()
+    rows = redact_pii(_docs_ds(sf_dir, _ID_TEXT)).take_all()
     df = pd.DataFrame(rows)
     return (
         df.astype({"doc_id": "int64", "n_emails": "int64", "n_long_numbers": "int64"})
@@ -1001,7 +1006,7 @@ def q_decontam(sf_dir: str) -> pd.DataFrame:
                       columns=["doc_id", "text"],
                       filters=[("doc_id", "<", 3)])  # row-group pruned
     ref = t["text"].to_pylist()
-    rows = decontaminate(_docs_ds(sf_dir), ref, n=3).take_all()
+    rows = decontaminate(_docs_ds(sf_dir, _ID_TEXT), ref, n=3).take_all()
     df = pd.DataFrame(rows)
     df["contaminated"] = df["contaminated"].astype("int64")
     return (
@@ -1015,7 +1020,7 @@ def q_chunk_tokens(sf_dir: str) -> pd.DataFrame:
     geometry AND the reconstructed chunk strings under the hash gate."""
     from toshi_ray.ops.cleaning import chunk_tokens
 
-    rows = chunk_tokens(_docs_ds(sf_dir)).take_all()
+    rows = chunk_tokens(_docs_ds(sf_dir, _ID_TEXT)).take_all()
     return (
         pd.DataFrame(rows)
         .astype({"doc_id": "int64", "chunk_idx": "int64",
@@ -1030,7 +1035,7 @@ def q_pack_sequences(sf_dir: str) -> pd.DataFrame:
     doc spans and position-weighted checksums per 64-token sequence."""
     from toshi_ray.ops.cleaning import pack_sequences
 
-    rows = pack_sequences(_docs_ds(sf_dir)).take_all()
+    rows = pack_sequences(_docs_ds(sf_dir, _ID_TEXT)).take_all()
     return (
         pd.DataFrame(rows)[["seq_idx", "n_tok", "first_doc", "last_doc", "chk"]]
         .astype("int64")
@@ -1042,14 +1047,14 @@ def q_pack_sequences(sf_dir: str) -> pd.DataFrame:
 def q_token_stats(sf_dir: str) -> pd.DataFrame:
     from toshi_ray.ops.textstats import token_stats
 
-    rows = token_stats(_docs_ds(sf_dir)).take_all()
+    rows = token_stats(_docs_ds(sf_dir, _ID_TEXT)).take_all()
     return pd.DataFrame(rows).sort_values("doc_id").reset_index(drop=True)
 
 
 def q_quality(sf_dir: str) -> pd.DataFrame:
     from toshi_ray.ops.textstats import quality_score
 
-    rows = quality_score(_docs_ds(sf_dir)).take_all()
+    rows = quality_score(_docs_ds(sf_dir, _ID_TEXT)).take_all()
     df = pd.DataFrame(rows).sort_values("doc_id").reset_index(drop=True)
     # integer-scaled for hash-stable comparison (both sides floor the
     # SAME IEEE double expression, so the bits match)
@@ -1063,14 +1068,14 @@ def q_gopher_quality(sf_dir: str) -> pd.DataFrame:
     twin is hash-exact with zero float tolerance."""
     from toshi_ray.ops.textstats import gopher_quality
 
-    rows = gopher_quality(_docs_ds(sf_dir)).take_all()
+    rows = gopher_quality(_docs_ds(sf_dir, _ID_TEXT)).take_all()
     return pd.DataFrame(rows).sort_values("doc_id").reset_index(drop=True)
 
 
 def q_lang_id(sf_dir: str) -> pd.DataFrame:
     from toshi_ray.ops.textstats import lang_id
 
-    rows = lang_id(_docs_ds(sf_dir)).take_all()
+    rows = lang_id(_docs_ds(sf_dir, _ID_TEXT)).take_all()
     return pd.DataFrame(rows).sort_values("doc_id").reset_index(drop=True)
 
 
@@ -1081,7 +1086,7 @@ def q_repetition(sf_dir: str) -> pd.DataFrame:
     so the twin is hash-exact with no float tolerance."""
     from toshi_ray.ops.textstats import repetition_stats
 
-    rows = repetition_stats(_docs_ds(sf_dir)).take_all()
+    rows = repetition_stats(_docs_ds(sf_dir, _ID_TEXT)).take_all()
     return (
         pd.DataFrame(rows)[
             ["doc_id", "tok_chars", "top2_cnt", "top2_ppm", "dup3_ppm"]
@@ -1134,7 +1139,7 @@ def q_source_stats(sf_dir: str) -> pd.DataFrame:
     the twin is the direct GROUP BY with COUNT(DISTINCT text)."""
     from toshi_ray.ops.corpus import source_stats
 
-    rows = source_stats(_docs_ds(sf_dir)).take_all()
+    rows = source_stats(_docs_ds(sf_dir, ["source", "lang", "text"])).take_all()
     return (
         pd.DataFrame(rows)[
             ["source", "n_docs", "chars_total", "n_langs", "n_uniq_texts", "dup_docs"]
@@ -1152,7 +1157,7 @@ def q_tfidf_keywords(sf_dir: str) -> pd.DataFrame:
     are the same IEEE expression DuckDB evaluates, integer-scaled."""
     from toshi_ray.ops.textstats import tfidf_keywords
 
-    rows = tfidf_keywords(_docs_ds(sf_dir), k=3).take_all()
+    rows = tfidf_keywords(_docs_ds(sf_dir, _ID_TEXT), k=3).take_all()
     if not rows:
         return pd.DataFrame({"doc_id": pd.Series(dtype="int64"),
                              "rank": pd.Series(dtype="int64"),
@@ -1172,7 +1177,7 @@ def q_top_bigrams(sf_dir: str) -> pd.DataFrame:
     merge of 64*k candidates."""
     from toshi_ray.ops.corpus import top_ngrams
 
-    t = top_ngrams(_docs_ds(sf_dir), n=2, k=20)
+    t = top_ngrams(_docs_ds(sf_dir, ["text"]), n=2, k=20)
     return t.to_pandas()
 
 
@@ -1181,7 +1186,7 @@ def q_vocab_stats(sf_dir: str) -> pd.DataFrame:
     hash-partition-additive fold."""
     from toshi_ray.ops.corpus import vocab_stats
 
-    return vocab_stats(_docs_ds(sf_dir)).to_pandas()
+    return vocab_stats(_docs_ds(sf_dir, ["text"])).to_pandas()
 
 
 def q_cms_topterms(sf_dir: str) -> pd.DataFrame:
@@ -1189,7 +1194,7 @@ def q_cms_topterms(sf_dir: str) -> pd.DataFrame:
     CMS estimates — counter table and min-estimates all integer."""
     from toshi_ray.ops.corpus import cms_topterms
 
-    return cms_topterms(_docs_ds(sf_dir), k=10).to_pandas()
+    return cms_topterms(_docs_ds(sf_dir, ["text"]), k=10).to_pandas()
 
 
 def q_distinct_hll(sf_dir: str) -> pd.DataFrame:
@@ -1198,7 +1203,7 @@ def q_distinct_hll(sf_dir: str) -> pd.DataFrame:
     IEEE-identical float fold both sit under the hash gate."""
     from toshi_ray.ops.corpus import hll_vocab
 
-    t = hll_vocab(_docs_ds(sf_dir))
+    t = hll_vocab(_docs_ds(sf_dir, ["text"]))
     return t.to_pandas().sort_values("bucket").reset_index(drop=True)
 
 
@@ -1206,7 +1211,7 @@ def q_lang_length_stats(sf_dir: str) -> pd.DataFrame:
     """Per-language length report from additive (lang, L, c) histograms."""
     from toshi_ray.ops.corpus import lang_length_stats
 
-    return lang_length_stats(_docs_ds(sf_dir)).to_pandas()
+    return lang_length_stats(_docs_ds(sf_dir, ["lang", "text"])).to_pandas()
 
 
 def q_dup_span_scrub(sf_dir: str) -> pd.DataFrame:
@@ -1214,7 +1219,7 @@ def q_dup_span_scrub(sf_dir: str) -> pd.DataFrame:
     removed, analyzed-token-stream output."""
     from toshi_ray.ops.dedup import dup_span_scrub
 
-    df = dup_span_scrub(_docs_ds(sf_dir), width=8).to_pandas()
+    df = dup_span_scrub(_docs_ds(sf_dir, _ID_TEXT), width=8).to_pandas()
     return (
         df.astype({"doc_id": "int64", "n_kept": "int64", "n_removed": "int64"})
         .sort_values("doc_id")
@@ -1227,7 +1232,7 @@ def q_lm_surprisal(sf_dir: str) -> pd.DataFrame:
     token integer-quantized floor(1000*ln(N/c_t)), order-free sums."""
     from toshi_ray.ops.textstats import lm_surprisal
 
-    rows = lm_surprisal(_docs_ds(sf_dir)).take_all()
+    rows = lm_surprisal(_docs_ds(sf_dir, _ID_TEXT)).take_all()
     cols = ["doc_id", "n_tok", "surprisal_x1e3", "mean_x1e3"]
     return (
         pd.DataFrame(rows, columns=cols)
@@ -1242,7 +1247,7 @@ def q_length_stats(sf_dir: str) -> pd.DataFrame:
     additive histogram with integer thresholds."""
     from toshi_ray.ops.corpus import length_stats
 
-    return length_stats(_docs_ds(sf_dir)).to_pandas()
+    return length_stats(_docs_ds(sf_dir, ["text"])).to_pandas()
 
 
 def q_collocations(sf_dir: str) -> pd.DataFrame:
@@ -1250,7 +1255,7 @@ def q_collocations(sf_dir: str) -> pd.DataFrame:
     (Church & Hanks). Unigram table broadcast, per-partition top-k."""
     from toshi_ray.ops.corpus import collocations
 
-    t = collocations(_docs_ds(sf_dir), k=30, min_count=5)
+    t = collocations(_docs_ds(sf_dir, ["text"]), k=30, min_count=5)
     return t.to_pandas()
 
 
@@ -1259,7 +1264,7 @@ def q_winnow(sf_dir: str) -> pd.DataFrame:
     window-4 minima, distinct-set size + checksum. Map-only."""
     from toshi_ray.ops.textstats import winnow
 
-    rows = winnow(_docs_ds(sf_dir), k=5, window=4).take_all()
+    rows = winnow(_docs_ds(sf_dir, _ID_TEXT), k=5, window=4).take_all()
     return (
         pd.DataFrame(rows, columns=["doc_id", "n_grams", "n_fp", "fp_sum"])
         .astype({c: "int64" for c in ["doc_id", "n_grams", "n_fp", "fp_sum"]})
@@ -1275,7 +1280,7 @@ def q_dup_spans(sf_dir: str) -> pd.DataFrame:
     corpus-wide occurrence total value-for-value."""
     from toshi_ray.ops.dedup import dup_spans
 
-    rows = dup_spans(_docs_ds(sf_dir), width=8).take_all()
+    rows = dup_spans(_docs_ds(sf_dir, _ID_TEXT), width=8).take_all()
     return (
         pd.DataFrame(rows, columns=["doc_id", "n_spans", "n_dup_spans"])
         .astype({"doc_id": "int64", "n_spans": "int64", "n_dup_spans": "int64"})
@@ -1290,7 +1295,7 @@ def q_dup_span_drop(sf_dir: str) -> pd.DataFrame:
     short for any span surviving by definition."""
     from toshi_ray.ops.dedup import dup_span_drop
 
-    rows = dup_span_drop(_docs_ds(sf_dir), width=8, max_num=1, max_den=5).take_all()
+    rows = dup_span_drop(_docs_ds(sf_dir, _ID_TEXT), width=8, max_num=1, max_den=5).take_all()
     return (
         pd.DataFrame(rows, columns=["doc_id"])
         .astype({"doc_id": "int64"})
@@ -1421,7 +1426,7 @@ def q_range_join(sf_dir: str) -> pd.DataFrame:
     from toshi_ray.ops.joins import range_join
 
     iv = [(0, 150, "xs"), (150, 250, "s"), (300, 1_000_000, "l")]
-    rows = range_join(_docs_ds(sf_dir), iv, value_col="n_chars").take_all()
+    rows = range_join(_docs_ds(sf_dir, ["doc_id", "n_chars"]), iv, value_col="n_chars").take_all()
     df = pd.DataFrame(rows)
     return (
         df.astype({"doc_id": "int64", "n_chars": "int64"})
@@ -1465,7 +1470,7 @@ def q_events_sessions(sf_dir: str) -> pd.DataFrame:
 def q_fingerprint(sf_dir: str) -> pd.DataFrame:
     from toshi_ray.ops.textstats import fingerprint
 
-    rows = fingerprint(_docs_ds(sf_dir), token_hash="sql").take_all()
+    rows = fingerprint(_docs_ds(sf_dir, _ID_TEXT), token_hash="sql").take_all()
     df = pd.DataFrame(rows)
     df["fp"] = df["fp"].astype("int64")  # mod 2^31-1, BIGINT-safe
     return df.sort_values("doc_id").reset_index(drop=True)
@@ -1493,7 +1498,7 @@ def q_frame_sample(sf_dir: str) -> pd.DataFrame:
         )
 
     rows = (
-        _docs_ds(sf_dir)
+        _docs_ds(sf_dir, _ID_TEXT)
         .map_batches(_with_duration, batch_format="pyarrow")
         .map_batches(stage, batch_format="pyarrow")
         .take_all()
@@ -1529,7 +1534,7 @@ def q_image_meta(sf_dir: str) -> pd.DataFrame:
                          "data": pa.array(payloads, pa.binary())})
 
     rows = (
-        _docs_ds(sf_dir)
+        _docs_ds(sf_dir, ["doc_id"])
         .map_batches(_mk, batch_format="pyarrow")
         .map_batches(ImageDecodeStage(), batch_format="pyarrow")
         .take_all()
@@ -1573,7 +1578,7 @@ def q_audio_meta(sf_dir: str) -> pd.DataFrame:
                          "data": pa.array(payloads, pa.binary())})
 
     rows = (
-        _docs_ds(sf_dir)
+        _docs_ds(sf_dir, ["doc_id"])
         .map_batches(_mk, batch_format="pyarrow")
         .map_batches(AudioFeatureStage(), batch_format="pyarrow")
         .take_all()

@@ -197,7 +197,7 @@ class SegmentGroupScorer:
         self.readers = [SegmentReader(d) for d in seg_dirs]
         self.schema = Schema.from_json(schema_json)
         self._expand_cache: dict = {}  # (seg, field, query-key) -> [terms]
-        self.blocks_decoded = 0  # block-max path instrumentation
+        self.blocks_decoded = 0  # conjunction skip instrumentation
         self.blocks_total = 0
 
     def perf_counters(self) -> dict:
@@ -245,31 +245,11 @@ class SegmentGroupScorer:
         facets: dict | None = None,
         sort_floor: float | None = None,
     ):
-        """Per-segment eval → local top-k. Returns
-        (rows [(doc_id, score, seg_idx_local)], facet_counts dict)."""
+        """Per-segment eval → local top-k: every query, sorted or scored,
+        is evaluated exhaustively by `_eval` and cut by one lexsort.
+        Returns (rows [(doc_id, score, seg_idx_local)], facet_counts dict)."""
         top_rows: list[tuple[int, float, int]] = []
         facet_counts: dict[str, int] = {}
-        # block-max WAND: a text term, or a should-only disjunction of
-        # text terms (the one-term case included), with no facet/sort
-        # side-outputs → skip blocks whose upper bound cannot reach θ
-        if isinstance(plan, TermQuery):
-            bm_terms = [plan]
-        elif isinstance(plan, BoolQuery) and not plan.must and not plan.must_not:
-            bm_terms = list(plan.should)
-        else:
-            bm_terms = []
-        use_blockmax = (
-            sort_by is None
-            and not facets
-            and bool(bm_terms)
-            and all(
-                isinstance(q, TermQuery)
-                and (fd := self.schema.field(q.field)) is not None
-                and fd.is_text
-                and fd.indexed
-                for q in bm_terms
-            )
-        )
         readers_iter = list(enumerate(self.readers))
         # sort-by top-k zone pruning: a segment whose zone-map max for
         # the sort field is below the running k-th value cannot place a
@@ -303,10 +283,7 @@ class SegmentGroupScorer:
                     or (len(top_vals) >= k and zm < top_vals[k - 1])
                 ):
                     continue
-            if use_blockmax:
-                doc_ids, scores = self._topk_blockmax(bm_terms, reader, stats, k)
-            else:
-                doc_ids, scores = self._eval(plan, reader, stats)
+            doc_ids, scores = self._eval(plan, reader, stats)
             if stats.tombstones is not None and stats.tombstones.size and doc_ids.size:
                 keep = ~np.isin(doc_ids, stats.tombstones)
                 doc_ids, scores = doc_ids[keep], scores[keep]
@@ -399,127 +376,9 @@ class SegmentGroupScorer:
         """(doc_ids, tfs) of one term, its hot-term shards concatenated
         in doc order (the reader returns shard rows by first_doc)."""
         tbl = reader.postings_for_terms(field, [term], ["df", "doc_ids", "tfs"])
+        if tbl.num_rows == 0:  # absent here: skip the decoder's fixed cost
+            return np.empty(0, np.uint64), np.empty(0, np.uint64)
         return decode_postings(tbl)[:2]
-
-    def _topk_blockmax(self, terms: list, reader: SegmentReader, stats: Stats, k: int):
-        """Block-max WAND over a disjunction of one or more text terms
-        (a bare term query is the one-list case): overlay every term's
-        128-doc blocks into doc-range REGIONS, bound each region by the
-        sum of the covering blocks' upper bounds (from `block_max_tf`/
-        `block_min_norm`, no payload decode), and process regions in
-        descending bound order — stop when the next region's bound is
-        strictly below the running k-th score θ. Blocks in skipped
-        regions are never decoded. Returns the segment-local top-k,
-        exact incl. ties: the strict-inequality stop always examines
-        equal-score lower-doc candidates."""
-        if k <= 0:  # limit=0: empty result, not a partition kth error
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        per_term = []  # (field, weight, [(row, block)], lasts, ub) per present term
-        for q in terms:
-            tbl = reader.postings_for_terms(q.field, [q.value], POSTINGS_SANS_POSITIONS)
-            if tbl.num_rows == 0:
-                continue
-            rows = tbl.to_pylist()  # shard rows in doc order
-            w = stats.idf.get((q.field, q.value), 0.0)
-            avgdl = max(stats.avgdl.get(q.field, 0.0), 1e-9)
-            lasts_p = [np.frombuffer(r["block_last_doc"], np.uint64) for r in rows]
-            lasts = np.concatenate(lasts_p)
-            bmax = np.concatenate(
-                [codecs.varint_decode(r["block_max_tf"]) for r in rows]
-            ).astype(np.float64)
-            dlmin = id_to_fieldnorm(
-                np.frombuffer(b"".join(r["block_min_norm"] for r in rows), np.uint8)
-            ).astype(np.float64)
-            ub = w * (K1 + 1.0) * bmax / (bmax + K1 * (1.0 - B + B * dlmin / avgdl))
-            blocks = [(r, b) for r, x in zip(rows, lasts_p) for b in range(x.size)]
-            self.blocks_total += lasts.size
-            per_term.append((q.field, w, blocks, lasts, ub))
-        if not per_term:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-
-        # region edges = union of every term's block-last boundaries;
-        # region r covers (edges[r-1], edges[r]] and never straddles any
-        # term's block boundary → one covering block (or none) per term
-        cover = []  # per term: (covering block per region or n, block-in-one-region)
-        if len(per_term) == 1:  # one list: its blocks are the regions
-            _, _, _, edges, bounds = per_term[0]
-            cover.append((range(edges.size), [True] * edges.size))
-        else:
-            edges = np.unique(np.concatenate([t[3] for t in per_term]))
-            bounds = np.zeros(edges.size, np.float64)
-            for _, _, _, lasts, ub in per_term:
-                j = np.searchsorted(lasts, edges, side="left")
-                valid = j < lasts.size
-                bounds += np.where(valid, ub[np.minimum(j, lasts.size - 1)], 0.0)
-                # a block covering exactly one region lies wholly inside
-                # it and needs no doc-range mask
-                whole = np.bincount(j[valid], minlength=lasts.size) == 1
-                cover.append((np.where(valid, j, lasts.size).tolist(), whole.tolist()))
-
-        order = np.argsort(-bounds, kind="stable")
-        decoded: dict = {}  # (term idx, concat block idx) -> (ids, scores)
-
-        def block_scores(ti: int, j: int):
-            key = (ti, j)
-            if key not in decoded:
-                field, w, blocks, _, _ = per_term[ti]
-                ids, tfs = decode_block(*blocks[j])
-                self.blocks_decoded += 1
-                if stats.tombstones is not None and stats.tombstones.size:
-                    # filter BEFORE θ accounting: tombstoned docs must not
-                    # inflate the pruning threshold
-                    keep = ~np.isin(ids, stats.tombstones)
-                    ids, tfs = ids[keep], tfs[keep]
-                decoded[key] = (ids, self._bm25(reader, field, ids, tfs, w, stats))
-            return decoded[key]
-
-        cand_ids: list[np.ndarray] = []
-        cand_scores: list[np.ndarray] = []
-        n_cand = 0
-        theta = -np.inf
-        topk_buf = np.empty(0, np.float64)
-        bounds = bounds.tolist()  # Python scalars: cheaper per region
-        for r in order.tolist():
-            if n_cand >= k and bounds[r] < theta:
-                break
-            hi = edges[r]
-            parts_i, parts_s = [], []
-            for ti, (covj, whole) in enumerate(cover):
-                j = covj[r]
-                if j >= len(whole):
-                    continue
-                ids, sc = block_scores(ti, j)
-                if not whole[j]:
-                    m = (ids <= hi) if r == 0 else ((ids > edges[r - 1]) & (ids <= hi))
-                    ids, sc = ids[m], sc[m]
-                if ids.size:
-                    parts_i.append(ids)
-                    parts_s.append(sc)
-            if not parts_i:
-                continue
-            if len(parts_i) == 1:  # one block's ids are already unique
-                uids, usc = parts_i[0], parts_s[0]
-            else:
-                uids, inv = np.unique(np.concatenate(parts_i), return_inverse=True)
-                usc = np.zeros(uids.size, np.float64)
-                np.add.at(usc, inv, np.concatenate(parts_s))
-            cand_ids.append(uids)
-            cand_scores.append(usc)
-            n_cand += uids.size
-            # bounded running top-k: regions partition doc-id space, so
-            # per-doc sums never span regions — θ maintenance is
-            # O(k + region), not O(total candidates) per region
-            topk_buf = np.concatenate([topk_buf, usc])
-            if topk_buf.size > k:
-                topk_buf = np.partition(topk_buf, topk_buf.size - k)[topk_buf.size - k :]
-            if n_cand >= k:
-                theta = float(topk_buf.min())
-        if not cand_ids:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
-        ids = np.concatenate(cand_ids)
-        scores = np.concatenate(cand_scores)
-        top = np.lexsort((ids, -scores))[:k]
-        return ids[top], scores[top]
 
     def _bm25(self, reader, field, doc_ids, tfs, weight_idf, stats: Stats) -> np.ndarray:
         dl = self._norm_lookup(reader, field, doc_ids).astype(np.float64)

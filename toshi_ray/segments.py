@@ -70,9 +70,7 @@ POSTINGS_SCHEMA = pa.schema([
     ("doc_ids", pa.large_binary()),
     ("tfs", pa.large_binary()),
     ("positions", pa.large_binary()),
-    # WAND skip metadata, one entry per 128-doc block:
-    ("block_max_tf", pa.large_binary()),      # varint max tf per block
-    ("block_min_norm", pa.large_binary()),    # u8 min fieldnorm code per block
+    # skip tables, one entry per 128-doc block (the conjunction skip):
     ("block_doc_offsets", pa.large_binary()), # i32 LE byte offsets into doc_ids (n+1)
     ("block_tf_offsets", pa.large_binary()),  # i32 LE byte offsets into tfs (n+1)
     ("block_last_doc", pa.large_binary()),    # u64 LE last doc_id per block
@@ -126,7 +124,6 @@ def encode_postings(
     shard,
     doc_ids: np.ndarray,
     tfs: np.ndarray,
-    norms: np.ndarray,
     offsets: np.ndarray,
     positions: pa.Array | None,
 ) -> pa.Table:
@@ -134,18 +131,17 @@ def encode_postings(
     pass — the one writer of the posting layout (build, merge and delete
     application all call it).
 
-    ``doc_ids`` (ascending within each list), ``tfs`` and ``norms`` (the
-    u8 fieldnorm code of each posting's doc) are flat arrays cut into
-    non-empty lists by ``offsets`` (len = n_lists + 1); ``field``,
+    ``doc_ids`` (ascending within each list) and ``tfs`` are flat arrays
+    cut into non-empty lists by ``offsets`` (len = n_lists + 1); ``field``,
     ``term`` and ``shard`` hold one value per list. ``positions`` come
     already encoded, one binary per list (None: a field without them).
 
     Lists are cut into 128-doc blocks. Block bounds are a superset of
     list bounds, so ONE segmented encode covers both, and every block
     restarts its doc-id deltas from an absolute id (independent decode =
-    the WAND skip unit). Each block gets its skip entries: max tf, min
-    fieldnorm code, i32 byte offsets into doc_ids / tfs (relative to the
-    list's payload, n_blocks + 1 per list) and its last doc id."""
+    the conjunction skip unit). Each block gets its skip entries: i32
+    byte offsets into doc_ids / tfs (relative to the list's payload,
+    n_blocks + 1 per list) and its last doc id."""
     doc_ids = np.asarray(doc_ids, np.uint64)
     tfs = np.asarray(tfs, np.uint64)
     offsets = np.asarray(offsets, np.int64)
@@ -158,9 +154,6 @@ def encode_postings(
     tf_payload, tf_blk = codecs.segmented_varint_encode(tfs, bounds)
     first_blk = np.zeros(n + 1, np.int64)  # each list's first block, + total
     np.cumsum(n_blocks, out=first_blk[1:])
-    bm_payload, bm_offs = codecs.segmented_varint_encode(
-        np.maximum.reduceat(tfs, bstarts), first_blk
-    )
     entry_list = np.repeat(np.arange(n), n_blocks + 1)  # list of each table entry
     gather = np.arange(entry_list.size) - entry_list  # its index into the bounds
     table_offs = (first_blk + np.arange(n + 1)) * 4
@@ -178,10 +171,6 @@ def encode_postings(
             "doc_ids": _binary_from_offsets(doc_payload, doc_blk[first_blk]),
             "tfs": _binary_from_offsets(tf_payload, tf_blk[first_blk]),
             "positions": pa.nulls(n, pa.large_binary()) if positions is None else positions,
-            "block_max_tf": _binary_from_offsets(bm_payload, bm_offs),
-            "block_min_norm": _binary_from_offsets(
-                np.minimum.reduceat(np.asarray(norms, np.uint8), bstarts).tobytes(), first_blk
-            ),
             "block_doc_offsets": _binary_from_offsets(rel_doc.astype(np.int32).tobytes(), table_offs),
             "block_tf_offsets": _binary_from_offsets(rel_tf.astype(np.int32).tobytes(), table_offs),
             "block_last_doc": _binary_from_offsets(doc_ids[bounds[1:] - 1].tobytes(), first_blk * 8),
@@ -280,7 +269,6 @@ def build_field_postings(
         np.full(n_terms, shard, np.int32),
         doc_ids[g_doc],
         tfs_flat,
-        fieldnorm_to_id(tc.norms)[g_doc],
         term_offsets,
         positions,
     )
@@ -715,7 +703,7 @@ def decode_block(row: dict, b: int) -> tuple[np.ndarray, np.ndarray]:
     """(doc_ids, tfs) of 128-doc block ``b`` of one postings row (dict
     of scalars). Every block restarts its doc-id deltas from an
     absolute id, so the row's offset tables slice it out on its own —
-    the WAND skip unit."""
+    the conjunction skip unit."""
     dof = np.frombuffer(row["block_doc_offsets"], np.int32)
     tfo = np.frombuffer(row["block_tf_offsets"], np.int32)
     gaps = codecs.varint_decode(row["doc_ids"][dof[b] : dof[b + 1]])
