@@ -295,6 +295,12 @@ def _bench_merge_on_clone(index_root: str, tombstone_pct: float = 0.0) -> float:
         shutil.rmtree(clone, ignore_errors=True)
 
 
+def _docs_per_cpu_sec(n_docs: int, cpu_secs: float) -> float | None:
+    """Build throughput per CPU-second of the build's process tree: the
+    figure that stays comparable when the wall clock is noisy."""
+    return round(n_docs / cpu_secs, 1) if cpu_secs else None
+
+
 def run_once(build_only: bool = False) -> dict:
     """Full bench: REPEATS interleaved rounds of (build → query set →
     merge → tombstoned merge → minhash), reporting the BEST sample per
@@ -326,7 +332,8 @@ def run_once(build_only: bool = False) -> dict:
         index_root, build_secs, docs_per_sec = bench_index_build()
         from toshi_ray.pipelines.build import load_manifest
 
-        build_cpu = load_manifest(index_root)["metrics"].get("cpu_secs", 0.0)
+        metrics = load_manifest(index_root)["metrics"]
+        build_cpu = metrics.get("cpu_secs", 0.0)
         queries["index_build"] = round(build_secs, 3)
         shutil.rmtree(index_root, ignore_errors=True)
         result = {
@@ -338,6 +345,7 @@ def run_once(build_only: bool = False) -> dict:
             "num_cpus": NUM_CPUS,
             "n_pages": N_PAGES,
             "index_docs_per_sec": round(docs_per_sec, 1),
+            "index_docs_per_cpu_sec": _docs_per_cpu_sec(metrics["num_docs"], build_cpu),
             "index_cpu_secs": round(build_cpu, 3),
         }
         ray.shutdown()
@@ -411,6 +419,7 @@ def run_once(build_only: bool = False) -> dict:
         "num_cpus": NUM_CPUS,
         "n_pages": N_PAGES,
         "index_docs_per_sec": round(docs_per_sec, 1),
+        "index_docs_per_cpu_sec": _docs_per_cpu_sec(n_docs, build_cpu),
         "index_cpu_secs": round(build_cpu, 3),
         "noise": {
             "repeats": repeats,

@@ -1,11 +1,10 @@
 """Posting-list compression codecs — vectorized numpy, no Python loops over values.
 
 One codec, **delta + varint** (LEB128), for doc-id gaps, term freqs and
-position gaps. Doc-id deltas restart from an absolute id at every
-128-doc block, so a block decodes on its own (the conjunction skip
-unit); the block tables beside it live in the segment (see
-`segments.encode_postings`). Reference: Toshi pins tantivy 0.19, see
-SURVEY.md §1.1 "Segment".
+position gaps. Doc-id deltas restart from an absolute id at the start
+of every posting list, which decodes as a whole (see
+`segments.encode_postings`); positions restart at every posting.
+Reference: Toshi pins tantivy 0.19, see SURVEY.md §1.1 "Segment".
 
 All encoders take / return numpy arrays and stay vectorized: encode
 loops are bounded by max-bytes-per-value (≤10), never by the number of
@@ -20,7 +19,7 @@ _U64 = np.uint64
 _SEVEN = _U64(7)
 _MASK7 = _U64(0x7F)
 
-BLOCK = 128  # docs per posting block (Lucene/Tantivy-style)
+BLOCK = 128  # docs per block of `decode_doc_ids_blocked`
 
 
 def varint_byte_lengths(values: np.ndarray) -> np.ndarray:
@@ -99,6 +98,10 @@ def block_offsets_for(count: int) -> np.ndarray:
 
 
 def decode_doc_ids_blocked(buf: bytes, count: int) -> np.ndarray:
+    """Doc ids of a stream whose deltas restart every BLOCK values (the
+    posting layout up to format 7). The engine no longer calls it;
+    perfbench's tracer wraps it by name, so it stays until the
+    benchmark drops that hook."""
     gaps = varint_decode(buf)
     return segmented_delta_decode(gaps, block_offsets_for(count))
 

@@ -68,7 +68,11 @@ TOMBSTONES_DIR = "tombstones"
 # v7 = postings drop the per-block score bounds (block_max_tf,
 #      block_min_norm): every top-k is exhaustive, so only the skip
 #      tables the conjunction path reads stay
-FORMAT_VERSION = 7
+# v8 = postings drop the per-block skip tables (block_doc_offsets,
+#      block_tf_offsets, block_last_doc) and total_tf / max_tf: doc-id
+#      deltas restart per list, not per 128-doc block, and one last_doc
+#      column per row serves the merge's tombstone range pre-filter
+FORMAT_VERSION = 8
 
 
 class SegmentBuilder:

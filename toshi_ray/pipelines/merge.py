@@ -31,8 +31,8 @@ concatenation — doc ranges of input segments are disjoint.
 
 Tombstones (delete-by-term, reference `handle.rs:184-210`, SURVEY.md
 §2.2 T5) are applied physically here: tombstoned doc_ids drop out of
-postings (re-encoded through the same `encode_postings`, so df/tf
-statistics and block tables are recomputed), docvalues and store. A
+postings (re-encoded through the same `encode_postings`, so df and
+each row's first/last doc id are recomputed), docvalues and store. A
 merge of every segment then unlists the delete files it applied.
 """
 
@@ -112,7 +112,7 @@ def _merge_partition(t: pa.Table) -> pa.Table:
     The rows of one (field, term, shard_out) group concatenate in
     first_doc order (sources cover disjoint doc ranges): one
     `decode_postings` of every row, one `encode_postings` of every group
-    with fresh 128-doc blocks — no per-term Python loop. Position
+    — no per-term Python loop. Position
     streams restart per doc, so a group's positions are the byte
     concatenation of its rows', never re-encoded.
     """
@@ -161,12 +161,12 @@ def apply_tombstones_to_postings(batch: pa.Table, tombs: np.ndarray) -> pa.Table
     """Vectorized tombstone application for one postings batch.
 
     Reference semantics (`handle.rs:184-210`): deleted docs drop out of
-    every posting row; df/tf stats and block-skip metadata recompute.
-    Rows whose [first_doc, last_block_doc] range does not intersect the
-    (sorted) tombstone set pass through UNTOUCHED — the common case at
-    scale, where deletes hit a tiny doc-id range. Touched rows go
-    decode → mask → encode: one `decode_postings`, the tombstoned
-    postings dropped, one `encode_postings` with fresh 128-doc blocks.
+    every posting row; df and the row's doc range recompute. Rows whose
+    [first_doc, last_doc] range does not intersect the (sorted)
+    tombstone set pass through UNTOUCHED — the common case at scale,
+    where deletes hit a tiny doc-id range. Touched rows go decode →
+    mask → encode: one `decode_postings`, the tombstoned postings
+    dropped, one `encode_postings`.
     """
     n = batch.num_rows
     if n == 0 or tombs.size == 0:
@@ -175,9 +175,7 @@ def apply_tombstones_to_postings(batch: pa.Table, tombs: np.ndarray) -> pa.Table
 
     # ---- range pre-filter: which rows CAN contain a tombstone? ----
     first = batch["first_doc"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    bld_big, bld_rel = _binary_parts(batch["block_last_doc"])
-    lasts_all = np.frombuffer(bld_big.tobytes(), np.uint64)
-    row_last = lasts_all[(bld_rel[1:] // 8) - 1]
+    row_last = batch["last_doc"].to_numpy(zero_copy_only=False).astype(np.uint64)
     pos_t = np.searchsorted(tombs, first)
     hit = (pos_t < tombs.size) & (
         tombs[np.minimum(pos_t, tombs.size - 1)] <= row_last

@@ -443,7 +443,7 @@ def q_raw_boost_topk(sf_dir: str) -> pd.DataFrame:
 
 
 def q_bool_should_topk(sf_dir: str) -> pd.DataFrame:
-    """Pure disjunction → block-max union WAND path; full BM25 sum of
+    """Pure disjunction (a should-only bool): the full BM25 sum of the
     matched clauses, checked value-for-value."""
     s = searcher_for(sf_dir)
     q = {"bool": {"should": [{"term": {"text": "spark"}},
@@ -1670,7 +1670,7 @@ ORDER BY (ln(1 + (s.n - s.df1 + 0.5) / (s.df1 + 0.5))
 LIMIT 50
 """
 
-    # BM25 sum over a two-term disjunction (the union-WAND path)
+    # BM25 sum over a two-term disjunction (a should-only bool)
     t1, t2 = "spark", "window"
     c1 = ("ln(1 + (s.n - s.df1 + 0.5) / (s.df1 + 0.5)) * 2.2 * q.tf1"
           " / (q.tf1 + 1.2 * (0.25 + 0.75 * q.dl / (s.total / s.n)))")

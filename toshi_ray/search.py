@@ -63,13 +63,7 @@ from toshi_ray.query import (
     parse_raw,
 )
 from toshi_ray.schema import Schema
-from toshi_ray.segments import (
-    POSTINGS_SANS_POSITIONS,
-    SegmentReader,
-    decode_block,
-    decode_positions,
-    decode_postings,
-)
+from toshi_ray.segments import SegmentReader, decode_positions, decode_postings
 
 import logging
 
@@ -197,11 +191,11 @@ class SegmentGroupScorer:
         self.readers = [SegmentReader(d) for d in seg_dirs]
         self.schema = Schema.from_json(schema_json)
         self._expand_cache: dict = {}  # (seg, field, query-key) -> [terms]
-        self.blocks_decoded = 0  # conjunction skip instrumentation
-        self.blocks_total = 0
 
     def perf_counters(self) -> dict:
-        return {"blocks_decoded": self.blocks_decoded, "blocks_total": self.blocks_total}
+        """The scorer's block counters, as perfbench's tracer reads them.
+        Every posting list decodes whole, so both stay 0."""
+        return {"blocks_decoded": 0, "blocks_total": 0}
 
     def suggest_terms(self, field: str, prefix: str) -> list[tuple[str, int]]:
         """All (term, df) pairs under `prefix` in this group's term
@@ -478,20 +472,7 @@ class SegmentGroupScorer:
             return ids, np.ones(ids.size, np.float64)
 
         if isinstance(node, RangeQuery):
-            fdef = self._field_or_raise(node.field)
-            # date is "numeric" for storage but the reference's range path
-            # (query/range.rs create_range_query) only builds i64/u64
-            # ranges — reject it cleanly instead of a numpy dtype error
-            if not fdef.is_numeric or fdef.type == "date":
-                raise QueryError.execution(
-                    f"Range queries are only supported for i64 and u64 fields"
-                )
-            if fdef.type == "u64":
-                for bnd in (node.gte, node.lte, node.gt, node.lt):
-                    if bnd is not None and bnd < 0:
-                        raise QueryError.json(
-                            f"invalid value: integer `{bnd}`, expected u64"
-                        )
+            self._check_schema(node)
             if node.field not in reader.dv_column_names():
                 raise QueryError.execution(f"Unknown field: {node.field}")
             if _zone_excludes(reader, node.field, gt=node.gt, gte=node.gte,
@@ -528,11 +509,7 @@ class SegmentGroupScorer:
         return reader.docvalues([field])[field].to_numpy(zero_copy_only=False)
 
     def _eval_phrase(self, node: PhraseQuery, reader: SegmentReader, stats: Stats):
-        fdef = self._field_or_raise(node.field)
-        if not fdef.positions:
-            raise QueryError.execution(
-                f"Field '{node.field}' does not record positions"
-            )
+        self._check_schema(node)
         offsets = node.offsets or tuple(range(len(node.terms)))
         # pass 1: doc-id intersection WITHOUT touching positions — most
         # phrase candidates die here, and the positions payload is the
@@ -584,88 +561,70 @@ class SegmentGroupScorer:
         scores = self._bm25(reader, node.field, doc_ids, ptf[hit], sum_idf, stats)
         return doc_ids, scores
 
-    def _postings_restricted(
-        self, reader: SegmentReader, field: str, term: str, cand: np.ndarray
-    ):
-        """Decode only the posting blocks whose doc-id range can contain a
-        candidate doc (skip-pointer conjunction via `block_last_doc`).
-        Returns (doc_ids, tfs) restricted to the decoded blocks — a
-        superset of matches within ``cand``'s range."""
-        tbl = reader.postings_for_terms(field, [term], POSTINGS_SANS_POSITIONS)
-        if tbl.num_rows == 0:
-            return np.empty(0, np.uint64), np.empty(0, np.uint64)
-        id_parts, tf_parts = [], []
-        for r in tbl.to_pylist():
-            lasts = np.frombuffer(r["block_last_doc"], np.uint64)
-            self.blocks_total += lasts.size
-            # block b covers (lasts[b-1], lasts[b]] — candidates map to blocks
-            need = np.unique(np.searchsorted(lasts, cand, side="left"))
-            need = need[need < lasts.size]
-            if need.size == 0:
-                continue
-            self.blocks_decoded += need.size
-            for b in need:
-                ids, tfs = decode_block(r, b)
-                id_parts.append(ids)
-                tf_parts.append(tfs)
-        if not id_parts:
-            return np.empty(0, np.uint64), np.empty(0, np.uint64)
-        return np.concatenate(id_parts), np.concatenate(tf_parts)
+    def _check_schema(self, node) -> None:
+        """Raise what `_eval` raises for ``node`` from the schema alone,
+        reading nothing from the segment: an unknown or unindexed field,
+        a phrase on a field without positions, a range on a field that
+        is not i64/u64 or with a negative u64 bound. A bool checks every
+        clause, so a clause its early exit skips still fails the query
+        on every index."""
+        if isinstance(node, BoolQuery):
+            for q in (*node.must, *node.should, *node.must_not):
+                self._check_schema(q)
+        elif isinstance(node, BoostQuery):
+            self._check_schema(node.query)
+        elif isinstance(node, (TermQuery, PhraseQuery, FuzzyQuery, RegexQuery, RangeQuery)):
+            fdef = self._field_or_raise(node.field)
+            if isinstance(node, PhraseQuery) and not fdef.positions:
+                raise QueryError.execution(
+                    f"Field '{node.field}' does not record positions"
+                )
+            if isinstance(node, RangeQuery):
+                # date is "numeric" for storage but the reference's range path
+                # (query/range.rs create_range_query) only builds i64/u64
+                # ranges — reject it cleanly instead of a numpy dtype error
+                if not fdef.is_numeric or fdef.type == "date":
+                    raise QueryError.execution(
+                        f"Range queries are only supported for i64 and u64 fields"
+                    )
+                if fdef.type == "u64":
+                    for bnd in (node.gte, node.lte, node.gt, node.lt):
+                        if bnd is not None and bnd < 0:
+                            raise QueryError.json(
+                                f"invalid value: integer `{bnd}`, expected u64"
+                            )
 
     def _eval_bool(self, node: BoolQuery, reader: SegmentReader, stats: Stats):
-        # conjunction skip path: ALL-term musts evaluate rarest-first and
-        # later terms decode only blocks overlapping the running candidate
-        # set (block_last_doc skip pointers)
-        if (
-            len(node.must) >= 2
-            and all(isinstance(q, TermQuery) for q in node.must)
-            and all(
-                (fd := self.schema.field(q.field)) is not None and fd.is_text and fd.indexed
-                for q in node.must
-            )
-        ):
-            order = sorted(
-                node.must,
-                key=lambda q: -stats.idf.get((q.field, q.value), 0.0),  # rarest first
-            )
-            first = order[0]
-            ids, tfs = self._postings(reader, first.field, first.value)
-            w = stats.idf.get((first.field, first.value), 0.0)
-            scores = (
-                self._bm25(reader, first.field, ids, tfs, w, stats)
-                if ids.size
-                else np.empty(0, np.float64)
-            )
-            for q in order[1:]:
+        """Musts intersect one at a time, rarest first: text-term musts by
+        descending idf, then the other musts in their given order. Once
+        the running set is empty, the segment returns without reading
+        any later must, should or must_not (`_check_schema` still checks
+        them, so a malformed query fails the same way on every index)."""
+
+        def rarest_first(q):
+            fdef = self.schema.field(q.field) if isinstance(q, TermQuery) else None
+            if fdef is not None and fdef.is_text:
+                return (0, -stats.idf.get((q.field, q.value), 0.0))
+            return (1, 0.0)
+
+        musts = sorted(node.must, key=rarest_first)
+        if musts:
+            ids, scores = self._eval(musts[0], reader, stats)
+            for q in musts[1:]:
                 if ids.size == 0:
                     break
-                oids, otfs = self._postings_restricted(reader, q.field, q.value, ids)
-                common, ia, ib = np.intersect1d(ids, oids, assume_unique=True, return_indices=True)
-                w = stats.idf.get((q.field, q.value), 0.0)
-                oscores = self._bm25(reader, q.field, common, otfs[ib], w, stats)
-                ids, scores = common, scores[ia] + oscores
-            for sids, sscores in (self._eval(s, reader, stats) for s in node.should):
-                common, ia, ib = np.intersect1d(ids, sids, assume_unique=True, return_indices=True)
-                scores = scores.copy()
-                scores[ia] += sscores[ib]
-            for q in node.must_not:
-                nids, _ = self._eval(q, reader, stats)
-                keep = ~np.isin(ids, nids, assume_unique=True)
-                ids, scores = ids[keep], scores[keep]
-            return ids, scores
-
-        musts = [self._eval(q, reader, stats) for q in node.must]
-        shoulds = [self._eval(q, reader, stats) for q in node.should]
-        if musts:
-            ids, scores = musts[0]
-            for mids, mscores in musts[1:]:
+                mids, mscores = self._eval(q, reader, stats)
                 ids, ia, ib = np.intersect1d(ids, mids, assume_unique=True, return_indices=True)
                 scores = scores[ia] + mscores[ib]
-            for sids, sscores in shoulds:
+            if ids.size == 0:
+                self._check_schema(node)
+                return ids, scores
+            for sids, sscores in (self._eval(q, reader, stats) for q in node.should):
                 common, ia, ib = np.intersect1d(ids, sids, assume_unique=True, return_indices=True)
                 scores = scores.copy()
                 scores[ia] += sscores[ib]
-        elif shoulds:
+        elif node.should:
+            shoulds = [self._eval(q, reader, stats) for q in node.should]
             ids = np.unique(np.concatenate([s[0] for s in shoulds]))
             scores = np.zeros(ids.size, np.float64)
             for sids, sscores in shoulds:

@@ -6,9 +6,9 @@ re-expressed as Parquet so Ray Data / pyarrow can stream it:
 
     seg-<min_doc>-<n>/
       postings.parquet   term dictionary + compressed posting lists
-                         (field, term, shard, df, doc_ids Δ+varint,
-                          tfs varint, positions Δ+varint, max_tf,
-                          skip tables per 128-doc block)
+                         (field, term, shard, df, first_doc, last_doc,
+                          doc_ids Δ+varint, tfs varint,
+                          positions Δ+varint)
                                         — sorted by (field, term, shard)
       docvalues.parquet  per-doc columnar values: doc_id, 1-byte fieldnorm
                          codes per text field, numeric fast fields,
@@ -21,9 +21,9 @@ re-expressed as Parquet so Ray Data / pyarrow can stream it:
 
 All posting lists for one batch of documents are built in ONE
 vectorized pass (dictionary-encode + lexsort + reduceat). Postings rows
-have one writer, `encode_postings` (one segmented encode of every list:
-payloads, blocks and block tables), which the build, the merge and
-delete application all call; `decode_postings` is its bulk inverse.
+have one writer, `encode_postings` (one segmented encode of every
+list's payloads), which the build, the merge and delete application
+all call; `decode_postings` is its bulk inverse.
 
 Multiple rows may exist for one (field, term): hot terms are sharded by
 doc-range (`shard` column) so the merge stage can salt skewed keys and
@@ -65,15 +65,10 @@ POSTINGS_SCHEMA = pa.schema([
     ("shard", pa.int32()),
     ("df", pa.uint32()),
     ("first_doc", pa.uint64()),
-    ("total_tf", pa.uint64()),
-    ("max_tf", pa.uint32()),
+    ("last_doc", pa.uint64()),
     ("doc_ids", pa.large_binary()),
     ("tfs", pa.large_binary()),
     ("positions", pa.large_binary()),
-    # skip tables, one entry per 128-doc block (the conjunction skip):
-    ("block_doc_offsets", pa.large_binary()), # i32 LE byte offsets into doc_ids (n+1)
-    ("block_tf_offsets", pa.large_binary()),  # i32 LE byte offsets into tfs (n+1)
-    ("block_last_doc", pa.large_binary()),    # u64 LE last doc_id per block
 ])
 
 
@@ -106,18 +101,6 @@ def _binary_parts(col: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarr
     return data[voffs[0] : voffs[-1]], (voffs - voffs[0]).astype(np.int64)
 
 
-def _block_starts(list_offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Starts of 128-doc blocks for many concatenated lists.
-
-    Returns (flat block start indices, per-list block counts)."""
-    lens = np.diff(list_offsets)
-    n_blocks = (lens + codecs.BLOCK - 1) // codecs.BLOCK
-    n_blocks = np.maximum(n_blocks, 1)  # empty list still gets 1 (degenerate)
-    reps = np.repeat(list_offsets[:-1], n_blocks)
-    within = (np.arange(n_blocks.sum()) - np.repeat(np.cumsum(n_blocks) - n_blocks, n_blocks))
-    return reps + within * codecs.BLOCK, n_blocks
-
-
 def encode_postings(
     field,
     term,
@@ -136,29 +119,17 @@ def encode_postings(
     ``term`` and ``shard`` hold one value per list. ``positions`` come
     already encoded, one binary per list (None: a field without them).
 
-    Lists are cut into 128-doc blocks. Block bounds are a superset of
-    list bounds, so ONE segmented encode covers both, and every block
-    restarts its doc-id deltas from an absolute id (independent decode =
-    the conjunction skip unit). Each block gets its skip entries: i32
-    byte offsets into doc_ids / tfs (relative to the list's payload,
-    n_blocks + 1 per list) and its last doc id."""
+    Each list's doc ids are delta-coded from an absolute first id, so
+    ONE segmented encode covers every list; a row also carries its
+    first and last doc id (the merge's tombstone range pre-filter)."""
     doc_ids = np.asarray(doc_ids, np.uint64)
     tfs = np.asarray(tfs, np.uint64)
     offsets = np.asarray(offsets, np.int64)
     n = offsets.size - 1
-    bstarts, n_blocks = _block_starts(offsets)
-    bounds = np.append(bstarts, offsets[-1])
-    doc_payload, doc_blk = codecs.segmented_varint_encode(
-        codecs.segmented_delta(doc_ids, bounds), bounds
+    doc_payload, doc_offs = codecs.segmented_varint_encode(
+        codecs.segmented_delta(doc_ids, offsets), offsets
     )
-    tf_payload, tf_blk = codecs.segmented_varint_encode(tfs, bounds)
-    first_blk = np.zeros(n + 1, np.int64)  # each list's first block, + total
-    np.cumsum(n_blocks, out=first_blk[1:])
-    entry_list = np.repeat(np.arange(n), n_blocks + 1)  # list of each table entry
-    gather = np.arange(entry_list.size) - entry_list  # its index into the bounds
-    table_offs = (first_blk + np.arange(n + 1)) * 4
-    rel_doc = doc_blk[gather] - doc_blk[first_blk[entry_list]]
-    rel_tf = tf_blk[gather] - tf_blk[first_blk[entry_list]]
+    tf_payload, tf_offs = codecs.segmented_varint_encode(tfs, offsets)
     return pa.table(
         {
             "field": field,
@@ -166,14 +137,10 @@ def encode_postings(
             "shard": shard,
             "df": np.diff(offsets).astype(np.uint32),
             "first_doc": doc_ids[offsets[:-1]],
-            "total_tf": np.add.reduceat(tfs, offsets[:-1]),
-            "max_tf": np.maximum.reduceat(tfs, offsets[:-1]).astype(np.uint32),
-            "doc_ids": _binary_from_offsets(doc_payload, doc_blk[first_blk]),
-            "tfs": _binary_from_offsets(tf_payload, tf_blk[first_blk]),
+            "last_doc": doc_ids[offsets[1:] - 1],
+            "doc_ids": _binary_from_offsets(doc_payload, doc_offs),
+            "tfs": _binary_from_offsets(tf_payload, tf_offs),
             "positions": pa.nulls(n, pa.large_binary()) if positions is None else positions,
-            "block_doc_offsets": _binary_from_offsets(rel_doc.astype(np.int32).tobytes(), table_offs),
-            "block_tf_offsets": _binary_from_offsets(rel_tf.astype(np.int32).tobytes(), table_offs),
-            "block_last_doc": _binary_from_offsets(doc_ids[bounds[1:] - 1].tobytes(), first_blk * 8),
         },
         schema=POSTINGS_SCHEMA,
     )
@@ -185,9 +152,8 @@ def decode_postings(table: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray
     into rows by ``offsets``."""
     offsets = np.zeros(table.num_rows + 1, np.int64)
     np.cumsum(table["df"].to_numpy(zero_copy_only=False), out=offsets[1:])
-    bstarts, _ = _block_starts(offsets)
     gaps = codecs.varint_decode(_binary_parts(table["doc_ids"])[0])
-    doc_ids = codecs.segmented_delta_decode(gaps, np.append(bstarts, offsets[-1]))
+    doc_ids = codecs.segmented_delta_decode(gaps, offsets)
     return doc_ids, codecs.varint_decode(_binary_parts(table["tfs"])[0]), offsets
 
 
@@ -404,13 +370,10 @@ def write_segment(
 
 POSTINGS_CACHE_MAX_BYTES = 256 << 20  # above this, pushdown instead of caching
 
-# every postings column EXCEPT positions — the projection term scoring uses
-POSTINGS_SANS_POSITIONS = [n for n in POSTINGS_SCHEMA.names if n != "positions"]
-
 
 class _TermDict:
     """A segment's sorted term dictionary: one entry per postings row —
-    ``field, term, df, max_tf, first_doc`` and ``row`` (its row number
+    ``field, term, df, first_doc`` and ``row`` (its row number
     in the postings file) — sorted by (field, term, first_doc), so one
     term's shard rows are adjacent and in doc order."""
 
@@ -545,7 +508,7 @@ class SegmentReader:
         POSTINGS_CACHE_MAX_BYTES loads (and keeps) its whole postings
         table; a larger one reads only the dictionary columns."""
         if self._dict is None:
-            cols = ["field", "term", "df", "max_tf", "first_doc"]
+            cols = ["field", "term", "df", "first_doc"]
             if self._postings_bytes() <= POSTINGS_CACHE_MAX_BYTES:
                 self._postings_all = pq.read_table(self._path(POSTINGS_FILE)).combine_chunks()
                 self._dict = _TermDict(self._postings_all.select(cols))
@@ -604,7 +567,7 @@ class SegmentReader:
         """Postings rows of the present ``terms``, in dictionary order:
         by term, and each term's shard rows by first_doc, so their
         decoded lists concatenate in doc order. ``columns`` projects the
-        fetch — term scoring passes POSTINGS_SANS_POSITIONS so the
+        fetch — term scoring passes ``["df", "doc_ids", "tfs"]`` so the
         positions payload (usually the largest column) is never copied
         for non-phrase queries."""
         found = self._lookup(field, terms)
@@ -631,7 +594,7 @@ class SegmentReader:
         return pq.read_table(self._path(POSTINGS_FILE))
 
     def term_dict(self, field: str) -> pa.Table:
-        """The dictionary entries of ``field`` (field, term, df, max_tf,
+        """The dictionary entries of ``field`` (field, term, df,
         first_doc, row), sorted by (term, first_doc) — for automaton
         queries (fuzzy/regex) and suggest."""
         d = self._term_dict()
@@ -697,18 +660,6 @@ class SegmentReader:
                 f"segment {self.dir}: store rows out of step with the doc_id docvalues"
             )
         return out
-
-
-def decode_block(row: dict, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """(doc_ids, tfs) of 128-doc block ``b`` of one postings row (dict
-    of scalars). Every block restarts its doc-id deltas from an
-    absolute id, so the row's offset tables slice it out on its own —
-    the conjunction skip unit."""
-    dof = np.frombuffer(row["block_doc_offsets"], np.int32)
-    tfo = np.frombuffer(row["block_tf_offsets"], np.int32)
-    gaps = codecs.varint_decode(row["doc_ids"][dof[b] : dof[b + 1]])
-    tfs = codecs.varint_decode(row["tfs"][tfo[b] : tfo[b + 1]])
-    return np.cumsum(gaps, dtype=np.uint64), tfs
 
 
 def decode_positions(table: pa.Table, tfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
