@@ -119,7 +119,7 @@ def test_delete_by_term(ray_session):
     s = Searcher(root, distributed=False)
     n_before = s.count({"query": {"term": {"text": "w00050"}}})
     assert n_before > 0
-    n_del = delete_by_term(root, "text", "w00050")
+    n_del = delete_by_term(Searcher(root, distributed=False), "text", "w00050")
     assert n_del == n_before
     s2 = Searcher(root, distributed=False)
     assert s2.count({"query": {"term": {"text": "w00050"}}}) == 0
@@ -144,6 +144,7 @@ def test_size_aware_postings_cache(ray_session, monkeypatch):
     from collections import Counter
 
     import pyarrow as pa
+    import pyarrow.parquet as pq
 
     from toshi_ray import segments
     from toshi_ray.pipelines.build import load_manifest
@@ -182,7 +183,7 @@ def test_size_aware_postings_cache(ray_session, monkeypatch):
     assert hot
     # at least one hot term's shard rows are out of doc order on disk,
     # so only the reader's ordering puts them right
-    on_disk = r_merged.all_postings()
+    on_disk = pq.read_table(os.path.join(merged_dir, "postings"))
     assert any(
         not first_docs_ascend(on_disk.filter(pa.compute.equal(on_disk["term"], t)))
         for t in hot
@@ -393,10 +394,10 @@ def test_blockmax_prunes_and_stays_exact(ray_session):
         docs_per_segment=n)
 
     s = Searcher(root, distributed=False)
-    s._ensure_groups()
-    scorer: SegmentGroupScorer = s._groups[0][1]
-    plan = s._plan({"query": {"term": {"text": "hot"}}}).query
-    stats = s._stats_for(plan)
+    with s._pin() as snap:
+        scorer: SegmentGroupScorer = snap.pool[0][1]
+    plan = s._plan({"query": {"term": {"text": "hot"}}}, snap.schema).query
+    stats = snap.stats([plan])
 
     exhaustive_ids, exhaustive_scores = scorer._eval(plan, scorer.readers[0], stats)
     order = np.lexsort((exhaustive_ids, -exhaustive_scores))[:10]
@@ -430,12 +431,12 @@ def test_union_blockmax_exact_and_prunes(ray_session):
         docs_per_segment=n)
 
     s = Searcher(root, distributed=False)
-    s._ensure_groups()
-    scorer: SegmentGroupScorer = s._groups[0][1]
+    with s._pin() as snap:
+        scorer: SegmentGroupScorer = snap.pool[0][1]
     q = {"bool": {"should": [{"term": {"text": "hot"}},
                              {"term": {"text": "warm"}}]}}
-    plan = s._plan({"query": q}).query
-    stats = s._stats_for(plan)
+    plan = s._plan({"query": q}, snap.schema).query
+    stats = snap.stats([plan])
 
     ex_ids, ex_scores = scorer._eval(plan, scorer.readers[0], stats)
     order = np.lexsort((ex_ids, -ex_scores))[:10]
@@ -444,13 +445,13 @@ def test_union_blockmax_exact_and_prunes(ray_session):
     got = [(i, round(sc, 12)) for i, sc in engine_topk(s, q, 10)]
     assert got == want
     # the union + tombstones agrees with generic eval after a delete
-    delete_by_term(root, "text", "w0000")
+    delete_by_term(Searcher(root, distributed=False), "text", "w0000")
     s2 = Searcher(root, distributed=False)
     r2 = s2.search({"query": q, "limit": 10})
-    s2._ensure_groups()
-    sc2: SegmentGroupScorer = s2._groups[0][1]
-    st2 = s2._stats_for(s2._plan({"query": q}).query)
-    e_ids, e_sc = sc2._eval(s2._plan({"query": q}).query, sc2.readers[0], st2)
+    with s2._pin() as snap2:
+        sc2: SegmentGroupScorer = snap2.pool[0][1]
+    st2 = snap2.stats([s2._plan({"query": q}, snap2.schema).query])
+    e_ids, e_sc = sc2._eval(s2._plan({"query": q}, snap2.schema).query, sc2.readers[0], st2)
     if st2.tombstones is not None:
         keep = ~np.isin(e_ids, st2.tombstones)
         e_ids, e_sc = e_ids[keep], e_sc[keep]
@@ -477,17 +478,17 @@ def blockmax_states(ray_session):
     merge_segments(merged, hot_df_threshold=200, shard_span=500)
     deleted = tempfile.mkdtemp(prefix="toshi_bm_deleted_")
     shutil.copytree(merged, deleted, dirs_exist_ok=True)
-    assert delete_by_term(deleted, "text", "w00201") > 0
+    assert delete_by_term(Searcher(deleted, distributed=False), "text", "w00201") > 0
     return {name: Searcher(root, distributed=False)
             for name, root in [("fresh", fresh), ("merged", merged), ("deleted", deleted)]}
 
 
 def test_blockmax_states_cover_shards_and_tombstones(blockmax_states):
     merged = blockmax_states["merged"]
-    merged._ensure_groups()
-    reader = merged._groups[0][1].readers[0]
+    with merged._pin() as snap:
+        reader = snap.pool[0][1].readers[0]
     assert reader.postings_for_terms("text", ["the"], ["shard"]).num_rows > 1
-    assert blockmax_states["deleted"]._stats_state.tombstones.size > 0
+    assert blockmax_states["deleted"]._snap.tombstones.size > 0
 
 
 @pytest.fixture(scope="module")
@@ -522,7 +523,7 @@ def test_blockmax_equals_exhaustive_topk(blockmax_states, blockmax_oracle, state
     # the matched clauses' sum, in clause order
     scores = {i: sum(m[i] for m in per_word if i in m) for i in matched}
     live = set(s.match_doc_ids({"query": q}).tolist())
-    tombs = set(s._stats_state.tombstones.tolist())
+    tombs = set(s._snap.tombstones.tolist())
     assert live == {int(blockmax_oracle.doc_ids[i]) for i in scores} - tombs
     want = blockmax_oracle.topk(
         {i: sc for i, sc in scores.items() if int(blockmax_oracle.doc_ids[i]) in live}, k)
@@ -549,11 +550,11 @@ def test_conjunction_skip_exact_and_prunes(ray_session):
     build_index(pages_dataset(3000, parallelism=2), page_schema(), root,
                 docs_per_segment=3000)
     s = Searcher(root, distributed=False)
-    s._ensure_groups()
-    scorer = s._groups[0][1]
+    with s._pin() as snap:
+        scorer = snap.pool[0][1]
     q = {"bool": {"must": [{"term": {"text": "w01000"}}, {"term": {"text": "the"}}]}}
-    plan = s._plan({"query": q}).query
-    stats = s._stats_for(plan)
+    plan = s._plan({"query": q}, snap.schema).query
+    stats = snap.stats([plan])
     reader = scorer.readers[0]
 
     # expected result: per-term exhaustive evals intersected by hand
@@ -873,10 +874,10 @@ def test_sort_floor_respects_tombstones(ray_session):
     build_index(pages_dataset(400, parallelism=4), page_schema(), root,
                 docs_per_segment=100)
     for victim in (399, 398, 397):
-        assert delete_by_term(root, "doc_id", victim) == 1
+        assert delete_by_term(Searcher(root, distributed=False), "doc_id", victim) == 1
     s = Searcher(root, distributed=False)
     # the floor itself must sit at/below the 100th LIVE value (297)
-    stats = s._stats_for_plans([AllQuery()])
+    stats = s._snap.stats([AllQuery()])
     fl = s._sort_floor(Search(sort_by="doc_id", limit=100), stats, s.segments)
     assert fl is not None and fl <= 297
     r = s.search({"query": None, "sort_by": "doc_id", "limit": 100})
@@ -987,7 +988,7 @@ def test_sort_floor_null_values(ray_session):
     got = [d["doc"]["doc_id"] for d in r["docs"]]
     assert got == [7] + list(range(199, 190, -1))
     # k=1: A's single valued doc DOES prove floor 1000 -> B prunable
-    st = s._stats_for_plans([AllQuery()])
+    st = s._snap.stats([AllQuery()])
     assert s._sort_floor(Search(sort_by="val", limit=1), st, s.segments) == 1000.0
     # nulls last, doc_id ascending among them; past-the-end k is exact
     r = s.search({"query": None, "sort_by": "val", "limit": 200})
@@ -1326,6 +1327,6 @@ def test_suggest_prefix_topk(ray_session):
 
     # tombstones do not change df until merge
     victim = want[0][0]
-    delete_by_term(root, "text", victim)
+    delete_by_term(Searcher(root, distributed=False), "text", victim)
     s2 = Searcher(root, distributed=False)
     assert s2.suggest("text", "w0001", k=5) == want

@@ -345,19 +345,20 @@ def test_distributed_matches_local(searcher):
 def test_close_defers_retired_pools_while_inflight(searcher):
     """close() must NOT kill retired scorer pools while a search is in
     flight (a concurrent thread mid ray.get still holds them) — the
-    last _pool() exit reaps them instead."""
+    end of its last pin reaps them instead."""
     s = Searcher(searcher.index_root, distributed=False)
     s.search({"query": {"term": {"test_text": "document"}}})
     sentinel = ("local", object())
-    with s._pool_lock:
-        s._retired.append(sentinel)
-        s._inflight = 1
+    snap = s._snap
+    with s._lock:
+        snap.pool.append(sentinel)
+        snap.pins = 1
     s.close()
-    assert sentinel in s._retired  # deferred, not reaped
-    with s._pool_lock:
-        s._inflight = 0
+    assert sentinel in snap.pool  # deferred, not reaped
+    with s._lock:
+        snap.pins = 0
     s.close()
-    assert s._retired == []  # reaped once nothing is in flight
+    assert snap.pool is None  # reaped once nothing is in flight
 
 
 def test_multi_search_matches_single(searcher):

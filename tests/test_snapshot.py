@@ -1,0 +1,284 @@
+"""One `Searcher` snapshot per manifest version: `refresh` builds it
+whole and swaps it in, keeping the readers of unchanged segments, and
+a query takes every phase from the one snapshot it pinned."""
+
+import json
+import os
+import shutil
+import tempfile
+import threading
+import time
+
+import pyarrow as pa
+import pytest
+
+from toshi_ray import segments
+from toshi_ray.api import IndexCatalog
+from toshi_ray.pipelines.build import MANIFEST_FILE, build_index, commit, load_manifest
+from toshi_ray.pipelines.merge import delete_by_term
+from toshi_ray.query import QueryError
+from toshi_ray.schema import FieldDef, Schema
+from toshi_ray.search import Searcher, SegmentGroupScorer
+
+SCHEMA = [
+    {"name": "text", "type": "text",
+     "options": {"indexing": {"record": "position", "tokenizer": "default"}, "stored": True}},
+]
+Q = {"query": {"term": {"text": "common"}}, "limit": 10}
+
+
+def _catalog(n_docs: int) -> tuple[IndexCatalog, str]:
+    """A catalog index of ``n_docs`` one-doc segments; doc i holds "doc{i}"."""
+    c = IndexCatalog(tempfile.mkdtemp(prefix="toshi_snap_"))
+    c.create_index("ix", SCHEMA)
+    for i in range(n_docs):
+        c.add_document("ix", {"document": {"text": f"common doc{i}"}})
+    return c, c._root("ix")
+
+
+def test_refresh_between_stats_and_scoring_changes_nothing_the_query_sees(monkeypatch):
+    """A refresh that lands after a query's stats phase, before its
+    scoring: the query still scores the segments its stats came from,
+    and equals a fresh searcher's answer at that manifest version."""
+    c, root = _catalog(3)
+    want = Searcher(root, distributed=False).search(Q)
+    s = Searcher(root, distributed=False)
+    real = SegmentGroupScorer.term_dfs
+    fired = []
+
+    def term_dfs(self, pairs):
+        if not fired:
+            fired.append(True)
+            c.add_document("ix", {"document": {"text": "common common late"}})
+            s.refresh()
+        return real(self, pairs)
+
+    monkeypatch.setattr(SegmentGroupScorer, "term_dfs", term_dfs)
+    assert s.search(Q) == want
+    assert fired and s.n_docs == 4
+    assert s.search(Q) == Searcher(root, distributed=False).search(Q)
+
+
+def test_refused_format_is_refused_on_every_search():
+    """A manifest rewritten in an older format at a higher version makes
+    every catalog search raise; none serves the old snapshot."""
+    c, root = _catalog(1)
+    assert c.search("ix", Q)["hits"] == 1  # the catalog now caches a searcher
+    path = os.path.join(root, MANIFEST_FILE)
+    with open(path) as f:
+        manifest = json.load(f)
+    manifest.update(format=7, version=manifest["version"] + 1)
+    with open(path, "w") as f:
+        json.dump(manifest, f)
+    for _ in range(3):
+        with pytest.raises(QueryError, match="rebuild the index"):
+            c.search("ix", Q)
+
+
+def test_retired_pool_dies_with_its_own_last_query(monkeypatch):
+    """Two queries in flight, one on each side of a refresh: the old
+    snapshot's scorer actor is killed as soon as the old query ends,
+    while the new one still runs."""
+    import ray
+
+    c, root = _catalog(1)
+    s = Searcher(root, distributed=True, parallelism=1)
+    killed = []
+    real_kill = ray.kill
+
+    def kill(actor, **kw):
+        killed.append(actor)
+        real_kill(actor, **kw)
+
+    monkeypatch.setattr(ray, "kill", kill)
+    gates: dict[str, dict] = {}
+    real_dispatch = Searcher._dispatch
+
+    def dispatch(groups, method, *args):
+        gate = gates.get(threading.current_thread().name)
+        if gate is not None and method == "score_topk_many":
+            gate["actors"] = [g for _, g in groups]
+            gate["entered"].set()
+            assert gate["release"].wait(60)
+        return real_dispatch(groups, method, *args)
+
+    monkeypatch.setattr(Searcher, "_dispatch", staticmethod(dispatch))
+    hits: dict[str, int] = {}
+
+    def start(name: str) -> threading.Thread:
+        gates[name] = {"entered": threading.Event(), "release": threading.Event()}
+        t = threading.Thread(name=name, target=lambda: hits.__setitem__(name, s.search(Q)["hits"]))
+        t.start()
+        assert gates[name]["entered"].wait(60)
+        return t
+
+    old = start("old")
+    (old_actor,) = gates["old"]["actors"]
+    c.add_document("ix", {"document": {"text": "common late"}})
+    s.refresh()
+    assert not killed  # the old query still runs on it
+    new = start("new")
+    gates["old"]["release"].set()
+    old.join(60)
+    assert not old.is_alive()
+    try:
+        assert any(k is old_actor for k in killed)
+        assert new.is_alive()
+    finally:
+        gates["new"]["release"].set()
+        new.join(60)
+    assert not new.is_alive()
+    assert hits == {"old": 1, "new": 2}
+    s.close()
+
+
+def test_catalog_opens_a_reader_only_for_each_new_segment(monkeypatch):
+    """N appends, each followed by a search, and a delete: every refresh
+    keeps the readers of unchanged segments, and the delete matches on
+    the catalog's searcher, so N segments cost N reader opens."""
+    opened = []
+    real = segments.SegmentReader.__init__
+
+    def init(self, seg_dir):
+        opened.append(seg_dir)
+        real(self, seg_dir)
+
+    monkeypatch.setattr(segments.SegmentReader, "__init__", init)
+    c, _ = _catalog(0)
+    for i in range(6):
+        c.add_document("ix", {"document": {"text": f"common doc{i}"}})
+        assert c.search("ix", Q)["hits"] == i + 1
+    assert c.delete_term("ix", {"text": "doc0"}) == {"docs_affected": 1}
+    assert c.search("ix", Q)["hits"] == 5
+    assert len(opened) == len(set(opened)) == 6
+
+
+def test_overwrite_rebuild_serves_the_new_text(tmp_path):
+    """An overwrite rebuild reuses the segment names of the same doc
+    layout for new content: a refreshed searcher must not keep the old
+    readers under those names."""
+    import ray
+
+    root = str(tmp_path / "ix")
+    schema = Schema.build(FieldDef("doc_id", "u64", fast=True), FieldDef("text", "text"))
+
+    def build(words: str) -> list[str]:
+        tbl = pa.table({"doc_id": pa.array(range(4), pa.uint64()),
+                        "text": [f"{words} x{i}" for i in range(4)]})
+        build_index(ray.data.from_arrow(tbl), schema, root, docs_per_segment=2, overwrite=True)
+        return [seg["name"] for seg in load_manifest(root)["segments"]]
+
+    names = build("alpha")
+    s = Searcher(root, distributed=False)
+    assert s.count({"query": {"term": {"text": "alpha"}}}) == 4  # readers loaded
+    assert build("beta gamma") == names
+    s.refresh()
+    assert s.count({"query": {"term": {"text": "alpha"}}}) == 0
+    docs = s.search({"query": {"term": {"text": "beta"}}, "limit": 10})["docs"]
+    assert sorted(d["doc"]["text"] for d in docs) == [f"beta gamma x{i}" for i in range(4)]
+
+
+def test_index_made_again_with_the_same_layout_serves_the_new_text():
+    """An index removed and created again at the same path, with text of
+    the same shape: its segments' names, doc ids, token totals and term
+    counts all equal the old ones', and a refreshed searcher must still
+    read the new segments (the old bloom would reject "beta")."""
+    c, root = _catalog(2)
+    s = Searcher(root, distributed=False)
+    assert s.search(Q)["hits"] == 2  # readers loaded, blooms read
+    shutil.rmtree(root)
+    c.create_index("ix", SCHEMA)
+    for i in range(2):
+        c.add_document("ix", {"document": {"text": f"beta doc{i}"}})
+    s.refresh()
+    assert s.count({"query": {"term": {"text": "beta"}}}) == 2  # before any dictionary loads
+    assert s.search(Q)["hits"] == 0
+    docs = s.search({"query": {"term": {"text": "beta"}}, "limit": 10})["docs"]
+    assert sorted(d["doc"]["text"] for d in docs) == ["beta doc0", "beta doc1"]
+
+
+def test_delete_on_a_stale_searcher_matches_the_latest_commit():
+    """A delete through a searcher opened before later commits: it
+    tombstones a doc added since, and does not count again a doc that a
+    delete through another searcher already removed."""
+    c, root = _catalog(1)
+    s = Searcher(root, distributed=False)
+    other = Searcher(root, distributed=False)
+    c.add_document("ix", {"document": {"text": "common late"}})
+    assert delete_by_term(s, "text", "late") == 1
+    assert delete_by_term(other, "text", "late") == 0
+    assert Searcher(root, distributed=False).search(Q)["hits"] == 1
+
+
+def test_query_after_close_keeps_the_pool_it_builds():
+    """close() reaps the pool; a later query builds one, and it serves
+    every following query until the next refresh or close."""
+    c, root = _catalog(2)
+    s = Searcher(root, distributed=False)
+    assert s.search(Q)["hits"] == 2
+    s.close()
+    assert s._snap.pool is None
+    assert s.search(Q)["hits"] == 2
+    pool = s._snap.pool
+    assert pool is not None
+    assert s.search(Q)["hits"] == 2
+    assert s._snap.pool is pool
+
+
+def test_auto_refresh_records_a_failed_refresh(caplog):
+    """A commit naming a delete file that is not on disk: the ticker's
+    refresh fails, the failure is stored and logged, and the searcher
+    keeps serving the snapshot it had."""
+    c, root = _catalog(1)
+    s = Searcher(root, distributed=False)
+    s.start_auto_refresh(every_s=0.05)
+    try:
+        commit(root, lambda m: {**m, "tombstones": ["del-missing.parquet"]})
+        deadline = time.time() + 10
+        while time.time() < deadline and s.last_refresh_error is None:
+            time.sleep(0.05)
+    finally:
+        s.stop_auto_refresh()
+    assert s.last_refresh_error is not None
+    assert any("auto-refresh failed" in r.getMessage() for r in caplog.records)
+    assert s.search(Q)["hits"] == 1
+
+
+def test_concurrent_docvalues_misses_add_the_column_once(tmp_path, monkeypatch):
+    """Two threads miss the same docvalues column at once and both read
+    it: the reader's cache must still hold it once, or every later
+    read of the column raises."""
+    schema = Schema.build(FieldDef("doc_id", "u64", fast=True), FieldDef("n", "u64", fast=True),
+                          FieldDef("text", "text"))
+    batch = pa.table({"doc_id": pa.array(range(8), pa.uint64()),
+                      "n": pa.array(range(8), pa.uint64()), "text": ["a"] * 8})
+    meta = segments.write_segment(str(tmp_path), *segments.build_segment_tables(batch, schema))
+    reader = segments.SegmentReader(os.path.join(tmp_path, meta["name"]))
+    reader.doc_ids()  # a cache exists, so each miss adds to it
+    barrier = threading.Barrier(2, timeout=30)
+    real = segments.pq.read_table
+
+    def read_table(*args, **kwargs):
+        t = real(*args, **kwargs)
+        barrier.wait()  # both threads have read before either adds
+        return t
+
+    monkeypatch.setattr(segments.pq, "read_table", read_table)
+    errors = []
+
+    def miss():
+        try:
+            reader.docvalues(["n"])
+        except Exception as e:  # noqa: BLE001 — reported by the assert below
+            errors.append(e)
+
+    threads = [threading.Thread(target=miss) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(60)
+    assert not any(t.is_alive() for t in threads)
+    monkeypatch.setattr(segments.pq, "read_table", real)
+    assert errors == []
+    assert reader.docvalues(["n"])["n"].to_pylist() == list(range(8))
+    assert reader.docvalues(["doc_id", "n"]).num_columns == 2

@@ -151,7 +151,7 @@ def test_merged_with_tombstones_keeps_block_layout(ray_session):
     root = tempfile.mkdtemp(prefix="toshi_store_tomb_")
     build_index(pages_dataset(900, parallelism=3), page_schema(), root,
                 docs_per_segment=300)
-    assert delete_by_term(root, "text", "w00050") > 0
+    assert delete_by_term(Searcher(root, distributed=False), "text", "w00050") > 0
     merge_segments(root, hot_df_threshold=300, shard_span=400)
     reader = merged_reader(root)
     blocks = block_doc_ids(reader)

@@ -124,7 +124,7 @@ def test_termbloom_reflects_deletes_after_merge(ray_session, monkeypatch):
     from toshi_ray.pipelines.merge import delete_by_term
 
     root = _marker_index()
-    assert delete_by_term(root, "text", "marker1") == 100
+    assert delete_by_term(Searcher(root, distributed=False), "text", "marker1") == 100
     # pre-merge: term still in the bloom → postings probed, 0 live hits
     s0 = Searcher(root, distributed=False)
     assert s0.search({"query": {"term": {"text": "marker1"}}, "limit": 5})["hits"] == 0

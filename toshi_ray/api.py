@@ -257,10 +257,12 @@ class IndexCatalog:
     def delete_term(self, name: str, terms: dict) -> dict:
         from toshi_ray.pipelines.merge import delete_by_term
 
-        root = self._require(name)
+        self._require(name)
         total = 0
         for field, term in terms.items():
-            total += delete_by_term(root, field, str(term))
+            # the cached searcher, refreshed past the previous term's
+            # delete: a doc matching two terms counts once
+            total += delete_by_term(self._searcher(name), field, str(term))
         return {"docs_affected": total}
 
     # ---- search (POST /{idx}) + all_docs (GET /{idx}) ----

@@ -562,6 +562,7 @@ def merge_segments(
         bloom_meta = None
     meta = {
         "name": new_name,
+        "write_id": uuid.uuid4().hex[:8],  # see segments.write_segment
         "num_docs": int(n_docs),
         "min_doc_id": int(id_min) if id_min is not None else 0,
         # the sources' max: appends must never reissue a deleted doc's id
@@ -661,29 +662,21 @@ def gc_segments(index_root: str, *, checkpoint_grace_s: float = 3600.0) -> int:
 # removal at merge. Readers subtract tombstones at query time.
 # ---------------------------------------------------------------------------
 
-def delete_by_term(index_root: str, field: str, term: str,
-                   *, distributed: bool | None = None) -> int:
-    """Tombstone every doc containing ``term``; returns docs_affected
-    (counted before/after like the reference).
-
-    Match evaluation goes through the regular Searcher, so on a big
-    index it runs on the distributed scorer-actor pool; tiny indexes
-    (≤ 8 segments) evaluate in-process to skip actor spin-up."""
-    from toshi_ray.search import Searcher
-
-    if distributed is None:
-        import ray
-
-        distributed = ray.is_initialized() and len(load_manifest(index_root)["segments"]) > 8
-    s = Searcher(index_root, distributed=distributed)
+def delete_by_term(searcher, field: str, term: str) -> int:
+    """Tombstone every doc that contains ``term``; returns docs_affected
+    (counted before/after like the reference). The match runs on the
+    caller's `Searcher`, refreshed first if a commit landed since its
+    snapshot (a stale one would miss new docs and count deleted ones
+    again), so it reuses the readers that searcher already holds."""
+    if load_manifest(searcher.index_root)["version"] != searcher.manifest["version"]:
+        searcher.refresh()
     # match_doc_ids already subtracts existing tombstones → every id
     # returned is newly affected
     new = np.asarray(
-        s.match_doc_ids({"query": {"term": {field: term}}}), dtype=np.uint64
+        searcher.match_doc_ids({"query": {"term": {field: term}}}), dtype=np.uint64
     )
-    s.close()
     if new.size:
-        commit_tombstones(index_root, new)
+        commit_tombstones(searcher.index_root, new)
     return int(new.size)
 
 

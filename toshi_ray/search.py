@@ -23,15 +23,22 @@ Scoring semantics (tantivy 0.19 as configured by Toshi, SURVEY.md §2.5):
     (score desc, doc_id asc) — doc ids are insertion-ordered
     (SURVEY.md §2.2 T4).
 
-Scorers run as Ray actors (one per segment group — the stateful stage
-holding postings/norms, SURVEY.md §7.2); a local in-process mode exists
-for tiny indexes and tests.
+A `Searcher` serves one manifest version at a time, as a snapshot:
+its stats, its segment readers and a scorer pool over them. A refresh
+swaps in a new snapshot that carries over the reader of every segment
+whose manifest entry did not change (`SegmentReader.carry`); each
+query pins one snapshot for all of its phases. Scorers run
+in-process, or as Ray actors (one per segment group — the stateful
+stage holding postings/norms, SURVEY.md §7.2) that open their own
+readers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,22 +119,6 @@ class Stats:
     tombstones: np.ndarray | None = None
 
 
-class _StatsState:
-    """Per-manifest stats snapshot, rebound ATOMICALLY by refresh():
-    a query grabs one reference and reads a consistent (n_docs, avgdl,
-    df cache, tombstones) set even if a refresh lands mid-query. The
-    df cache is keyed to this snapshot's manifest; concurrent fills
-    are idempotent."""
-
-    __slots__ = ("n_docs", "avgdl", "tombstones", "df_cache")
-
-    def __init__(self, n_docs: int, avgdl: dict, tombstones: np.ndarray):
-        self.n_docs = n_docs
-        self.avgdl = avgdl
-        self.tombstones = tombstones
-        self.df_cache: dict = {}  # (field, term) -> global df
-
-
 def _levenshtein_filter(
     terms: "pa.Array | pa.ChunkedArray", query: str, distance: int, transposition: bool
 ) -> list[str]:
@@ -179,16 +170,16 @@ def _levenshtein_filter(
 
 
 class SegmentGroupScorer:
-    """Holds readers for a group of segments; evaluates query plans.
+    """Evaluates query plans over the readers of a group of segments.
 
     This is the stateful stage: each reader's term dictionary, norms
-    and fast fields load once per actor (`__init__`-style amortization);
+    and fast fields load once, on first use, and stay with the reader;
     per query, posting rows come from the reader's cached table, or
     from a parquet predicate read on an over-threshold segment.
     """
 
-    def __init__(self, seg_dirs: list[str], schema_json: list):
-        self.readers = [SegmentReader(d) for d in seg_dirs]
+    def __init__(self, readers: list[SegmentReader], schema_json: list):
+        self.readers = readers
         self.schema = Schema.from_json(schema_json)
         self._expand_cache: dict = {}  # (seg, field, query-key) -> [terms]
 
@@ -675,12 +666,77 @@ def _collect_term_stats_needs(node, schema: Schema) -> list[tuple[str, str]]:
     return out
 
 
+class _Snapshot:
+    """One manifest version, as a query reads it: the manifest and
+    schema, the global stats (n_docs, avgdl, tombstones and a df cache
+    filled on demand), one `SegmentReader` per segment, and the scorer
+    pool, built on first use by `Searcher._pin`. `Searcher.refresh`
+    builds a snapshot whole before it swaps it in, and a query takes
+    every phase from the one snapshot it pinned."""
+
+    def __init__(self, index_root: str, prev: "_Snapshot | None"):
+        with open(os.path.join(index_root, MANIFEST_FILE)) as f:
+            self.manifest = json.load(f)
+        fmt = self.manifest.get("format")
+        if fmt != FORMAT_VERSION:
+            raise QueryError.index(
+                f"Index format {fmt} != reader format {FORMAT_VERSION}; rebuild the index"
+            )
+        with open(os.path.join(index_root, SCHEMA_FILE)) as f:
+            self.schema = Schema.from_json(json.load(f))
+        self.segments = self.manifest["segments"]
+        self.n_docs = sum(s["num_docs"] for s in self.segments)
+        totals: dict[str, int] = {}
+        for s in self.segments:
+            for fname, st in s.get("field_stats", {}).items():
+                totals[fname] = totals.get(fname, 0) + st["total_tokens"]
+        self.avgdl = {f: tot / self.n_docs if self.n_docs else 0.0 for f, tot in totals.items()}
+        self.tombstones = load_tombstones(index_root, self.manifest)
+        self.df_cache: dict = {}  # (field, term) -> global df
+        # a segment whose manifest entry is unchanged carries its reader
+        # over instead of opening it again. The key is the whole entry,
+        # not the name: an overwrite rebuild reuses seg-<min>-<n> names
+        # for new content, and the entry's write_id tells the writes apart.
+        kept = prev.readers if prev is not None else {}
+        self.readers: dict[str, SegmentReader] = {}
+        for s in self.segments:
+            key = json.dumps(s, sort_keys=True)
+            self.readers[key] = kept[key].carry() if key in kept else SegmentReader(
+                os.path.join(index_root, SEGMENTS_DIR, s["name"])
+            )
+        self.pool: list | None = None  # [(kind, scorer)]
+        self.pins = 0  # queries running on this snapshot
+        self.retired = False  # replaced or closed: the last pin kills the pool
+
+    def stats(self, plans) -> Stats:
+        """The stats of ``plans``: global df is fixed per manifest
+        version, so only terms missing from the cache cost one df
+        round-trip to the pool, for all of them together."""
+        needs = sorted({n for p in plans for n in _collect_term_stats_needs(p, self.schema)})
+        missing = [n for n in needs if n not in self.df_cache]
+        if missing:
+            dfs: dict = {}
+            for part in Searcher._dispatch(self.pool, "term_dfs", missing):
+                for kt, df in part.items():
+                    dfs[kt] = dfs.get(kt, 0) + df
+            for kt in missing:
+                self.df_cache[kt] = dfs.get(kt, 0)
+        return Stats(
+            n_docs=self.n_docs,
+            avgdl=self.avgdl,
+            idf={kt: float(idf(self.n_docs, self.df_cache[kt])) for kt in needs},
+            tombstones=self.tombstones if self.tombstones.size else None,
+        )
+
+
 class Searcher:
-    """Query-side handle over one index directory (manifest + scorers).
+    """Query-side handle over one index directory.
 
     Mirrors the reference's reader/searcher (`handle.rs:232`,
-    reload-on-commit): `refresh()` re-reads the manifest after a new
-    commit. Scorer actors are created lazily and reused across queries.
+    reload-on-commit): `refresh()` swaps in a `_Snapshot` of the latest
+    manifest, which carries over the readers of the segments that did
+    not change, and every query pins one snapshot from its stats phase
+    to its winner fetch.
     """
 
     def __init__(
@@ -699,15 +755,17 @@ class Searcher:
             except Exception:
                 distributed = False
         self.distributed = distributed
-        self._groups: list = []
-        self._pool_segments: list = []
-        import threading
-
-        self._pool_lock = threading.Lock()  # guards _groups/_retired/_inflight
-        self._retired: list = []  # old ray pools awaiting in-flight drain
-        self._inflight = 0
+        self._lock = threading.Lock()  # guards _snap and every snapshot's pool and pins
+        self._snap: _Snapshot | None = None
         self.last_refresh_error: Exception | None = None
         self.refresh()
+
+    # the current snapshot, as callers outside a query see it
+    manifest = property(lambda self: self._snap.manifest)
+    segments = property(lambda self: self._snap.segments)
+    n_docs = property(lambda self: self._snap.n_docs)
+    tombstones = property(lambda self: self._snap.tombstones)
+    _groups = property(lambda self: self._snap.pool or [])
 
     # ------------- lifecycle -------------
 
@@ -716,8 +774,6 @@ class Searcher:
         ReloadPolicy::OnCommit): poll the manifest version and refresh
         when a new commit lands. Daemon thread; stop with
         `stop_auto_refresh()`."""
-        import threading
-
         if getattr(self, "_refresh_stop", None) is not None:
             return
         self._refresh_stop = threading.Event()
@@ -728,14 +784,12 @@ class Searcher:
                     if load_manifest(self.index_root)["version"] != self.manifest["version"]:
                         self.refresh()
                         self.last_refresh_error = None
-                except QueryError as e:
-                    # e.g. a FORMAT_VERSION bump: keep serving the old
-                    # snapshot but SURFACE it — swallowing would hide
-                    # exactly the hard-fail the format check provides
+                except Exception as e:
+                    # keep serving the current snapshot, but SURFACE the
+                    # failure (a FORMAT_VERSION bump, a missing delete
+                    # file); the next tick tries again
                     self.last_refresh_error = e
-                    _SEARCH_LOG.warning("auto-refresh failed: %s", e)
-                except Exception:
-                    pass  # mid-swap read; next tick sees the new manifest
+                    _SEARCH_LOG.warning("auto-refresh failed: %s", e, exc_info=True)
 
         self._refresh_thread = threading.Thread(target=run, daemon=True)
         self._refresh_thread.start()
@@ -748,38 +802,45 @@ class Searcher:
             self._refresh_stop = None
 
     def refresh(self) -> None:
-        with open(os.path.join(self.index_root, MANIFEST_FILE)) as f:
-            self.manifest = json.load(f)
-        fmt = self.manifest.get("format")
-        if fmt != FORMAT_VERSION:
-            raise QueryError.index(
-                f"Index format {fmt} != reader format {FORMAT_VERSION}; rebuild the index"
-            )
-        with open(os.path.join(self.index_root, SCHEMA_FILE)) as f:
-            self.schema = Schema.from_json(json.load(f))
-        self.segments = self.manifest["segments"]
-        n_docs = sum(s["num_docs"] for s in self.segments)
-        avgdl: dict[str, float] = {}
-        totals: dict[str, int] = {}
-        for s in self.segments:
-            for fname, st in s.get("field_stats", {}).items():
-                totals[fname] = totals.get(fname, 0) + st["total_tokens"]
-        for fname, tot in totals.items():
-            avgdl[fname] = tot / n_docs if n_docs else 0.0
-        tombstones = load_tombstones(self.index_root, self.manifest)
-        # ONE atomic rebind: in-flight queries snapshot _stats_state once
-        # and see a consistent (n_docs, avgdl, df cache, tombstones) set —
-        # piecemeal attribute swaps would tear stats mid-query (stale df
-        # against new n_docs → wrong idf, or a KeyError on the fresh cache)
-        self._stats_state = _StatsState(n_docs, avgdl, tombstones)
-        # convenience mirrors for external readers (tests, callers)
-        self.n_docs = n_docs
-        self.avgdl = avgdl
-        self.tombstones = tombstones
-        self._teardown_groups()
+        """Swap in a snapshot of the manifest on disk. It is built whole
+        first: a failure (wrong format, a missing delete file) raises
+        and leaves the current snapshot serving."""
+        snap = _Snapshot(self.index_root, self._snap)
+        with self._lock:
+            old, self._snap = self._snap, snap
+            doomed = self._retire(old) if old is not None else None
+        self._kill_pool(doomed)
 
-    def _kill_pools(self, pools) -> None:
-        for kind, g in pools:
+    def close(self) -> None:
+        """Stop the auto-refresh ticker and retire the current snapshot:
+        its scorer actors die now, or when the last query pinning it
+        ends (they free their reserved CPUs), and its readers drop what
+        they loaded (a later query loads it again)."""
+        self.stop_auto_refresh()
+        with self._lock:
+            snap = self._snap
+            doomed = self._retire(snap)
+            snap.readers = {k: r.carry() for k, r in snap.readers.items()}
+        self._kill_pool(doomed)
+
+    @staticmethod
+    def _retire(snap: _Snapshot) -> list | None:
+        """Retire ``snap``'s pool, with the lock held. → the pool to kill,
+        or None while a query pins it: ``retired`` stays set and the last
+        pin's end kills it then. Killing under a query would crash it
+        mid ray.get; leaking would pin one CPU per commit."""
+        snap.retired = True
+        if snap.pins:
+            return None
+        pool, snap.pool = snap.pool, None
+        # reaped: a pool that a later query builds (on a closed searcher's
+        # snapshot; a replaced one is never pinned again) lives on
+        snap.retired = False
+        return pool
+
+    @staticmethod
+    def _kill_pool(pool: list | None) -> None:
+        for kind, g in pool or ():
             if kind == "ray":
                 try:
                     import ray
@@ -788,103 +849,47 @@ class Searcher:
                 except Exception:
                     pass
 
-    def _teardown_groups(self):
-        """Retire the current scorer pool. Ray actors are killed as soon
-        as no call is in flight — killing immediately would crash a
-        search mid-ray.get when an auto-refresh thread sees a new
-        commit; leaking them would pin one CPU per commit."""
-        with self._pool_lock:
-            doomed = [gr for gr in self._groups if gr[0] == "ray"]
-            self._groups = []
-            if self._inflight:
-                self._retired.extend(doomed)
-                return
-            doomed += self._retired
-            self._retired = []
-        self._kill_pools(doomed)
-
-    def close(self) -> None:
-        """Stop the auto-refresh ticker and kill the scorer actor pool
-        (frees their reserved CPUs). Retired pools are reaped only when
-        nothing is in flight — a concurrent search (another caller mid
-        ray.get) still holds them; the last `_pool()` exit kills them."""
-        self.stop_auto_refresh()
-        self._teardown_groups()
-        with self._pool_lock:
-            if self._inflight:
-                return  # _pool()'s finally block reaps _retired
-            doomed, self._retired = self._retired, []
-        self._kill_pools(doomed)
-
-    def _seg_dir(self, seg: dict) -> str:
-        return os.path.join(self.index_root, SEGMENTS_DIR, seg["name"])
-
-    def _ensure_groups(self):
-        """Create the scorer pool if absent. MUST be called with
-        _pool_lock held: an unsynchronized check-then-create lets two
-        first queries each build an actor pool (one leaks its reserved
-        CPUs forever), and a refresh between creation and pinning would
-        kill the pool under the query's feet."""
-        if self._groups:
-            return
-        dirs = [self._seg_dir(s) for s in self.segments]
-        n_groups = max(1, min(self.parallelism, len(dirs)))
-        if self.distributed:
-            import ray
-
-            # never request more 1-CPU actors than the cluster HAS —
-            # an over-sized pool waits forever on actors that can never
-            # start (the scheduled ones never release). Total, not
-            # available: a transient job's usage must not permanently
-            # shrink the pool.
-            total = int(ray.cluster_resources().get("CPU", 0))
-            if total:
-                n_groups = max(1, min(n_groups, total))
-        grouped = [dirs[i::n_groups] for i in range(n_groups)]
-        schema_json = self.schema.to_json()
-        if self.distributed:
-            import ray
-
-            Actor = ray.remote(num_cpus=1)(SegmentGroupScorer)
-            self._groups = [
-                ("ray", Actor.remote(g, schema_json)) for g in grouped if g
-            ]
-        else:
-            self._groups = [
-                ("local", SegmentGroupScorer(g, schema_json)) for g in grouped if g
-            ]
-        # map (group, local idx) -> global segment dir for doc fetch
-        self._group_dirs = [g for g in grouped if g]
-        # the manifest rows this pool was built from: driver-side
-        # decisions that must agree with what the scorers read (the
-        # sort floor) use THIS snapshot, not self.segments, which a
-        # concurrent refresh may have already advanced
-        self._pool_segments = list(self.segments)
-
-    import contextlib as _contextlib
-
-    @_contextlib.contextmanager
-    def _pool(self):
-        """Pin the current scorer pool for the duration of a query: a
-        concurrent refresh retires (not kills) the pool until the last
-        in-flight call releases it. Creation and pinning are ONE
-        critical section — a refresh in between would tear down a pool
-        the query is about to snapshot (silent zero-hit results)."""
-        with self._pool_lock:
-            self._ensure_groups()
-            groups = list(self._groups)
-            pool_segments = self._pool_segments
-            self._inflight += 1
+    @contextlib.contextmanager
+    def _pin(self):
+        """Pin the current snapshot for one query. Its pool is built in
+        the same critical section on first use, so two first queries
+        cannot each build one (the loser's actors would hold their CPUs
+        forever)."""
+        with self._lock:
+            snap = self._snap
+            if snap.pool is None:
+                snap.pool = self._build_pool(snap)
+            snap.pins += 1
         try:
-            yield groups, pool_segments
+            yield snap
         finally:
-            with self._pool_lock:
-                self._inflight -= 1
-                doomed = [] if self._inflight else self._retired
-                if doomed:
-                    self._retired = []
-            if doomed:
-                self._kill_pools(doomed)
+            with self._lock:
+                snap.pins -= 1
+                doomed = self._retire(snap) if snap.retired else None
+            self._kill_pool(doomed)
+
+    def _build_pool(self, snap: _Snapshot) -> list:
+        """Scorers over the snapshot's readers: in-process ones use the
+        reader objects, Ray actors open their own copies."""
+        readers = list(snap.readers.values())
+        n_groups = max(1, min(self.parallelism, len(readers)))
+        schema_json = snap.schema.to_json()
+        if not self.distributed:
+            return [("local", SegmentGroupScorer(readers[i::n_groups], schema_json))
+                    for i in range(min(n_groups, len(readers)))]
+        import ray
+
+        # never request more 1-CPU actors than the cluster HAS —
+        # an over-sized pool waits forever on actors that can never
+        # start (the scheduled ones never release). Total, not
+        # available: a transient job's usage must not permanently
+        # shrink the pool.
+        total = int(ray.cluster_resources().get("CPU", 0))
+        if total:
+            n_groups = max(1, min(n_groups, total))
+        actor = ray.remote(num_cpus=1)(SegmentGroupScorer)
+        return [("ray", actor.remote(readers[i::n_groups], schema_json))
+                for i in range(min(n_groups, len(readers)))]
 
     @staticmethod
     def _dispatch(groups, method: str, *args):
@@ -901,44 +906,14 @@ class Searcher:
             outs.extend(ray.get(ray_refs))
         return outs
 
-    def _call(self, method: str, *args):
-        with self._pool() as (groups, _):
-            return self._dispatch(groups, method, *args)
-
     # ------------- queries -------------
 
-    def _plan(self, body) -> Search:
+    @staticmethod
+    def _plan(body, schema: Schema) -> Search:
         s = body if isinstance(body, Search) else Search.from_json(body)
         if isinstance(s.query, RawQuery):
-            s.query = parse_raw(s.query.query, self.schema)
+            s.query = parse_raw(s.query.query, schema)
         return s
-
-    def _stats_for_plans(self, plans) -> Stats:
-        """Shared stats phase: one snapshot of the per-manifest stats
-        state (refresh rebinds it atomically — never read the attrs
-        piecemeal mid-query), one df round-trip for the union of
-        missing terms, one Stats."""
-        st = self._stats_state
-        needs = sorted(
-            {n for p in plans for n in _collect_term_stats_needs(p, self.schema)}
-        )
-        missing = [n for n in needs if n not in st.df_cache]
-        if missing:
-            dfs: dict = {}
-            for part in self._call("term_dfs", missing):
-                for kt, df in part.items():
-                    dfs[kt] = dfs.get(kt, 0) + df
-            for kt in missing:
-                st.df_cache[kt] = dfs.get(kt, 0)
-        return Stats(
-            n_docs=st.n_docs,
-            avgdl=st.avgdl,
-            idf={kt: float(idf(st.n_docs, st.df_cache[kt])) for kt in needs},
-            tombstones=st.tombstones if st.tombstones.size else None,
-        )
-
-    def _stats_for(self, plan) -> Stats:
-        return self._stats_for_plans([plan])
 
     def search(self, body: dict | Search | None = None) -> dict:
         """→ {"hits": n, "docs": [{"score": s, "doc": {...}}], "facets": {...}}"""
@@ -963,16 +938,14 @@ class Searcher:
         it contribute nothing) may be accumulated — counting null docs
         would prune segments that hold real top-k rows. Filtered
         queries give no per-segment match counts, so no floor.
-        `segments` must be the snapshot the scorer pool was built from
-        (a concurrent refresh may have advanced self.segments)."""
+        `segments` are the pinned snapshot's, whose pool does the
+        scoring."""
         if s.sort_by is None or s.facets or not isinstance(s.query, AllQuery):
             return None
         k = s.limit
         if k <= 0:
             return None
-        tomb = stats.tombstones
-        if tomb is not None and tomb.size:
-            tomb = np.sort(tomb)
+        tomb = stats.tombstones  # sorted, unique (load_tombstones)
         cands = []
         for seg in segments:
             z = seg.get("fastfield_stats", {}).get(s.sort_by)
@@ -996,18 +969,16 @@ class Searcher:
 
     def multi_search(self, bodies: list) -> list[dict]:
         """Execute a batch of queries with ONE stats round-trip and ONE
-        scoring round-trip per scorer group (query-set workloads)."""
-        searches = [self._plan(b) for b in bodies]
-        # shared stats phase over the union of needed terms; global df is
-        # static per manifest version, so repeat terms skip the round-trip
-        stats = self._stats_for_plans([s.query for s in searches])
-        # scoring AND winner-fetch pin ONE pool snapshot: a refresh
-        # between the phases would remap group indices to different
-        # segment sets and fetch the wrong stored docs. Sort floors are
-        # computed INSIDE the pin from the pool's own segment snapshot —
-        # a floor derived from a different manifest could prune live rows
-        with self._pool() as (groups, pool_segments):
-            floors = [self._sort_floor(s, stats, pool_segments) for s in searches]
+        scoring round-trip per scorer group (query-set workloads).
+        Stats, sort floors, scoring and the winner fetch all read one
+        pinned snapshot: stats of one manifest scored over another's
+        segments would give wrong idfs, and a floor from another
+        manifest could prune live rows."""
+        with self._pin() as snap:
+            searches = [self._plan(b, snap.schema) for b in bodies]
+            stats = snap.stats([s.query for s in searches])
+            floors = [self._sort_floor(s, stats, snap.segments) for s in searches]
+            groups = snap.pool
             group_results = self._dispatch(
                 groups,
                 "score_topk_many",
@@ -1076,9 +1047,9 @@ class Searcher:
         return outs
 
     def count(self, body: dict | Search | None = None) -> int:
-        s = self._plan(body)
-        stats = self._stats_for(s.query)
-        return sum(self._call("count_matches", s.query, stats))
+        with self._pin() as snap:
+            s = self._plan(body, snap.schema)
+            return sum(self._dispatch(snap.pool, "count_matches", s.query, snap.stats([s.query])))
 
     def suggest(self, field: str, prefix: str, k: int = 10) -> list[tuple[str, int]]:
         """Prefix autocomplete over the INDEX term dictionary (the
@@ -1087,7 +1058,9 @@ class Searcher:
         from the postings metadata (no postings decode) and — like
         Lucene — counts tombstoned docs until a merge reclaims them."""
         acc: dict[str, int] = {}
-        for pairs in self._call("suggest_terms", field, prefix):
+        with self._pin() as snap:
+            parts = self._dispatch(snap.pool, "suggest_terms", field, prefix)
+        for pairs in parts:
             for term, df in pairs:
                 acc[term] = acc.get(term, 0) + df
         ranked = sorted(acc.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -1095,9 +1068,10 @@ class Searcher:
 
     def match_doc_ids(self, body: dict | Search | None = None) -> np.ndarray:
         """All matching doc_ids, globally sorted (no limit applied)."""
-        s = self._plan(body)
-        stats = self._stats_for(s.query)
-        parts = [a for group in self._call("match_ids", s.query, stats) for a in group]
+        with self._pin() as snap:
+            s = self._plan(body, snap.schema)
+            groups = self._dispatch(snap.pool, "match_ids", s.query, snap.stats([s.query]))
+        parts = [a for group in groups for a in group]
         if not parts:
             return np.empty(0, np.uint64)
         return np.sort(np.concatenate(parts))

@@ -32,8 +32,10 @@ readers just concatenate shards in order (SURVEY.md §7.3/§7.4).
 
 from __future__ import annotations
 
+import copy
 import json
 import os
+import threading
 import uuid
 from dataclasses import dataclass
 
@@ -335,12 +337,15 @@ def write_segment(
     the per-partition checkpoint unit (SURVEY.md §7.4 "Resumability").
     """
     name = name or f"seg-{meta['min_doc_id']:012d}-{meta['num_docs']}"
-    meta = dict(meta, name=name)
     final = os.path.join(segments_dir, name)
     if os.path.exists(os.path.join(final, META_FILE)):
         with open(os.path.join(final, META_FILE)) as f:
             return json.load(f)
-    tmp = os.path.join(segments_dir, f".tmp-{name}-{uuid.uuid4().hex[:8]}")
+    # the write id tells this write from any other under the same name
+    # (an overwrite rebuild reuses names): searchers key readers on it
+    write_id = uuid.uuid4().hex[:8]
+    meta = dict(meta, name=name, write_id=write_id)
+    tmp = os.path.join(segments_dir, f".tmp-{name}-{write_id}")
     os.makedirs(tmp, exist_ok=True)
     pq.write_table(postings, os.path.join(tmp, POSTINGS_FILE))
     from toshi_ray import termbloom
@@ -423,14 +428,23 @@ class SegmentReader:
         self.dir = seg_dir
         with open(os.path.join(seg_dir, META_FILE)) as f:
             self.meta = json.load(f)
-        self._docvalues: pa.Table | None = None
-        self._dv_partial: pa.Table | None = None  # column-projected cache
+        self._dv: pa.Table | None = None  # the docvalues columns read so far
         self._dv_names: list[str] | None = None
         self._postings_all: pa.Table | None = None  # set by a cached-mode dictionary
         self._dict: _TermDict | None = None  # lazy, see _term_dict
         self._bloom_bits: np.ndarray | None = None  # lazy termbloom.bin
         self._store_map: tuple | None = None  # lazy, see _store_blocks
         self.store_blocks_read = 0  # store row groups decoded by store(ids)
+
+    def carry(self) -> "SegmentReader":
+        """This segment's reader for a newer index snapshot. What came
+        from the segment's meta, side files and footers (the bloom
+        bits, the docvalues columns read so far, the store block map)
+        carries over; the term dictionary and the cached postings table,
+        the bulk of a reader's memory, load again on first use."""
+        r = copy.copy(self)
+        r._dict = r._postings_all = None
+        return r
 
     def _postings_bytes(self) -> int:
         p = self._path(POSTINGS_FILE)
@@ -472,33 +486,31 @@ class SegmentReader:
             self._dv_names = list(pq.read_schema(p).names)
         return self._dv_names
 
-    def docvalues(self, columns: list[str] | None = None) -> pa.Table:
-        """Fast-field (docvalues) columns. ``columns`` projects the read:
-        only the requested columns' data pages are fetched from storage
-        (a range/sort query touches ONE fast field — at corpus scale the
-        other columns are most of the file). Projected fetches accumulate
-        in a partial cache; a full-table read (columns=None) supersedes
-        it. Row order is deterministic across separate column fetches:
-        merged side files carry order-preserving lexicographic names."""
-        if columns is None:
-            if self._docvalues is None:
-                self._docvalues = pq.read_table(self._path(DOCVALUES_FILE))
-                self._dv_partial = None
-            return self._docvalues
-        if self._docvalues is not None:
-            return self._docvalues.select(columns)
-        have = set(self._dv_partial.column_names) if self._dv_partial is not None else set()
-        missing = [c for c in columns if c not in have]
+    _dv_fill = threading.Lock()  # held only to add read columns to a cache
+
+    def docvalues(self, columns: list[str]) -> pa.Table:
+        """Fast-field (docvalues) columns. Only the requested columns'
+        data pages are fetched from storage (a range/sort query touches
+        ONE fast field — at corpus scale the other columns are most of
+        the file), and fetched columns accumulate in a cache. Row order
+        is deterministic across separate column fetches: merged side
+        files carry order-preserving lexicographic names."""
+        cache = self._dv
+        missing = [c for c in columns if cache is None or c not in cache.column_names]
         if missing:
             t = pq.read_table(self._path(DOCVALUES_FILE), columns=missing)
-            if self._dv_partial is None:
-                self._dv_partial = t
-            else:
+            # two threads that miss the same column both read it: add
+            # only what is still missing, or the cache would hold the
+            # column twice and every later select of it would raise
+            with self._dv_fill:
+                cache = self._dv
                 for name in missing:
-                    self._dv_partial = self._dv_partial.append_column(
-                        t.schema.field(name), t[name]
-                    )
-        return self._dv_partial.select(columns)
+                    if cache is None:
+                        cache = t.select([name])
+                    elif name not in cache.column_names:
+                        cache = cache.append_column(t.schema.field(name), t[name])
+                self._dv = cache
+        return cache.select(columns)
 
     def doc_ids(self) -> np.ndarray:
         return self.docvalues(["doc_id"])["doc_id"].to_numpy(zero_copy_only=False)
@@ -585,13 +597,6 @@ class SegmentReader:
         t = pq.read_table(self._path(POSTINGS_FILE), filters=expr, columns=read)
         t = t.sort_by([(c, "ascending") for c in key])
         return t if columns is None else t.select(columns)
-
-    def all_postings(self) -> pa.Table:
-        """Every postings row, in file order."""
-        self._term_dict()
-        if self._postings_all is not None:
-            return self._postings_all
-        return pq.read_table(self._path(POSTINGS_FILE))
 
     def term_dict(self, field: str) -> pa.Table:
         """The dictionary entries of ``field`` (field, term, df,
