@@ -1142,6 +1142,119 @@ def test_merge_resumes_from_partition_checkpoints(ray_session):
     # fresh checkpoints survive a default-grace gc (in-flight protection)
 
 
+def _postings_by_term(tables, tombs=np.empty(0, np.uint64)) -> dict:
+    """(field, term) → (doc ids, tfs, flat positions): every row of the
+    key concatenated in doc order, tombstoned postings dropped, keys
+    left with no posting dropped. Also checks each row's df / first /
+    last doc against its decoded list."""
+    import pyarrow as pa
+
+    from toshi_ray import codecs
+    from toshi_ray.segments import decode_positions, decode_postings
+
+    t = pa.concat_tables(tables).sort_by(
+        [("field", "ascending"), ("term", "ascending"), ("first_doc", "ascending")]
+    ).combine_chunks()
+    doc_ids, tfs, offs = decode_postings(t)
+    first = t["first_doc"].to_numpy(zero_copy_only=False)
+    last = t["last_doc"].to_numpy(zero_copy_only=False)
+    assert np.array_equal(first, doc_ids[offs[:-1]])
+    assert np.array_equal(last, doc_ids[offs[1:] - 1])
+    has_pos = t["positions"].is_valid().to_numpy(zero_copy_only=False)
+    pos_rows = np.nonzero(has_pos)[0]
+    pos_tfs = codecs.take_ranges(tfs, offs[:-1][pos_rows], np.diff(offs)[pos_rows])
+    flat_pos, _ = decode_positions(t.take(pa.array(pos_rows)), pos_tfs)
+    pos_counts = np.where(np.repeat(has_pos, np.diff(offs)), tfs.astype(np.int64), 0)
+    pos_offs = np.concatenate([[0], np.cumsum(pos_counts)])
+    keep = ~np.isin(doc_ids, tombs)
+    fields = t["field"].to_pylist()
+    terms = t["term"].to_pylist()
+    out: dict = {}
+    row = 0
+    while row < t.num_rows:
+        end = row
+        while end < t.num_rows and (fields[end], terms[end]) == (fields[row], terms[row]):
+            end += 1
+        idx = np.arange(offs[row], offs[end])[keep[offs[row]:offs[end]]]
+        if idx.size:
+            out[(fields[row], terms[row])] = (
+                doc_ids[idx], tfs[idx],
+                codecs.take_ranges(flat_pos, pos_offs[idx], pos_counts[idx]),
+            )
+        row = end
+    return out
+
+
+@pytest.mark.parametrize("hot_df_threshold,shard_span", [(100_000, 1_000_000), (50, 150)])
+@pytest.mark.parametrize("with_delete", [False, True])
+def test_merge_equals_sources_concatenated_minus_tombstones(
+        ray_session, tmp_path, hot_df_threshold, shard_span, with_delete):
+    """The merged postings of every (field, term) are its sources'
+    postings concatenated in doc order, minus the tombstoned docs — with
+    salting off and on, with and without a delete file."""
+    import os
+
+    import pyarrow.parquet as pq
+
+    from toshi_ray.pipelines.build import load_manifest, load_tombstones
+    from toshi_ray.pipelines.merge import _resolve
+    from toshi_ray.segments import POSTINGS_FILE
+
+    root = str(tmp_path / "ix")
+    build_index(pages_dataset(600, parallelism=3), page_schema(), root, docs_per_segment=100)
+    if with_delete:
+        assert delete_by_term(Searcher(root, distributed=False), "text", "w00050") > 0
+    manifest = load_manifest(root)
+    tombs = load_tombstones(root, manifest)
+    assert tombs.size == 0 or with_delete
+
+    def postings(name):
+        return [pq.read_table(f) for f in
+                _resolve(os.path.join(root, "segments", name, POSTINGS_FILE))]
+
+    want = _postings_by_term(
+        [t for s in manifest["segments"] for t in postings(s["name"])], tombs)
+    merge_segments(root, hot_df_threshold=hot_df_threshold, shard_span=shard_span)
+    (merged,) = load_manifest(root)["segments"]
+    tables = postings(merged["name"])
+    got = _postings_by_term(tables)
+    assert got.keys() == want.keys()
+    for key, (ids, tfs, pos) in want.items():
+        g_ids, g_tfs, g_pos = got[key]
+        assert np.array_equal(g_ids, ids), key
+        assert np.array_equal(g_tfs, tfs), key
+        assert np.array_equal(g_pos, pos), key
+    salted = max(int(t["shard"].to_numpy().max()) for t in tables if t.num_rows)
+    assert (salted > 0) == (hot_df_threshold < 100_000)
+
+
+def test_merge_reads_its_postings_once_in_sized_blocks(ray_session, monkeypatch):
+    """On a 1-CPU cluster, 8 small sources' postings are read as one
+    block (Ray's default read gave one or more per file), recorded in the
+    merged segment's metrics; hot-term detection runs on the driver, so
+    the read dataset sees one map_batches, the tag stage."""
+    import ray
+    import ray.data
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": 1.0})
+    real = ray.data.Dataset.map_batches
+    calls = []
+
+    def map_batches(self, fn, *args, **kwargs):
+        calls.append(fn)
+        return real(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ray.data.Dataset, "map_batches", map_batches)
+    root = tempfile.mkdtemp(prefix="toshi_sized_merge_")
+    build_index(pages_dataset(800, parallelism=2), page_schema(), root, docs_per_segment=100)
+    calls.clear()
+    out = merge_segments(root, hot_df_threshold=50, shard_span=300)
+    (merged,) = out["segments"]
+    assert len(merged["merged_from"]) == 8
+    assert merged["metrics"]["shuffle_input_blocks"] == 1
+    assert len(calls) == 1
+
+
 def test_gc_keeps_resumable_checkpoints(ray_session):
     """gc must NOT discard a crashed merge's checkpoints while every
     source segment is still live/unchanged — a retry (even after a

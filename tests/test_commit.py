@@ -39,11 +39,11 @@ def _hits(c: IndexCatalog, token: str) -> int:
 @pytest.fixture()
 def mid_merge(monkeypatch):
     """Run a callable once, inside the next merge, between its manifest
-    read and its publish (merge_segments imports gather_table at call
-    time, before the shuffle)."""
-    from toshi_ray.ops import _gather
+    read and its publish (merge_segments imports read_parquet_sized at
+    call time, before the shuffle)."""
+    from toshi_ray.ops import _read
 
-    real = _gather.gather_table
+    real = _read.read_parquet_sized
     pending = []
 
     def hooked(*args, **kwargs):
@@ -51,7 +51,7 @@ def mid_merge(monkeypatch):
             pending.pop()()
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(_gather, "gather_table", hooked)
+    monkeypatch.setattr(_read, "read_parquet_sized", hooked)
     return pending.append
 
 

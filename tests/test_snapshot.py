@@ -178,6 +178,46 @@ def test_overwrite_rebuild_serves_the_new_text(tmp_path):
     assert sorted(d["doc"]["text"] for d in docs) == [f"beta gamma x{i}" for i in range(4)]
 
 
+def _build_text(root: str, words: str, overwrite: bool = True) -> dict:
+    """4 docs as 2 segments, doc i holds "<words> x<i>"."""
+    import ray
+
+    schema = Schema.build(FieldDef("doc_id", "u64", fast=True), FieldDef("text", "text"))
+    tbl = pa.table({"doc_id": pa.array(range(4), pa.uint64()),
+                    "text": [f"{words} x{i}" for i in range(4)]})
+    return build_index(ray.data.from_arrow(tbl), schema, root, docs_per_segment=2,
+                       overwrite=overwrite)
+
+
+def test_catalog_search_after_an_overwrite_rebuild_serves_the_new_text():
+    """An overwrite rebuild continues the manifest's version sequence, so
+    a catalog's cached searcher sees it; restarting at version 1 left it
+    reading the rewritten files of its old snapshot."""
+    c = IndexCatalog(tempfile.mkdtemp(prefix="toshi_snap_"))
+    root = os.path.join(c.base_path, "ix")
+    v1 = _build_text(root, "alpha")["version"]
+    assert c.search("ix", {"query": {"term": {"text": "alpha"}}})["hits"] == 4
+    assert _build_text(root, "beta gamma")["version"] > v1
+    assert c.search("ix", {"query": {"term": {"text": "alpha"}}})["hits"] == 0
+    docs = c.search("ix", {"query": {"term": {"text": "beta"}}, "limit": 10})["docs"]
+    assert sorted(d["doc"]["text"] for d in docs) == [f"beta gamma x{i}" for i in range(4)]
+
+
+def test_build_resumes_an_overwrite_that_did_not_publish(tmp_path):
+    """A crash after an overwrite's empty commit, before the old segments
+    are removed, leaves a manifest marked as rebuilding: a rerun without
+    overwrite rebuilds from scratch, neither returning the empty index
+    nor republishing the old segments that share the new names."""
+    root = str(tmp_path / "ix")
+    _build_text(root, "alpha")
+    commit(root, lambda _: {"segments": [], "rebuilding": True})
+    m = _build_text(root, "beta", overwrite=False)
+    assert "rebuilding" not in m and len(m["segments"]) == 2
+    s = Searcher(root, distributed=False)
+    assert s.count({"query": {"term": {"text": "beta"}}}) == 4
+    assert s.count({"query": {"term": {"text": "alpha"}}}) == 0
+
+
 def test_index_made_again_with_the_same_layout_serves_the_new_text():
     """An index removed and created again at the same path, with text of
     the same shape: its segments' names, doc ids, token totals and term

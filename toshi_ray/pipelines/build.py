@@ -177,17 +177,23 @@ def build_index(
     os.makedirs(os.path.join(index_root, SEGMENTS_DIR), exist_ok=True)
     existing = load_manifest(index_root)
     if existing is not None:
-        if not overwrite and existing.get("format") == FORMAT_VERSION:
+        # "rebuilding" marks an overwrite that never published: its
+        # segments dir may still hold the old text, so it rebuilds too
+        if (not overwrite and existing.get("format") == FORMAT_VERSION
+                and not existing.get("rebuilding")):
             return existing
         # stale on-disk format OR explicit overwrite → rebuild from
         # scratch. The rmtree matters for overwrite: segment dir names
         # are keyed by (min_doc_id, num_docs) only, and write_segment
         # skips existing dirs — without it a rebuild over changed text
         # with the same doc-id layout would republish stale postings
-        # (the manifest goes first, so a crash never leaves it naming them).
+        # (the empty manifest goes first, so a crash never leaves it
+        # naming them). Committing it, not deleting the manifest, keeps
+        # the version sequence going: searchers refresh on a version
+        # change, and a restart at version 1 would look unchanged.
         import shutil
 
-        os.remove(os.path.join(index_root, MANIFEST_FILE))
+        commit(index_root, lambda _: {"segments": [], "rebuilding": True})
         shutil.rmtree(os.path.join(index_root, SEGMENTS_DIR), ignore_errors=True)
         os.makedirs(os.path.join(index_root, SEGMENTS_DIR), exist_ok=True)
 

@@ -5,26 +5,35 @@ configured by the reference (`min_merge_size=8`, `min_layer_size=10_000`,
 `level_log_size=0.75` — `toshi-server/src/settings.rs:47-49,190-201`,
 SURVEY.md §2.6 A3), re-expressed as a Ray Data job:
 
-    read_parquet([seg_i/postings])                    # one row per (term, shard)
+    hot set ← pq.read_table(postings, df > hot)       # driver; footer stats
+                                                      #   skip cold groups
+    read_parquet_sized([seg_i/postings])              # one row per (term, shard);
+                                                      #   blocks sized from the
+                                                      #   footers and the CPUs
       → map_batches(tag hot terms with doc-range salt)  # skew handling
       → groupby(hash(field,term,shard) % 64)          # the all-to-all shuffle
           .map_groups(vectorized partition merge)     # ONE decode_postings
                                                       #   + encode_postings
                                                       #   per partition
-      → sort(field, term, shard) → write_parquet      # merged term dictionary
+      → one checkpoint file per partition             # merged term dictionary
 
 The shuffle key is a COARSE partition of the term hash (not one Ray
 group per term — per-group Python overhead would dominate at millions
 of terms); all (field, term, shard) groups inside a partition merge in
-a single numpy pass (`_merge_partition`).
+a single numpy pass (`_merge_partition`). The shuffle's cost follows
+its input block count, so the postings read asks for as many blocks as
+the cluster has CPUs or the bytes need (`ops._read.read_parquet_sized`),
+not Ray's file-count default.
 
 Salting (SURVEY.md §7.3/§7.4): a term whose df in ANY source segment
 exceeds ``hot_df_threshold`` keeps per-doc-range shards
 (``shard = first_doc // shard_span``) instead of collapsing into one
 giant group — groups stay bounded, postings stay doc_id-sorted because
 shards partition disjoint doc ranges, and readers already concatenate
-multi-shard terms in shard order. Hot detection is a map-side filter
-(no extra shuffle): at web scale the hot set is small by definition.
+multi-shard terms in shard order. Hot detection is one driver read of
+the (field, term) columns filtered on df: parquet row-group statistics
+on df skip every group without a hot term, and at web scale the hot set
+is small by definition.
 
 Doc-partitioned side files (docvalues / store) merge by plain
 concatenation — doc ranges of input segments are disjoint.
@@ -309,32 +318,24 @@ def merge_segments(
         ).encode()
     ).hexdigest()[:12]
     post_paths = [f for n in names for f in _resolve(os.path.join(seg_dir, n, POSTINGS_FILE))]
-    ds = ray.data.read_parquet(post_paths)
+    # imported at call time: tests hook the read to run a commit mid-merge
+    from toshi_ray.ops._read import read_parquet_sized
 
-    # ---- hot-term detection: map-side, no shuffle ----
-    from toshi_ray.ops._gather import gather_table
+    ds, n_blocks = read_parquet_sized(post_paths)
 
-    hot_tbl = gather_table(
-        ds.map_batches(
-            lambda t: t.filter(
-                pa.compute.greater(t["df"], hot_df_threshold)
-            ).select(["field", "term"]),
-            batch_format="pyarrow",
-        )
+    # ---- hot-term detection: one driver read, no Ray pass ----
+    # row-group statistics on df skip every group without a hot term
+    hot_tbl = pq.read_table(
+        post_paths, columns=["field", "term"], filters=[("df", ">", hot_df_threshold)]
     )
     # hot set as a joined field\x00term key array → vectorized is_in in
     # the tag stage (tokens can't contain \x00; fields are identifiers)
-    if hot_tbl is None:
-        hot_keys = pa.array([], type=pa.string())
-    else:
-        joined = pa.compute.binary_join_element_wise(
-            hot_tbl["field"].combine_chunks().cast(pa.string()),
-            hot_tbl["term"].combine_chunks().cast(pa.string()),
-            "\x00",
-        )
-        hot_keys = pa.array(
-            np.unique(joined.to_numpy(zero_copy_only=False)), type=pa.string()
-        )
+    joined = pa.compute.binary_join_element_wise(
+        hot_tbl["field"].combine_chunks().cast(pa.string()),
+        hot_tbl["term"].combine_chunks().cast(pa.string()),
+        "\x00",
+    )
+    hot_keys = pa.array(np.unique(joined.to_numpy(zero_copy_only=False)), type=pa.string())
 
     # coarse shuffle partitions; each merges vectorized. 64 suits one
     # node; size ~2-4x the cluster's cores for a big merge so one
@@ -459,7 +460,7 @@ def merge_segments(
         try:
             for fname in (DOCVALUES_FILE, STORE_FILE):
                 paths = [f for n in ordered for f in _resolve(os.path.join(seg_dir, n, fname))]
-                side = ray.data.read_parquet(paths)
+                side, _ = read_parquet_sized(paths)
                 tomb_sorted = tombs
 
                 def drop(t: pa.Table) -> pa.Table:
@@ -575,6 +576,7 @@ def merge_segments(
             "merge_secs": round(time.perf_counter() - t0, 3),
             "parts": len(part_rows),
             "parts_resumed": n_resumed,
+            "shuffle_input_blocks": n_blocks,
         },
     }
     with open(os.path.join(tmp, META_FILE), "w") as f:
