@@ -209,3 +209,42 @@ def test_warm_reader_answers_from_its_dictionary(ray_session, monkeypatch):
     cold = SegmentReader(seg_dir)
     assert cold.df_for_terms("text", terms) == df
     assert cold.postings_for_terms("text", terms).equals(rows)
+
+
+def _seeded_strings(n: int = 2000, seed: int = 20261019) -> list[str]:
+    """Deterministic strings from a 64-bit LCG (no library RNG whose
+    stream could change): 0-159 characters from an alphabet with 1- to
+    4-byte UTF-8 letters and NUL, so some are empty and about half are
+    over 100 bytes."""
+    alphabet = "abcdefghijklmnopqrstuvwxyz0123456789 -_éüßç€中文\U0001f600\x00"
+    x, out = seed, []
+    for _ in range(n):
+        x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
+        chars = []
+        for _ in range((x >> 33) % 160):
+            x = (x * 6364136223846793005 + 1442695040888963407) % 2**64
+            chars.append(alphabet[(x >> 33) % len(alphabet)])
+        out.append("".join(chars))
+    return out
+
+
+def test_string_hash_values_are_frozen():
+    """Bloom bits on disk and exact-dedup groups are keyed by
+    `_hash_strings`: any change to its values gives existing segments'
+    blooms false negatives. The digest pins all 2,000 values."""
+    import hashlib
+
+    from toshi_ray.ops.dedup import _hash_strings
+
+    strings = _seeded_strings()
+    assert "" in strings and sum(len(t.encode()) > 100 for t in strings) > 500
+    h = _hash_strings(pa.array(strings))
+    assert hashlib.sha256(h.astype("<u8").tobytes()).hexdigest() == (
+        "495e2643c77b42eb1d0b28b0d1e00e068dd672ab07f94755c0e892f1105adea0"
+    )
+    assert [hex(int(v)) for v in _hash_strings(pa.array(["", "a", "w09870", "ü" * 60]))] == [
+        "0xe220a8397b1dcdaf", "0x61e48524296221d4", "0x309fc975a13504a0", "0xa1cda7300441d398",
+    ]
+    # the same values from a large_string array and from a slice
+    assert (_hash_strings(pa.array(strings, pa.large_string())) == h).all()
+    assert (_hash_strings(pa.array(strings).slice(1000, 50)) == h[1000:1050]).all()

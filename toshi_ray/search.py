@@ -18,7 +18,9 @@ Scoring semantics (tantivy 0.19 as configured by Toshi, SURVEY.md §2.5):
     token totals; phrase queries use Σ idf of their terms and the
     phrase frequency; range/all/regex/fuzzy score a constant 1.0 (regex
     and fuzzy are automaton queries → AutomatonWeight wraps a
-    BitSetDocSet in ConstScorer(1.0)); bool sums
+    BitSetDocSet in ConstScorer(1.0); the Searcher expands each one once
+    per query, against the pinned snapshot's term union, into the set
+    of terms it matches); bool sums
     its scoring clauses; `term^2` raw boosts multiply. Tie-break:
     (score desc, doc_id asc) — doc ids are insertion-ordered
     (SURVEY.md §2.2 T4).
@@ -36,6 +38,7 @@ readers.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import json
 import os
 import threading
@@ -119,54 +122,98 @@ class Stats:
     tombstones: np.ndarray | None = None
 
 
+_NO_CHAR = np.uint32(0xFFFFFFFF)  # pads past a term's end; equals no code point
+
+
+def _utf8_code_points(arr: pa.Array) -> np.ndarray:
+    """The code points of a string array's values, concatenated,
+    decoded with numpy straight from its UTF-8 buffer (no Python
+    strings): one per lead byte, its continuation bytes folded in."""
+    off_t = np.int64 if pa.types.is_large_string(arr.type) else np.int32
+    offs = np.frombuffer(arr.buffers()[1], off_t)[arr.offset : arr.offset + len(arr) + 1]
+    data = arr.buffers()[2]
+    raw = np.frombuffer(data, np.uint8)[offs[0] : offs[-1]] if data is not None else np.empty(0, np.uint8)
+    if not raw.size or raw.max() < 0x80:
+        return raw.astype(np.uint32)
+    lead = np.flatnonzero((raw & 0xC0) != 0x80)
+    b = np.concatenate([raw, np.zeros(3, np.uint8)]).astype(np.uint32)
+    b0 = b[lead]
+    c1, c2, c3 = (b[lead + i] & 0x3F for i in (1, 2, 3))
+    return np.select(
+        [b0 < 0x80, b0 < 0xE0, b0 < 0xF0],
+        [b0, (b0 & 0x1F) << 6 | c1, (b0 & 0x0F) << 12 | c1 << 6 | c2],
+        (b0 & 0x07) << 18 | c1 << 12 | c2 << 6 | c3,
+    )
+
+
 def _levenshtein_filter(
     terms: "pa.Array | pa.ChunkedArray", query: str, distance: int, transposition: bool
 ) -> list[str]:
-    """Terms of an Arrow string column (the segment's unique term dict)
-    within edit distance of ``query`` — a vectorized DP over the
-    candidate code-point matrix. A pc.utf8_length mask keeps only the
-    |len−qlen| ≤ d window, and the DP's verdict is applied as a mask
-    too, so only matching terms ever become Python strings."""
+    """Terms of an Arrow string column within edit distance ``distance``
+    of ``query`` (optimal string alignment when ``transposition``: a
+    swapped adjacent pair is one edit, never edited again). A
+    pc.utf8_length mask keeps the |len−qlen| ≤ d window; the window's
+    code points are decoded from the UTF-8 buffer into one contiguous
+    vector per character position; the DP runs over Ukkonen's band
+    |i−j| ≤ d only, one vector per diagonal, values capped at d+1 (a
+    cell outside the band is more than d edits already). The verdict is
+    applied as an Arrow mask, so only matching terms ever become Python
+    strings."""
     if isinstance(terms, pa.ChunkedArray):
         terms = terms.combine_chunks()
     if distance == 0:
         return terms.filter(pc.equal(terms, query)).to_pylist()
     q = np.frombuffer(query.encode("utf-32-le"), dtype=np.uint32)
+    m, d = q.size, distance
     lens = pc.utf8_length(terms).to_numpy(zero_copy_only=False).astype(np.int64)
-    window = np.abs(lens - q.size) <= distance
+    window = np.abs(lens - m) <= d
     if not window.any():
         return []
     cands = terms.filter(pa.array(window))
     lens = lens[window]
     n = len(cands)
-    # candidate code-point matrix in ONE encode + one vectorized scatter
-    codes = np.frombuffer("".join(cands.to_pylist()).encode("utf-32-le"), dtype=np.uint32)
-    offs = np.zeros(n + 1, np.int64)
-    np.cumsum(lens, out=offs[1:])
-    maxlen = int(lens.max())
-    mat = np.zeros((n, maxlen), dtype=np.uint32)
-    rows = np.repeat(np.arange(n, dtype=np.int64), lens)
-    cols = np.arange(int(lens.sum()), dtype=np.int64) - np.repeat(offs[:-1], lens)
-    mat[rows, cols] = codes
-    prev = np.broadcast_to(np.arange(maxlen + 1, dtype=np.int32), (n, maxlen + 1)).copy()
-    prev2 = None
-    for j in range(1, q.size + 1):
-        cur = np.empty_like(prev)
-        cur[:, 0] = j
-        sub_cost = (mat != q[j - 1]).astype(np.int32)
-        for c in range(1, maxlen + 1):
-            cur[:, c] = np.minimum(
-                np.minimum(cur[:, c - 1] + 1, prev[:, c] + 1),
-                prev[:, c - 1] + sub_cost[:, c - 1],
-            )
-            if transposition and j >= 2 and c >= 2 and prev2 is not None:
-                swap = (mat[:, c - 1] == q[j - 2]) & (mat[:, c - 2] == q[j - 1])
-                cur[:, c] = np.where(
-                    swap, np.minimum(cur[:, c], prev2[:, c - 2] + 1), cur[:, c]
-                )
-        prev2, prev = prev, cur
-    d = prev[np.arange(n), lens]
-    return cands.filter(pa.array(d <= distance)).to_pylist()
+    # no two strings are more than max(len) edits apart: a larger d
+    # matches the same terms and would only widen the band
+    d = min(d, max(m, int(lens.max())))
+    # row pad + c holds every candidate's c-th code point; d + 1 rows of
+    # _NO_CHAR on each side let every band slice below stay in bounds
+    pad = d + 1
+    chars = np.full((m + d + 2 * pad, n), _NO_CHAR, np.uint32)
+    cps = np.append(_utf8_code_points(cands), _NO_CHAR)
+    starts = np.cumsum(lens) - lens
+    for c in range(int(lens.max())):
+        chars[pad + c] = cps[np.where(lens > c, starts + c, cps.size - 1)]
+    # band[d + k] = D[i][i + k] for k in [-d, d]; row 0 is D[0][j] = j
+    cap = d + 1
+    ks = np.arange(-d, d + 1)[:, None]
+    # cells reach cap + 2 before the cap: a dtype that holds it never wraps
+    band = np.repeat(np.where(ks >= 0, ks, cap).astype(np.min_scalar_type(cap + 2)), n, axis=1)
+    band2 = band  # row i - 2, read by the transposition rule from i = 2
+    for i in range(1, m + 1):
+        t1 = chars[pad + i - 1 - d : pad + i + d]  # t[j - 1] for j = i + k
+        cur = band + (t1 != q[i - 1])  # substitution or match: D[i-1][j-1]
+        np.minimum(cur[:-1], band[1:] + 1, out=cur[:-1])  # deletion: D[i-1][j]
+        if transposition and i >= 2:
+            t2 = chars[pad + i - 2 - d : pad + i - 1 + d]  # t[j - 2]
+            swap = (t2 == q[i - 1]) & (t1 == q[i - 2])
+            np.minimum(cur, np.where(swap, band2 + 1, cap), out=cur)
+        for k in range(1, 2 * d + 1):  # insertion: D[i][j-1], along the band
+            np.minimum(cur[k], cur[k - 1] + 1, out=cur[k])
+        np.minimum(cur, cap, out=cur)
+        band2, band = band, cur
+    dist = band[lens - m + d, np.arange(n)]
+    return cands.filter(pa.array(dist <= d)).to_pylist()
+
+
+@dataclass(frozen=True)
+class _TermSetQuery:
+    """A fuzzy or regex query after `_Snapshot.rewrite`: the terms of the
+    snapshot's term union it matched. Like tantivy's AutomatonWeight
+    (a BitSetDocSet in ConstScorer(1.0)), every doc holding any of them
+    scores 1.0, however many of them it holds (fuzzy.rs:31)."""
+
+    field: str
+    terms: tuple[str, ...]
 
 
 class SegmentGroupScorer:
@@ -181,7 +228,6 @@ class SegmentGroupScorer:
     def __init__(self, readers: list[SegmentReader], schema_json: list):
         self.readers = readers
         self.schema = Schema.from_json(schema_json)
-        self._expand_cache: dict = {}  # (seg, field, query-key) -> [terms]
 
     def perf_counters(self) -> dict:
         """The scorer's block counters, as perfbench's tracer reads them.
@@ -204,6 +250,14 @@ class SegmentGroupScorer:
             for term, df in zip(terms, dfs):
                 acc[term] = acc.get(term, 0) + int(df)
         return sorted(acc.items())
+
+    def unique_terms(self, field: str) -> pa.Array:
+        """The distinct terms of ``field`` in this group's segments (a
+        hot term's shard rows collapse to one) — this group's part of
+        `_Snapshot.term_union`."""
+        return pc.unique(pa.concat_arrays(
+            [r.term_dict(field)["term"].combine_chunks() for r in self.readers]
+        ))
 
     # ---------------- stats phase ----------------
 
@@ -349,14 +403,6 @@ class SegmentGroupScorer:
         idx = np.searchsorted(all_ids, doc_ids)
         return reader.docvalues([field])[field].to_numpy(zero_copy_only=False)[idx]
 
-    def _field_or_raise(self, name: str):
-        fdef = self.schema.field(name)
-        if fdef is None:
-            raise QueryError.execution(f"Unknown field: {name}")
-        if not fdef.indexed:
-            raise QueryError.index(f"The field '{name}' is not declared as indexed")
-        return fdef
-
     def _postings(self, reader: SegmentReader, field: str, term: str):
         """(doc_ids, tfs) of one term, its hot-term shards concatenated
         in doc order (the reader returns shard rows by first_doc)."""
@@ -378,7 +424,7 @@ class SegmentGroupScorer:
             return ids, np.ones(ids.size, np.float64)
 
         if isinstance(node, TermQuery):
-            fdef = self._field_or_raise(node.field)
+            fdef = _indexed_field(self.schema, node.field)
             if fdef.is_text:
                 doc_ids, tfs = self._postings(reader, node.field, node.value)
                 if doc_ids.size == 0:
@@ -415,50 +461,13 @@ class SegmentGroupScorer:
         if isinstance(node, PhraseQuery):
             return self._eval_phrase(node, reader, stats)
 
-        if isinstance(node, (FuzzyQuery, RegexQuery)):
-            self._field_or_raise(node.field)
-            ck = (reader.dir, node.field, node)
-            matched = self._expand_cache.get(ck)
-            if matched is None:
-                # the dict stays Arrow end-to-end — only the matching
-                # terms ever become Python strings. pc.unique collapses
-                # hot-term SHARDS (merge splits high-df terms into one
-                # postings row per doc range) so no term's postings are
-                # fetched/decoded once per shard
-                dict_tbl = reader.term_dict(node.field)
-                terms_arr = pc.unique(dict_tbl["term"].combine_chunks())
-                if isinstance(node, FuzzyQuery):
-                    matched = _levenshtein_filter(
-                        terms_arr, node.value, node.distance, node.transposition
-                    )
-                else:
-                    # validate with the ENGINE that executes (Arrow/RE2):
-                    # gating on Python's `re` would reject RE2-valid
-                    # patterns ([[:alpha:]]) and let Python-only syntax
-                    # (lookahead, backrefs) escape as ArrowInvalid
-                    try:
-                        matched_mask = pc.match_substring_regex(
-                            terms_arr, f"^(?:{node.pattern})$"
-                        )
-                    except pa.ArrowInvalid:
-                        raise QueryError.execution(
-                            f"Invalid regex: {node.pattern}"
-                        ) from None
-                    matched = terms_arr.filter(matched_mask).to_pylist()
-                if len(self._expand_cache) >= 1024:  # bound actor memory
-                    self._expand_cache.pop(next(iter(self._expand_cache)))
-                self._expand_cache[ck] = matched
-            if not matched:
-                return np.empty(0, np.uint64), np.empty(0, np.float64)
+        if isinstance(node, _TermSetQuery):
             # ONE batched postings fetch and ONE decode for every matched
-            # term (a broad regex can match 10^4 dict terms — per-term
-            # calls would be that many lookups)
-            tbl = reader.postings_for_terms(node.field, matched, ["df", "doc_ids", "tfs"])
-            # Both fuzzy and regex are automaton queries in tantivy 0.19:
-            # AutomatonWeight unions matching terms into one BitSetDocSet
-            # wrapped in ConstScorer(1.0), so every matching doc scores 1.0
-            # regardless of how many edit-distance variants it contains
-            # (fuzzy.rs:31 → tantivy automaton_weight.rs).
+            # term (a broad regex can match 10^4 terms); a term of the
+            # union that this segment lacks returns no rows here
+            tbl = reader.postings_for_terms(node.field, list(node.terms), ["df", "doc_ids", "tfs"])
+            if tbl.num_rows == 0:
+                return np.empty(0, np.uint64), np.empty(0, np.float64)
             ids = np.unique(decode_postings(tbl)[0])
             return ids, np.ones(ids.size, np.float64)
 
@@ -564,8 +573,8 @@ class SegmentGroupScorer:
                 self._check_schema(q)
         elif isinstance(node, BoostQuery):
             self._check_schema(node.query)
-        elif isinstance(node, (TermQuery, PhraseQuery, FuzzyQuery, RegexQuery, RangeQuery)):
-            fdef = self._field_or_raise(node.field)
+        elif isinstance(node, (TermQuery, PhraseQuery, RangeQuery)):
+            fdef = _indexed_field(self.schema, node.field)
             if isinstance(node, PhraseQuery) and not fdef.positions:
                 raise QueryError.execution(
                     f"Field '{node.field}' does not record positions"
@@ -650,6 +659,15 @@ class SegmentGroupScorer:
                 acc[child] = acc.get(child, 0) + 1
 
 
+def _indexed_field(schema: Schema, name: str):
+    fdef = schema.field(name)
+    if fdef is None:
+        raise QueryError.execution(f"Unknown field: {name}")
+    if not fdef.indexed:
+        raise QueryError.index(f"The field '{name}' is not declared as indexed")
+    return fdef
+
+
 def _collect_term_stats_needs(node, schema: Schema) -> list[tuple[str, str]]:
     out: list[tuple[str, str]] = []
     if isinstance(node, TermQuery):
@@ -669,7 +687,8 @@ def _collect_term_stats_needs(node, schema: Schema) -> list[tuple[str, str]]:
 class _Snapshot:
     """One manifest version, as a query reads it: the manifest and
     schema, the global stats (n_docs, avgdl, tombstones and a df cache
-    filled on demand), one `SegmentReader` per segment, and the scorer
+    filled on demand), the term union per field (filled on demand, for
+    automaton queries), one `SegmentReader` per segment, and the scorer
     pool, built on first use by `Searcher._pin`. `Searcher.refresh`
     builds a snapshot whole before it swaps it in, and a query takes
     every phase from the one snapshot it pinned."""
@@ -693,6 +712,7 @@ class _Snapshot:
         self.avgdl = {f: tot / self.n_docs if self.n_docs else 0.0 for f, tot in totals.items()}
         self.tombstones = load_tombstones(index_root, self.manifest)
         self.df_cache: dict = {}  # (field, term) -> global df
+        self.term_unions: dict = {}  # field -> pa.Array of its distinct terms
         # a segment whose manifest entry is unchanged carries its reader
         # over instead of opening it again. The key is the whole entry,
         # not the name: an overwrite rebuild reuses seg-<min>-<n> names
@@ -707,6 +727,59 @@ class _Snapshot:
         self.pool: list | None = None  # [(kind, scorer)]
         self.pins = 0  # queries running on this snapshot
         self.retired = False  # replaced or closed: the last pin kills the pool
+
+    def plan(self, body) -> Search:
+        """``body`` parsed, with its automaton queries rewritten against
+        this snapshot (`rewrite`). The caller's `Search` is not changed."""
+        s = Searcher._plan(body, self.schema)
+        return dataclasses.replace(s, query=self.rewrite(s.query))
+
+    def rewrite(self, node):
+        """``node`` with every fuzzy and regex leaf replaced by the
+        `_TermSetQuery` of the terms it matches in this snapshot's term
+        union: Lucene's top-level MultiTermQuery rewrite, run once per
+        query rather than once per segment. A matched term that a
+        segment lacks contributes no rows there, so results equal a
+        per-segment expansion."""
+        if isinstance(node, BoolQuery):
+            return dataclasses.replace(
+                node,
+                must=tuple(map(self.rewrite, node.must)),
+                should=tuple(map(self.rewrite, node.should)),
+                must_not=tuple(map(self.rewrite, node.must_not)),
+            )
+        if isinstance(node, BoostQuery):
+            return dataclasses.replace(node, query=self.rewrite(node.query))
+        if not isinstance(node, (FuzzyQuery, RegexQuery)):
+            return node
+        _indexed_field(self.schema, node.field)
+        terms = self.term_union(node.field)
+        if isinstance(node, FuzzyQuery):
+            matched = _levenshtein_filter(terms, node.value, node.distance, node.transposition)
+        else:
+            # validate with the ENGINE that executes (Arrow/RE2): gating
+            # on Python's `re` would reject RE2-valid patterns
+            # ([[:alpha:]]) and let Python-only syntax (lookahead,
+            # backrefs) escape as ArrowInvalid
+            try:
+                mask = pc.match_substring_regex(terms, f"^(?:{node.pattern})$")
+            except pa.ArrowInvalid:
+                raise QueryError.execution(f"Invalid regex: {node.pattern}") from None
+            matched = terms.filter(mask).to_pylist()
+        return _TermSetQuery(node.field, tuple(matched))
+
+    def term_union(self, field: str) -> pa.Array:
+        """The distinct terms of ``field`` across the snapshot's segments,
+        built on first use with one `unique_terms` round-trip to the
+        pool. A refresh builds a new snapshot, so a union never outlives
+        the segments it was taken from."""
+        union = self.term_unions.get(field)
+        if union is None:  # two first queries may both build it: the same array
+            parts = Searcher._dispatch(self.pool, "unique_terms", field)
+            # an index with no segments has an empty pool
+            union = pc.unique(pa.concat_arrays(parts)) if parts else pa.array([], pa.string())
+            self.term_unions[field] = union
+        return union
 
     def stats(self, plans) -> Stats:
         """The stats of ``plans``: global df is fixed per manifest
@@ -975,7 +1048,7 @@ class Searcher:
         segments would give wrong idfs, and a floor from another
         manifest could prune live rows."""
         with self._pin() as snap:
-            searches = [self._plan(b, snap.schema) for b in bodies]
+            searches = [snap.plan(b) for b in bodies]
             stats = snap.stats([s.query for s in searches])
             floors = [self._sort_floor(s, stats, snap.segments) for s in searches]
             groups = snap.pool
@@ -1048,7 +1121,7 @@ class Searcher:
 
     def count(self, body: dict | Search | None = None) -> int:
         with self._pin() as snap:
-            s = self._plan(body, snap.schema)
+            s = snap.plan(body)
             return sum(self._dispatch(snap.pool, "count_matches", s.query, snap.stats([s.query])))
 
     def suggest(self, field: str, prefix: str, k: int = 10) -> list[tuple[str, int]]:
@@ -1069,7 +1142,7 @@ class Searcher:
     def match_doc_ids(self, body: dict | Search | None = None) -> np.ndarray:
         """All matching doc_ids, globally sorted (no limit applied)."""
         with self._pin() as snap:
-            s = self._plan(body, snap.schema)
+            s = snap.plan(body)
             groups = self._dispatch(snap.pool, "match_ids", s.query, snap.stats([s.query]))
         parts = [a for group in groups for a in group]
         if not parts:
