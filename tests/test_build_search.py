@@ -133,20 +133,21 @@ def test_delete_by_term(ray_session):
     gc_segments(root)
 
 
-def test_size_aware_postings_cache(ray_session, monkeypatch):
-    """SegmentReader defaults to caching small segments but must serve
-    IDENTICAL results through the parquet-pushdown path chosen for
-    over-threshold segments (POSTINGS_CACHE_MAX_BYTES=0 forces it) — on
-    a fresh segment and on a merged one whose hot terms' shard rows lie
-    in different part files. Both modes return each term's shard rows
-    in first_doc order, and the same df and term dictionary."""
+def test_reader_postings_match_disk(ray_session):
+    """A SegmentReader's one postings table answers every term lookup
+    as the segment's part files do — on a fresh segment and on a merged
+    one whose hot terms' shard rows lie out of doc order across part
+    files: `postings_for_terms` gives the on-disk rows sorted by (field,
+    term, first_doc), so each term's shard rows come in doc order, and
+    `df_for_terms` and `term_dict` give the on-disk df sums and
+    dictionary."""
     import os
     from collections import Counter
 
     import pyarrow as pa
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    from toshi_ray import segments
     from toshi_ray.pipelines.build import load_manifest
     from toshi_ray.segments import SegmentReader
 
@@ -158,16 +159,11 @@ def test_size_aware_postings_cache(ray_session, monkeypatch):
             merge_segments(root, **merge_kw)
         return [os.path.join(root, "segments", s["name"]) for s in load_manifest(root)["segments"]]
 
-    def reader_pair(seg_dir):
-        r_auto = SegmentReader(seg_dir)
-        r_auto.term_dict("text")  # the first touch chooses the mode
-        with monkeypatch.context() as m:
-            m.setattr(segments, "POSTINGS_CACHE_MAX_BYTES", 0)
-            r_push = SegmentReader(seg_dir)
-            r_push.term_dict("text")
-        assert r_auto._postings_all is not None  # tiny segment → cached
-        assert r_push._postings_all is None  # over threshold → pushdown
-        return r_auto, r_push
+    def on_disk(seg_dir):
+        """The field's postings rows straight from the part files."""
+        path = os.path.join(seg_dir, "postings.parquet")
+        t = pq.read_table(path if os.path.exists(path) else os.path.join(seg_dir, "postings"))
+        return t.filter(pc.equal(t["field"], "text"))
 
     def first_docs_ascend(t):
         fd = t["first_doc"].to_pylist()
@@ -177,36 +173,57 @@ def test_size_aware_postings_cache(ray_session, monkeypatch):
     (merged_dir,) = seg_dirs(1200, hot_df_threshold=100, shard_span=200)
     assert os.path.isdir(os.path.join(merged_dir, "postings"))  # part files
 
-    r_merged = SegmentReader(merged_dir)
-    tdict = r_merged.term_dict("text")
-    hot = sorted(t for t, n in Counter(tdict["term"].to_pylist()).items() if n > 1)
+    merged_disk = on_disk(merged_dir)
+    hot = sorted(t for t, n in Counter(merged_disk["term"].to_pylist()).items() if n > 1)
     assert hot
     # at least one hot term's shard rows are out of doc order on disk,
     # so only the reader's ordering puts them right
-    on_disk = pq.read_table(os.path.join(merged_dir, "postings"))
     assert any(
-        not first_docs_ascend(on_disk.filter(pa.compute.equal(on_disk["term"], t)))
+        not first_docs_ascend(merged_disk.filter(pc.equal(merged_disk["term"], t)))
         for t in hot
     )
 
-    key = [("field", "ascending"), ("term", "ascending"),
-           ("shard", "ascending"), ("first_doc", "ascending")]
-    tkey = [("field", "ascending"), ("term", "ascending"), ("df", "ascending")]
+    key = [("field", "ascending"), ("term", "ascending"), ("first_doc", "ascending")]
+    scoring = ["df", "doc_ids", "tfs"]
     for seg_dir, extra in ((fresh_dir, []), (merged_dir, [hot[:3], hot])):
-        r_auto, r_push = reader_pair(seg_dir)
+        disk = on_disk(seg_dir).sort_by(key)
+        df: dict[str, int] = {}
+        for t, n in zip(disk["term"].to_pylist(), disk["df"].to_pylist()):
+            df[t] = df.get(t, 0) + n
+        r = SegmentReader(seg_dir)
         for terms in (["the"], ["the", "w00042"], ["missingterm"], *extra):
-            a = r_auto.postings_for_terms("text", terms)
-            b = r_push.postings_for_terms("text", terms)
-            assert a.sort_by(key).equals(b.sort_by(key)), terms
-            assert a.equals(b), terms  # the same order, too
-            assert r_auto.df_for_terms("text", terms) == r_push.df_for_terms("text", terms)
+            want = disk.filter(pc.is_in(disk["term"], pa.array(terms)))
+            assert r.postings_for_terms("text", terms).equals(want), terms
+            assert r.postings_for_terms("text", terms, scoring).equals(want.select(scoring)), terms
+            assert r.df_for_terms("text", terms) == {t: df[t] for t in terms if t in df}, terms
         for t in hot if seg_dir == merged_dir else ["the"]:
-            for r in (r_auto, r_push):
-                assert first_docs_ascend(r.postings_for_terms("text", [t], ["first_doc"])), t
-        assert r_auto.term_dict("text").sort_by(tkey).equals(
-            r_push.term_dict("text").sort_by(tkey)
-        )
-        assert r_auto.term_dict("text").equals(r_push.term_dict("text"))
+            assert first_docs_ascend(r.postings_for_terms("text", [t], ["first_doc"])), t
+        assert r.term_dict("text").equals(disk.select(["field", "term", "df", "first_doc"]))
+
+
+def test_reader_loads_postings_once():
+    """A reader reads its postings table once, whatever lookups it
+    answers; a carried copy for a newer snapshot reads it once more, on
+    first use, and leaves the original's table alone."""
+    import os
+
+    from toshi_ray.segments import SegmentReader, build_segment_tables, write_segment
+
+    seg_dir = tempfile.mkdtemp(prefix="toshi_loads_")
+    meta = write_segment(seg_dir, *build_segment_tables(make_pages_batch(np.arange(200)),
+                                                        page_schema()))
+    r = SegmentReader(os.path.join(seg_dir, meta["name"]))
+    assert r.postings_loads == 0
+    assert r.df_for_terms("text", ["the"])
+    assert r.postings_for_terms("text", ["the", "w00042"]).num_rows
+    assert r.term_dict("text").num_rows
+    assert r.df_for_terms("text", ["the", "missingterm"])
+    assert r.postings_loads == 1
+    c = r.carry()
+    assert c.postings_loads == 1  # the count carries over; the table does not
+    assert c.postings_for_terms("text", ["the"]).num_rows
+    assert c.term_dict("text").equals(r.term_dict("text"))
+    assert c.postings_loads == 2 and r.postings_loads == 1
 
 
 def test_fuzzy_const_scorer(ray_session, tmp_path):
@@ -1048,7 +1065,7 @@ def test_fastfield_reads_are_column_pruned(ray_session, monkeypatch):
     readers = [r for _, g in s._groups for r in g.readers]
     holding = 0
     for r in readers:
-        for path in r._parts("store.parquet"):
+        for path in segments.segment_parts(r.dir, "store.parquet"):
             with pq.ParquetFile(path) as f:
                 for rg in range(f.metadata.num_row_groups):
                     ids = f.read_row_group(rg, columns=["doc_id"])["doc_id"].to_pylist()
@@ -1197,8 +1214,7 @@ def test_merge_equals_sources_concatenated_minus_tombstones(
     import pyarrow.parquet as pq
 
     from toshi_ray.pipelines.build import load_manifest, load_tombstones
-    from toshi_ray.pipelines.merge import _resolve
-    from toshi_ray.segments import POSTINGS_FILE
+    from toshi_ray.segments import POSTINGS_FILE, segment_parts
 
     root = str(tmp_path / "ix")
     build_index(pages_dataset(600, parallelism=3), page_schema(), root, docs_per_segment=100)
@@ -1210,7 +1226,7 @@ def test_merge_equals_sources_concatenated_minus_tombstones(
 
     def postings(name):
         return [pq.read_table(f) for f in
-                _resolve(os.path.join(root, "segments", name, POSTINGS_FILE))]
+                segment_parts(os.path.join(root, "segments", name), POSTINGS_FILE)]
 
     want = _postings_by_term(
         [t for s in manifest["segments"] for t in postings(s["name"])], tombs)

@@ -19,6 +19,7 @@ from toshi_ray.segments import (
     STORE_FILE,
     SegmentReader,
     build_segment_tables,
+    segment_parts,
     write_segment,
 )
 from toshi_ray.sources.webpages import make_pages_batch, pages_dataset
@@ -45,7 +46,7 @@ def block_doc_ids(reader: SegmentReader) -> list[np.ndarray]:
     """The doc ids of every store row group, in row order, read straight
     from the part files."""
     out = []
-    for path in reader._parts(STORE_FILE):
+    for path in segment_parts(reader.dir, STORE_FILE):
         with pq.ParquetFile(path) as f:
             for rg in range(f.metadata.num_row_groups):
                 col = f.read_row_group(rg, columns=["doc_id"])["doc_id"]
@@ -73,7 +74,8 @@ def check_fetches(reader: SegmentReader, seed: int, n_draws: int = 12) -> None:
 
 def test_fresh_segment_fetches_only_winning_blocks():
     reader = fresh_segment(np.arange(1000, 1000 + 1000))
-    md = pq.read_metadata(reader._path(STORE_FILE))
+    (path,) = segment_parts(reader.dir, STORE_FILE)
+    md = pq.read_metadata(path)
     assert md.num_row_groups == -(-1000 // STORE_BLOCK_ROWS)
     assert md.row_group(0).column(0).compression == "ZSTD"
     check_fetches(reader, seed=1)
@@ -93,7 +95,7 @@ def test_legacy_single_group_store_reads_as_one_block():
     """A v5 segment written before the block layout has one row group
     (the default writer, snappy): it reads identically, as one block."""
     reader = fresh_segment(np.arange(600))
-    path = reader._path(STORE_FILE)
+    (path,) = segment_parts(reader.dir, STORE_FILE)
     blocked = reader.store()
     pq.write_table(blocked, path)  # the old writer's exact call
     legacy = SegmentReader(reader.dir)
@@ -139,7 +141,7 @@ def test_merged_hard_linked_parts(ray_session):
                 docs_per_segment=200)
     merge_segments(root, hot_df_threshold=300, shard_span=400)
     reader = merged_reader(root)
-    assert len(reader._parts(STORE_FILE)) == 3
+    assert len(segment_parts(reader.dir, STORE_FILE)) == 3
     check_fetches(reader, seed=3)
     # winners on both sides of a part boundary
     before = reader.store_blocks_read
@@ -157,7 +159,7 @@ def test_merged_with_tombstones_keeps_block_layout(ray_session):
     blocks = block_doc_ids(reader)
     assert max(b.size for b in blocks) <= STORE_BLOCK_ROWS
     assert sum(b.size for b in blocks) == reader.num_docs
-    md = pq.read_metadata(reader._parts(STORE_FILE)[0])
+    md = pq.read_metadata(segment_parts(reader.dir, STORE_FILE)[0])
     assert md.row_group(0).column(0).compression == "ZSTD"
     check_fetches(reader, seed=4)
 
@@ -173,7 +175,7 @@ def test_store_out_of_step_with_docvalues_raises():
     """A store whose rows are not in the docvalues' order must fail the
     fetch, not return another document's fields."""
     reader = fresh_segment(np.arange(300))
-    path = reader._path(STORE_FILE)
+    (path,) = segment_parts(reader.dir, STORE_FILE)
     t = pq.read_table(path)
     pq.write_table(t.take(pa.array(np.arange(t.num_rows)[::-1])), path,
                    row_group_size=STORE_BLOCK_ROWS)

@@ -74,18 +74,24 @@ def test_termbloom_prunes_absent_term_segments(ray_session, monkeypatch):
         return orig(path, *a, **kw)
 
     monkeypatch.setattr(segments.pq, "read_table", spy)
+    readers = list(s._snap.readers.values())
 
-    # marker1 lives only in docs 100-199 → segment 1: exactly ONE
-    # segment's postings open (stats phase + scoring share the reader)
-    r = s.search({"query": {"term": {"text": "marker1"}}, "limit": 200})
-    assert sorted(d["doc"]["doc_id"] for d in r["docs"]) == list(range(100, 200))
-    assert len({p for p in reads if "postings" in p}) == 1, reads
+    def loads():
+        return sum(rd.postings_loads for rd in readers)
 
     # a term absent from the whole corpus → ZERO postings reads
-    reads.clear()
     r = s.search({"query": {"term": {"text": "nosuchtoken"}}, "limit": 10})
     assert r["hits"] == 0
     assert [p for p in reads if "postings" in p] == []
+    assert len(readers) == 3 and loads() == 0
+
+    # marker1 lives only in docs 100-199 → segment 1: exactly ONE
+    # segment's postings open (stats phase + scoring share the reader)
+    reads.clear()
+    r = s.search({"query": {"term": {"text": "marker1"}}, "limit": 200})
+    assert sorted(d["doc"]["doc_id"] for d in r["docs"]) == list(range(100, 200))
+    assert len({p for p in reads if "postings" in p}) == 1, reads
+    assert loads() == 1
 
     # phrase with one absent word → no postings read from bloom-pruned
     # segments (the absent word empties every segment's conjunction)

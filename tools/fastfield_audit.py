@@ -19,15 +19,10 @@ import os
 import sys
 
 
-def _col_bytes(path: str, columns: tuple | None) -> tuple[int, int]:
+def _col_bytes(files: list[str], columns: tuple | None) -> tuple[int, int]:
     """(bytes fetched for `columns`, total file bytes) from footers."""
     import pyarrow.parquet as pq
 
-    files = (
-        [os.path.join(path, f) for f in sorted(os.listdir(path)) if f.endswith(".parquet")]
-        if os.path.isdir(path)
-        else [path]
-    )
     got = tot = 0
     for f in files:
         md = pq.ParquetFile(f).metadata
@@ -54,11 +49,12 @@ def main() -> None:
     from toshi_ray.search import Searcher
 
     root = documents_index(sf_dir)
-    reads: list[tuple[str, tuple | None]] = []
+    reads: list[tuple[list[str], tuple | None]] = []
     orig = segments.pq.read_table
 
     def spy(path, *a, columns=None, **kw):
-        reads.append((str(path), tuple(columns) if columns is not None else None))
+        # readers pass a segment file's part files (segments.segment_parts)
+        reads.append((list(path), tuple(columns) if columns is not None else None))
         if columns is not None:
             return orig(path, *a, columns=list(columns), **kw)
         return orig(path, *a, **kw)
@@ -104,7 +100,7 @@ def main() -> None:
                 "term": term,
                 "hits": res["hits"],
                 "postings_files_opened": len(
-                    {p for p, _ in reads[mark:] if "postings" in p}
+                    {p for files, _ in reads[mark:] for p in files if "postings" in p}
                 ),
             }
     finally:
@@ -122,11 +118,12 @@ def main() -> None:
 
     ff_reads = reads[:n_fastfield_reads]
     by_kind: dict[str, dict[str, int]] = {}
-    for path, cols in ff_reads:
+    for files, cols in ff_reads:
+        path = files[0]
         kind = ("docvalues" if "docvalues" in path
                 else "postings" if "postings" in path
                 else "store" if "store" in path else "other")
-        got, tot = _col_bytes(path, cols)
+        got, tot = _col_bytes(files, cols)
         d = by_kind.setdefault(kind, {"bytes_read": 0, "bytes_total": 0, "reads": 0,
                                       "unprojected_reads": 0})
         d["bytes_read"] += got

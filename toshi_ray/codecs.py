@@ -119,13 +119,18 @@ def decode_doc_ids(buf: bytes) -> np.ndarray:
 # Flat-array helpers for encoding MANY posting lists in one vectorized pass
 # ---------------------------------------------------------------------------
 
+def range_indices(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The indices of many [start, start+len) ranges, concatenated."""
+    total = int(lens.sum())
+    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    return np.arange(total, dtype=np.int64) + shift
+
+
 def take_ranges(values: np.ndarray, starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     """Gather many [start, start+len) slices of ``values`` (vectorized)."""
     if starts.size == 0 or lens.sum() == 0:
         return values[:0]
-    total = int(lens.sum())
-    shift = np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    return values[np.arange(total, dtype=np.int64) + shift]
+    return values[range_indices(starts, lens)]
 
 
 def segmented_delta(values: np.ndarray, list_offsets: np.ndarray) -> np.ndarray:

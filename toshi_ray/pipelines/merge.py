@@ -78,6 +78,7 @@ from toshi_ray.segments import (
     decode_postings,
     empty_postings,
     encode_postings,
+    segment_parts,
 )
 from toshi_ray.storage import get_storage
 
@@ -244,7 +245,7 @@ def _segment_content_sig(seg_dir: str, name: str) -> str:
     """Content identity of one source segment's postings: file names +
     sizes + mtimes. Shared by merge-checkpoint keying and gc's
     resumability check — the two must agree exactly."""
-    files = _resolve(os.path.join(seg_dir, name, POSTINGS_FILE))
+    files = segment_parts(os.path.join(seg_dir, name), POSTINGS_FILE)
     st = [(os.path.basename(f), os.path.getsize(f),
            os.stat(f).st_mtime_ns) for f in files]
     return f"{name}:{st}"
@@ -317,7 +318,7 @@ def merge_segments(
              hashlib.sha1(tombs.tobytes()).hexdigest()]
         ).encode()
     ).hexdigest()[:12]
-    post_paths = [f for n in names for f in _resolve(os.path.join(seg_dir, n, POSTINGS_FILE))]
+    post_paths = [f for n in names for f in segment_parts(os.path.join(seg_dir, n), POSTINGS_FILE)]
     # imported at call time: tests hook the read to run a commit mid-merge
     from toshi_ray.ops._read import read_parquet_sized
 
@@ -450,7 +451,7 @@ def merge_segments(
             dst = os.path.join(tmp, fname.replace(".parquet", ""))
             os.makedirs(dst, exist_ok=True)
             for i, n in enumerate(ordered):
-                for j, sp in enumerate(_resolve(os.path.join(seg_dir, n, fname))):
+                for j, sp in enumerate(segment_parts(os.path.join(seg_dir, n), fname)):
                     dp = os.path.join(dst, f"{i:05d}-{j:04d}.parquet")
                     get_storage().link_or_copy(sp, dp)
     else:
@@ -459,7 +460,7 @@ def merge_segments(
         ctx.execution_options.preserve_order = True
         try:
             for fname in (DOCVALUES_FILE, STORE_FILE):
-                paths = [f for n in ordered for f in _resolve(os.path.join(seg_dir, n, fname))]
+                paths = [f for n in ordered for f in segment_parts(os.path.join(seg_dir, n), fname)]
                 side, _ = read_parquet_sized(paths)
                 tomb_sorted = tombs
 
@@ -690,15 +691,3 @@ def commit_tombstones(index_root: str, doc_ids: np.ndarray) -> dict:
     pq.write_table(pa.table({"doc_id": pa.array(doc_ids, type=pa.uint64())}),
                    os.path.join(index_root, TOMBSTONES_DIR, name))
     return commit(index_root, lambda m: {**m, "tombstones": m.get("tombstones", []) + [name]})
-
-
-def _resolve(path: str) -> list[str]:
-    """The files of one segment file: a single parquet file (fresh
-    build) or the sorted part files of a directory (merged segment).
-    Always files: Ray's read_parquet rejects a list mixing the two."""
-    if os.path.exists(path):
-        return [path]
-    alt = path.replace(".parquet", "")
-    if os.path.isdir(alt):
-        return sorted(os.path.join(alt, f) for f in os.listdir(alt))
-    raise FileNotFoundError(path)

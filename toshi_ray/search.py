@@ -219,10 +219,10 @@ class _TermSetQuery:
 class SegmentGroupScorer:
     """Evaluates query plans over the readers of a group of segments.
 
-    This is the stateful stage: each reader's term dictionary, norms
-    and fast fields load once, on first use, and stay with the reader;
-    per query, posting rows come from the reader's cached table, or
-    from a parquet predicate read on an over-threshold segment.
+    This is the stateful stage: each reader's postings table (its term
+    dictionary too), norms and fast fields load once, on first use, and
+    stay with the reader; per query, posting rows are slices of that
+    table.
     """
 
     def __init__(self, readers: list[SegmentReader], schema_json: list):

@@ -373,33 +373,45 @@ def write_segment(
     return meta
 
 
-POSTINGS_CACHE_MAX_BYTES = 256 << 20  # above this, pushdown instead of caching
+def segment_parts(seg_dir: str, fname: str) -> list[str]:
+    """The part files of one segment file, in row order: the single
+    parquet file of a fresh build, or the part files of a merged
+    segment's directory, ordered by file name. Always files: Ray's
+    read_parquet rejects a list mixing files and directories."""
+    p = os.path.join(seg_dir, fname)
+    if os.path.isfile(p):
+        return [p]
+    alt = os.path.join(seg_dir, fname.replace(".parquet", ""))
+    if os.path.isdir(alt):
+        return [os.path.join(alt, f) for f in sorted(os.listdir(alt)) if f.endswith(".parquet")]
+    raise FileNotFoundError(p)
 
 
-class _TermDict:
-    """A segment's sorted term dictionary: one entry per postings row —
-    ``field, term, df, first_doc`` and ``row`` (its row number
-    in the postings file) — sorted by (field, term, first_doc), so one
-    term's shard rows are adjacent and in doc order."""
+class _SortedPostings:
+    """A segment's postings table sorted by (field, term, first_doc), so
+    one term's shard rows are adjacent and in doc order: the table is
+    its own term dictionary. Beside it sit only the lookup aids: the
+    term column as an array to `searchsorted`, the df prefix sum and
+    each field's row span."""
 
-    def __init__(self, entries: pa.Table):
-        n = entries.num_rows
-        self.table = (
-            entries.append_column("row", pa.array(np.arange(n, dtype=np.int64)))
-            .sort_by([("field", "ascending"), ("term", "ascending"), ("first_doc", "ascending")])
-            .combine_chunks()
-        )
+    def __init__(self, postings: pa.Table):
+        keys = [("field", "ascending"), ("term", "ascending"), ("first_doc", "ascending")]
+        order = pa.compute.sort_indices(postings, keys).to_numpy()
+        # a fresh segment's file is in this order already, so only a
+        # merged segment (hash-partitioned part files) pays the copy
+        if (order[1:] < order[:-1]).any():
+            postings = postings.take(order)
+        self.table = postings.combine_chunks()
         self.terms = self.table["term"].to_numpy(zero_copy_only=False)
-        self.rows = self.table["row"].to_numpy()
-        self.df_cum = np.zeros(n + 1, np.int64)  # df summed over entries [a, b) = cum[b] - cum[a]
+        self.df_cum = np.zeros(self.table.num_rows + 1, np.int64)  # df over rows [a, b) = cum[b] - cum[a]
         np.cumsum(self.table["df"].to_numpy(), out=self.df_cum[1:])
         runs = pa.compute.run_end_encode(self.table["field"].combine_chunks())
         ends = runs.run_ends.to_numpy().astype(np.int64).tolist()
         self.spans = dict(zip(runs.values.to_pylist(), zip([0] + ends[:-1], ends)))  # field -> [a, b)
 
     def lookup(self, field: str, terms: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(present terms, sorted and unique; their first entry; one past
-        their last entry) — a searchsorted over the field's slice."""
+        """(present terms, sorted and unique; their first row; one past
+        their last row) — a searchsorted over the field's span."""
         a, b = self.spans.get(field, (0, 0))
         want = np.unique(np.asarray(terms, dtype=object))
         lo = a + np.searchsorted(self.terms[a:b], want, side="left")
@@ -411,17 +423,15 @@ class _TermDict:
 class SegmentReader:
     """Lazy reader over one segment directory.
 
-    Every term-keyed read (`df_for_terms`, `postings_for_terms`,
-    `term_dict`) goes through one in-memory term dictionary, built on
-    first touch (`_TermDict`). Where payload rows come from depends on
-    the segment's postings size: up to ``POSTINGS_CACHE_MAX_BYTES`` the
-    reader keeps the whole postings table (the scorer-actor state,
-    SURVEY.md §7.2) and takes rows from it; above it, the dictionary
-    comes from a column-projected read and payloads from a parquet
-    predicate read per lookup, so a scorer never pulls an over-heap
-    segment into memory. Until the dictionary is built, the term bloom
-    keeps segments that lack every requested term from being read at
-    all. Docvalues (norms / fast fields) load once per reader.
+    The segment's postings load once, on first touch, as one table
+    sorted by (field, term, first_doc) (`_SortedPostings`, the
+    scorer-actor state, SURVEY.md §7.2). That table is the term
+    dictionary: every term-keyed read (`df_for_terms`,
+    `postings_for_terms`, `term_dict`) is one searchsorted on its term
+    column and then a slice or take of contiguous row ranges. Until the
+    table is loaded, the term bloom keeps segments that lack every
+    requested term from being read at all. Docvalues (norms / fast
+    fields) load once per reader.
     """
 
     def __init__(self, seg_dir: str):
@@ -430,50 +440,21 @@ class SegmentReader:
             self.meta = json.load(f)
         self._dv: pa.Table | None = None  # the docvalues columns read so far
         self._dv_names: list[str] | None = None
-        self._postings_all: pa.Table | None = None  # set by a cached-mode dictionary
-        self._dict: _TermDict | None = None  # lazy, see _term_dict
+        self._postings: _SortedPostings | None = None  # lazy, see _sorted_postings
         self._bloom_bits: np.ndarray | None = None  # lazy termbloom.bin
         self._store_map: tuple | None = None  # lazy, see _store_blocks
+        self.postings_loads = 0  # postings tables read by _sorted_postings
         self.store_blocks_read = 0  # store row groups decoded by store(ids)
 
     def carry(self) -> "SegmentReader":
         """This segment's reader for a newer index snapshot. What came
         from the segment's meta, side files and footers (the bloom
         bits, the docvalues columns read so far, the store block map)
-        carries over; the term dictionary and the cached postings table,
-        the bulk of a reader's memory, load again on first use."""
+        carries over; the postings table, the bulk of a reader's
+        memory, loads again on first use."""
         r = copy.copy(self)
-        r._dict = r._postings_all = None
+        r._postings = None
         return r
-
-    def _postings_bytes(self) -> int:
-        p = self._path(POSTINGS_FILE)
-        if os.path.isdir(p):
-            return sum(
-                os.path.getsize(os.path.join(dp, f))
-                for dp, _, fs in os.walk(p)
-                for f in fs
-            )
-        return os.path.getsize(p)
-
-    def _path(self, fname: str) -> str:
-        """A segment part is a single file (fresh build) or a directory
-        of parquet parts (merged segment)."""
-        p = os.path.join(self.dir, fname)
-        if os.path.exists(p):
-            return p
-        alt = os.path.join(self.dir, fname.replace(".parquet", ""))
-        if os.path.isdir(alt):
-            return alt
-        raise FileNotFoundError(p)
-
-    def _parts(self, fname: str) -> list[str]:
-        """The part files of one segment file, in row order: merged
-        segments order their parts by file name."""
-        p = self._path(fname)
-        if not os.path.isdir(p):
-            return [p]
-        return [os.path.join(p, f) for f in sorted(os.listdir(p)) if f.endswith(".parquet")]
 
     @property
     def num_docs(self) -> int:
@@ -482,7 +463,7 @@ class SegmentReader:
     def dv_column_names(self) -> list[str]:
         """Docvalues schema from the parquet FOOTER — no data pages."""
         if self._dv_names is None:
-            p = self._parts(DOCVALUES_FILE)[0]
+            p = segment_parts(self.dir, DOCVALUES_FILE)[0]
             self._dv_names = list(pq.read_schema(p).names)
         return self._dv_names
 
@@ -498,7 +479,7 @@ class SegmentReader:
         cache = self._dv
         missing = [c for c in columns if cache is None or c not in cache.column_names]
         if missing:
-            t = pq.read_table(self._path(DOCVALUES_FILE), columns=missing)
+            t = pq.read_table(segment_parts(self.dir, DOCVALUES_FILE), columns=missing)
             # two threads that miss the same column both read it: add
             # only what is still missing, or the cache would hold the
             # column twice and every later select of it would raise
@@ -515,18 +496,12 @@ class SegmentReader:
     def doc_ids(self) -> np.ndarray:
         return self.docvalues(["doc_id"])["doc_id"].to_numpy(zero_copy_only=False)
 
-    def _term_dict(self) -> _TermDict:
-        """The dictionary, built once. A segment within
-        POSTINGS_CACHE_MAX_BYTES loads (and keeps) its whole postings
-        table; a larger one reads only the dictionary columns."""
-        if self._dict is None:
-            cols = ["field", "term", "df", "first_doc"]
-            if self._postings_bytes() <= POSTINGS_CACHE_MAX_BYTES:
-                self._postings_all = pq.read_table(self._path(POSTINGS_FILE)).combine_chunks()
-                self._dict = _TermDict(self._postings_all.select(cols))
-            else:
-                self._dict = _TermDict(pq.read_table(self._path(POSTINGS_FILE), columns=cols))
-        return self._dict
+    def _sorted_postings(self) -> _SortedPostings:
+        """The postings table, read once: the one postings read."""
+        if self._postings is None:
+            self.postings_loads += 1
+            self._postings = _SortedPostings(pq.read_table(segment_parts(self.dir, POSTINGS_FILE)))
+        return self._postings
 
     def _bloom_surviving(self, field: str, terms: list[str]) -> list[str]:
         """Terms the segment MAY contain, per the term bloom filter
@@ -552,25 +527,25 @@ class SegmentReader:
         return [t for t, keep in zip(terms, mask) if keep]
 
     def _lookup(self, field: str, terms: list[str]):
-        """`_TermDict.lookup` of the requested terms, or None when none
-        is present. Before the dictionary is built the bloom answers
-        first, so an absent term never loads it; after, the exact
-        dictionary answers alone."""
-        if self._dict is None:
+        """`_SortedPostings.lookup` of the requested terms, or None when
+        none is present. Before the table is loaded the bloom answers
+        first, so an absent term never loads it; after, the table
+        answers alone."""
+        if self._postings is None:
             terms = self._bloom_surviving(field, terms)
         if not terms:
             return None
-        want, lo, hi = self._term_dict().lookup(field, terms)
+        want, lo, hi = self._sorted_postings().lookup(field, terms)
         return (want, lo, hi) if want.size else None
 
     def df_for_terms(self, field: str, terms: list[str]) -> dict[str, int]:
-        """{term: df summed across shard rows}, from the dictionary — the
-        stats phase never touches a posting payload."""
+        """{term: df summed across shard rows}, from the df prefix sum —
+        the stats phase never touches a posting payload."""
         found = self._lookup(field, terms)
         if found is None:
             return {}
         want, lo, hi = found
-        cum = self._dict.df_cum
+        cum = self._postings.df_cum
         return dict(zip(want.tolist(), (cum[hi] - cum[lo]).tolist()))
 
     def postings_for_terms(
@@ -579,32 +554,27 @@ class SegmentReader:
         """Postings rows of the present ``terms``, in dictionary order:
         by term, and each term's shard rows by first_doc, so their
         decoded lists concatenate in doc order. ``columns`` projects the
-        fetch — term scoring passes ``["df", "doc_ids", "tfs"]`` so the
+        result — term scoring passes ``["df", "doc_ids", "tfs"]`` so the
         positions payload (usually the largest column) is never copied
-        for non-phrase queries."""
+        for non-phrase queries. Terms whose rows are adjacent (one term,
+        say) come back as a zero-copy slice."""
         found = self._lookup(field, terms)
         if found is None:
             return empty_postings(columns)
-        want, lo, hi = found
-        if self._postings_all is not None:
-            src = self._postings_all if columns is None else self._postings_all.select(columns)
-            return src.take(pa.array(codecs.take_ranges(self._dict.rows, lo, hi - lo)))
-        import pyarrow.dataset as pads
-
-        key = ["term", "first_doc"]
-        expr = (pads.field("field") == field) & pads.field("term").isin(want.tolist())
-        read = None if columns is None else columns + [c for c in key if c not in columns]
-        t = pq.read_table(self._path(POSTINGS_FILE), filters=expr, columns=read)
-        t = t.sort_by([(c, "ascending") for c in key])
-        return t if columns is None else t.select(columns)
+        _, lo, hi = found
+        src = self._postings.table
+        src = src if columns is None else src.select(columns)
+        if np.array_equal(lo[1:], hi[:-1]):
+            return src.slice(lo[0], hi[-1] - lo[0])
+        return src.take(pa.array(codecs.range_indices(lo, hi - lo)))
 
     def term_dict(self, field: str) -> pa.Table:
-        """The dictionary entries of ``field`` (field, term, df,
-        first_doc, row), sorted by (term, first_doc) — for automaton
-        queries (fuzzy/regex) and suggest."""
-        d = self._term_dict()
-        a, b = d.spans.get(field, (0, 0))
-        return d.table.slice(a, b - a)
+        """The dictionary rows of ``field`` (field, term, df, first_doc),
+        sorted by (term, first_doc) — for automaton queries (fuzzy/regex)
+        and suggest. A zero-copy slice of the postings table."""
+        p = self._sorted_postings()
+        a, b = p.spans.get(field, (0, 0))
+        return p.table.select(["field", "term", "df", "first_doc"]).slice(a, b - a)
 
     def _store_blocks(self) -> tuple:
         """The store's block map, built once from the part footers (no
@@ -614,7 +584,7 @@ class SegmentReader:
         Footers are cached rather than open files, so a reader holds no
         file descriptor between fetches."""
         if self._store_map is None:
-            parts = [(p, pq.read_metadata(p)) for p in self._parts(STORE_FILE)]
+            parts = [(p, pq.read_metadata(p)) for p in segment_parts(self.dir, STORE_FILE)]
             n_groups = [md.num_row_groups for _, md in parts]
             sizes = [md.row_group(rg).num_rows for _, md in parts for rg in range(md.num_row_groups)]
             starts = np.zeros(len(sizes) + 1, dtype=np.int64)
@@ -633,7 +603,7 @@ class SegmentReader:
         tombstoned or not — so a missing id or a docvalues/store pair
         out of step raises instead of returning the wrong document."""
         if doc_ids is None:
-            return pq.read_table(self._path(STORE_FILE))
+            return pq.read_table(segment_parts(self.dir, STORE_FILE))
         parts, starts, block_part, block_rg, all_ids = self._store_blocks()
         ids = np.unique(np.asarray(doc_ids, dtype=np.uint64))
         if ids.size == 0:
