@@ -903,8 +903,9 @@ def test_sort_floor_respects_tombstones(ray_session):
 
 
 def test_zone_map_survives_merge(ray_session):
-    """Merged segments recompute zone maps from parquet footer
-    statistics; pruning + results stay exact post-merge."""
+    """A merged segment's zone maps come from its docvalues part footers
+    through the same `finish_segment` as a built one's; pruning +
+    results stay exact post-merge."""
     root = tempfile.mkdtemp(prefix="toshi_zone_merge_")
     build_index(pages_dataset(400, parallelism=4), page_schema(), root,
                 docs_per_segment=50)
@@ -919,6 +920,106 @@ def test_zone_map_survives_merge(ray_session):
         assert len(z) == 3 and z[2] == m["num_docs"]
     ids = s.match_doc_ids({"query": {"range": {"doc_id": {"gte": 150, "lt": 180}}}})
     assert sorted(int(i) for i in ids) == list(range(150, 180))
+
+
+def test_zone_maps_equal_the_docvalues_fresh_merged_and_after_delete(ray_session):
+    """Every segment's zone maps are [min, max, non-null count] of its
+    docvalues, and absent exactly when a column has no value: fresh, after
+    a full merge, and after a merge that applies a delete. ``val`` is an
+    optional i64, all null in one source (its merged zone map must still
+    cover the other sources); ``big`` is a u64 above 2^63."""
+    import os
+
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from toshi_ray.pipelines.build import SCHEMA_FILE, load_manifest, publish_manifest
+    from toshi_ray.segments import (
+        DOCVALUES_FILE,
+        build_segment_tables,
+        segment_parts,
+        write_segment,
+    )
+
+    schema = Schema.build(
+        FieldDef("doc_id", "u64", fast=True),
+        FieldDef("val", "i64", fast=True),
+        FieldDef("big", "u64", fast=True),
+        FieldDef("text", "text"),
+    )
+    gone = {0, 60, 61, 199}  # the lowest id, a max ``val`` and the max ``big``
+    ids = range(200)  # Python ints: 2**63 + a numpy int64 would round through float
+    corpus = pa.table({
+        "doc_id": pa.array(ids, pa.uint64()),
+        "val": pa.array([None if i < 50 or i % 7 == 3 else (i % 61) - 30 for i in ids],
+                        pa.int64()),
+        "big": pa.array([None if i % 5 == 1 else 2**63 + 3 * i for i in ids], pa.uint64()),
+        "text": [f"doc {'gone' if i in gone else 'kept'}" for i in ids],
+    })
+
+    def build() -> str:
+        root = tempfile.mkdtemp(prefix="toshi_zone_parity_")
+        os.makedirs(os.path.join(root, "segments"))
+        with open(os.path.join(root, SCHEMA_FILE), "w") as f:
+            f.write(schema.dumps())
+        publish_manifest(root, [
+            write_segment(os.path.join(root, "segments"),
+                          *build_segment_tables(corpus.slice(lo, 50), schema))
+            for lo in range(0, 200, 50)])
+        return root
+
+    def check(root: str, n_segments: int) -> None:
+        segs = load_manifest(root)["segments"]
+        assert len(segs) == n_segments
+        for seg in segs:
+            dv = pq.read_table(segment_parts(os.path.join(root, "segments", seg["name"]),
+                                             DOCVALUES_FILE))
+            want = {}
+            for col in ("doc_id", "val", "big"):
+                vals = [v for v in dv[col].to_pylist() if v is not None]
+                if vals:
+                    want[col] = [min(vals), max(vals), len(vals)]
+            assert seg["fastfield_stats"] == want, seg["name"]
+            assert [seg["min_doc_id"], seg["num_docs"]] == [want["doc_id"][0], dv.num_rows]
+
+    root = build()
+    check(root, 4)
+    assert "val" not in load_manifest(root)["segments"][0]["fastfield_stats"]
+    merge_segments(root)
+    check(root, 1)
+    root = build()
+    assert delete_by_term(Searcher(root, distributed=False), "text", "gone") == len(gone)
+    merge_segments(root)
+    check(root, 1)
+    (seg,) = load_manifest(root)["segments"]
+    assert seg["min_doc_id"] == 1 and seg["max_doc_id"] == 199
+    assert seg["fastfield_stats"]["big"][1] == 2**63 + 3 * 198
+
+
+def test_finish_segment_reads_a_column_whose_footer_has_no_bounds(tmp_path):
+    """A docvalues part written without column statistics still gets
+    exact zone maps: `finish_segment` reads that column of that part."""
+    import pyarrow.parquet as pq
+
+    from toshi_ray.segments import (
+        DOCVALUES_FILE,
+        POSTINGS_FILE,
+        build_segment_tables,
+        finish_segment,
+        write_segment,
+    )
+
+    meta = write_segment(str(tmp_path), *build_segment_tables(
+        make_pages_batch(np.arange(5, 105)), page_schema()))
+    seg = tmp_path / meta["name"]
+    pq.write_table(pq.read_table(seg / DOCVALUES_FILE), seg / DOCVALUES_FILE,
+                   write_statistics=False)
+    assert pq.read_metadata(seg / DOCVALUES_FILE).row_group(0).column(0).statistics is None
+    terms = pq.read_table(seg / POSTINGS_FILE, columns=["field", "term"])
+    again = finish_segment(str(seg), {"name": meta["name"]}, terms)
+    assert again["fastfield_stats"] == meta["fastfield_stats"] == {"doc_id": [5, 104, 100]}
+    assert (again["num_docs"], again["min_doc_id"]) == (100, 5)
+    assert again["term_bloom"] == meta["term_bloom"]
 
 
 def test_zone_map_numeric_field(ray_session, monkeypatch):
@@ -1153,7 +1254,7 @@ def test_merge_resumes_from_partition_checkpoints(ray_session):
     # gc reclaims the checkpoints
     from toshi_ray.pipelines.merge import gc_segments
 
-    gc_segments(root, checkpoint_grace_s=0)
+    gc_segments(root)
     ck = os.path.join(root, ".merge-ckpt")
     assert (not os.path.isdir(ck)) or os.listdir(ck) == []
     # fresh checkpoints survive a default-grace gc (in-flight protection)
@@ -1298,7 +1399,7 @@ def test_gc_keeps_resumable_checkpoints(ray_session):
     with open(mpath, "w") as f:
         f.write(manifest_before)
 
-    gc_segments(root, checkpoint_grace_s=0)  # aggressive scheduled gc
+    gc_segments(root)  # aggressive scheduled gc
     ck = os.path.join(root, ".merge-ckpt")
     assert os.path.isdir(ck) and os.listdir(ck), "resumable ckpt was gc'ed"
 
@@ -1308,7 +1409,7 @@ def test_gc_keeps_resumable_checkpoints(ray_session):
     assert merged2["metrics"]["parts_resumed"] == merged2["metrics"]["parts"]
 
     # after publish the sources are dead → the same gc reclaims it
-    gc_segments(root, checkpoint_grace_s=0)
+    gc_segments(root)
     assert (not os.path.isdir(ck)) or os.listdir(ck) == []
 
 

@@ -222,7 +222,7 @@ def test_partial_merge_of_fully_deleted_segments_publishes_no_segment(kept):
     assert m["max_doc_id"] == max(s["max_doc_id"] for s in before["segments"]
                                   if s["name"] in gone)
     assert not [d for d in os.listdir(os.path.join(root, "segments")) if d.startswith(".tmp")]
-    gc_segments(root, checkpoint_grace_s=0)
+    gc_segments(root)
     assert _hits(c, "common") == 1
     assert _hits(c, "kept") == 1
     c.bulk_insert("ix", json.dumps({"text": "common fresh"}) + "\n")
@@ -237,11 +237,28 @@ def test_catalog_search_sees_a_merge_and_gc_run_outside_it():
     c, root, names = _bulk_catalog(["common one", "common two"])
     assert _hits(c, "common") == 2  # the catalog now caches a searcher
     merge_segments(root, names)
-    gc_segments(root, checkpoint_grace_s=0)
+    gc_segments(root)
     assert not any(os.path.isdir(os.path.join(root, "segments", n)) for n in names)
     assert _hits(c, "common") == 2
     docs = c.search("ix", {"query": {"term": {"text": "two"}}})["docs"]
     assert [d["doc"]["text"] for d in docs] == ["common two"]
+
+
+def test_gc_reclaims_checkpoint_dirs_without_sources_but_not_tmp_ones():
+    """A merge publishes its checkpoint dir with `sources.json` already
+    inside, so gc reclaims any checkpoint dir without one, and skips the
+    `.tmp-` dirs a merge is still assembling."""
+    c, root = _catalog(2)
+    merge_segments(root)
+    ckpt = os.path.join(root, ".merge-ckpt")
+    (key,) = os.listdir(ckpt)
+    assert os.path.exists(os.path.join(ckpt, key, "sources.json"))
+    for d in ("stray", ".tmp-stray-0123abcd"):
+        os.makedirs(os.path.join(ckpt, d))
+        open(os.path.join(ckpt, d, "part-00000.parquet"), "wb").close()
+    gc_segments(root)
+    assert os.listdir(ckpt) == [".tmp-stray-0123abcd"]
+    assert _hits(c, "common") == 2
 
 
 def test_commit_inside_a_mutate_raises_at_once():

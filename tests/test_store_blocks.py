@@ -164,6 +164,64 @@ def test_merged_with_tombstones_keeps_block_layout(ray_session):
     check_fetches(reader, seed=4)
 
 
+def test_delete_merge_links_untouched_parts_and_rewrites_the_rest(ray_session):
+    """A merge that applies a delete hard-links every source docvalues and
+    store part whose doc-id range holds no tombstone, and rewrites only
+    the parts that do (the store in its block layout), on the driver,
+    leaving Ray's execution options as they were. Search results equal
+    the unmerged index's with the delete applied."""
+    import ray.data
+
+    from toshi_ray.pipelines.build import load_manifest
+    from toshi_ray.segments import DOCVALUES_FILE
+
+    root = tempfile.mkdtemp(prefix="toshi_store_delmerge_")
+    build_index(pages_dataset(900, parallelism=3), page_schema(), root,
+                docs_per_segment=300)
+    assert delete_by_term(Searcher(root, distributed=False), "doc_id", 450) == 1
+    ordered = sorted(load_manifest(root)["segments"], key=lambda s: s["min_doc_id"])
+    touched = {i for i, s in enumerate(ordered) if s["min_doc_id"] <= 450 <= s["max_doc_id"]}
+    assert len(ordered) == 3 and len(touched) == 1
+    deck = [{"term": {"text": t}} for t in ("the", "w00050", "www", "w01000")]
+    deck += [{"range": {"doc_id": {"gte": 440, "lte": 460}}}]
+
+    def results(s: Searcher) -> list:
+        """Every hit's stored doc, by doc id (BM25 scores move: the merge
+        drops the deleted doc from df and the doc count)."""
+        out = [s.search({"query": q, "limit": 1000}) for q in deck]
+        return [(r["hits"], sorted((d["doc"] for d in r["docs"]), key=lambda d: d["doc_id"]))
+                for r in out]
+
+    want = results(Searcher(root, distributed=False))
+    assert all(hits < 1000 for hits, _ in want)
+
+    opts = ray.data.DataContext.get_current().execution_options
+    before = opts.preserve_order
+    merge_segments(root, hot_df_threshold=300, shard_span=400)
+    assert ray.data.DataContext.get_current().execution_options.preserve_order == before
+
+    reader = merged_reader(root)
+    for fname in (DOCVALUES_FILE, STORE_FILE):
+        parts = segment_parts(reader.dir, fname)
+        assert len(parts) == 3
+        for path in parts:
+            src = int(os.path.basename(path)[:5])
+            ids = pq.read_table(path, columns=["doc_id"])["doc_id"].to_pylist()
+            if src not in touched:
+                assert os.stat(path).st_nlink > 1, path
+                continue
+            assert os.stat(path).st_nlink == 1 and 450 not in ids, path
+            if fname == STORE_FILE:
+                md = pq.read_metadata(path)
+                assert max(md.row_group(g).num_rows
+                           for g in range(md.num_row_groups)) <= STORE_BLOCK_ROWS
+                assert {md.row_group(g).column(c).compression
+                        for g in range(md.num_row_groups)
+                        for c in range(md.num_columns)} == {"ZSTD"}
+    check_fetches(reader, seed=5)
+    assert results(Searcher(root, distributed=False)) == want
+
+
 def test_missing_doc_id_raises():
     reader = fresh_segment(np.arange(100, 400))
     for bad in ([99], [400], [150, 10**12]):

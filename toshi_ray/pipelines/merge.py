@@ -35,8 +35,12 @@ the (field, term) columns filtered on df: parquet row-group statistics
 on df skip every group without a hot term, and at web scale the hot set
 is small by definition.
 
-Doc-partitioned side files (docvalues / store) merge by plain
-concatenation — doc ranges of input segments are disjoint.
+Doc-partitioned side files (docvalues / store) merge by concatenating
+the sources' part files — doc ranges of input segments are disjoint. A
+part is hard-linked unless its footer doc-id range holds a tombstone;
+only such a part is read on the driver (one part at a time), filtered
+and rewritten. The merged directory is then finished like a built one
+(`segments.finish_segment`: zone maps, term bloom, meta.json).
 
 Tombstones (delete-by-term, reference `handle.rs:184-210`, SURVEY.md
 §2.2 T5) are applied physically here: tombstoned doc_ids drop out of
@@ -75,12 +79,19 @@ from toshi_ray.segments import (
     STORE_FILE,
     _binary_from_offsets,
     _binary_parts,
+    _footer_zone,
     decode_postings,
     empty_postings,
     encode_postings,
+    finish_segment,
     segment_parts,
 )
 from toshi_ray.storage import get_storage
+
+# merge checkpoints: one dir per merge key under the index root, holding
+# its source identity (CKPT_SOURCES) and one postings file per partition
+CKPT_DIR = ".merge-ckpt"
+CKPT_SOURCES = "sources.json"
 
 # reference defaults (config/config.toml:14-17)
 MIN_MERGE_SIZE = 8
@@ -251,6 +262,16 @@ def _segment_content_sig(seg_dir: str, name: str) -> str:
     return f"{name}:{st}"
 
 
+def _holds_tombstone(path: str, tombs: np.ndarray) -> bool:
+    """True unless the part's footer doc-id range proves it holds no
+    tombstoned doc (a footer without that range counts as holding one)."""
+    if not tombs.size:
+        return False
+    md = pq.read_metadata(path)
+    z = _footer_zone(md, md.schema.names.index("doc_id"))
+    return not z or np.searchsorted(tombs, z[0]) < np.searchsorted(tombs, z[1], "right")
+
+
 def merge_segments(
     index_root: str,
     seg_names: list[str] | None = None,
@@ -276,8 +297,6 @@ def merge_segments(
     hard-linked into the final segment (no copy) and reclaimed by
     `gc_segments`."""
     import hashlib
-
-    import ray.data
 
     manifest = load_manifest(index_root)
     assert manifest is not None, "no manifest at index root"
@@ -370,17 +389,17 @@ def merge_segments(
     # file holds them. A trailing .sort() here would be a second
     # all-to-all over the full merged postings for nothing.
     t0 = time.perf_counter()
-    ckpt = os.path.join(index_root, ".merge-ckpt", merge_key)
-    os.makedirs(ckpt, exist_ok=True)
-    # record the checkpoint's source identity so gc can keep it exactly
-    # as long as a retried merge of these segments could resume from it
-    # (see gc_segments) — age alone must not discard resumability
-    src_meta = os.path.join(ckpt, "sources.json")
-    if not os.path.exists(src_meta):
-        with open(src_meta + ".tmp", "w") as f:
+    ckpt = os.path.join(index_root, CKPT_DIR, merge_key)
+    # the checkpoint dir appears with its source identity inside, so gc
+    # keeps it exactly as long as a retried merge of these segments
+    # could resume from it (see gc_segments)
+    if not os.path.exists(os.path.join(ckpt, CKPT_SOURCES)):
+        stage = os.path.join(index_root, CKPT_DIR, f".tmp-{merge_key}-{uuid.uuid4().hex[:8]}")
+        os.makedirs(stage)
+        with open(os.path.join(stage, CKPT_SOURCES), "w") as f:
             json.dump({"names": sorted(names),
                        "sigs": [_content_sig(n) for n in sorted(names)]}, f)
-        get_storage().publish_file(src_meta + ".tmp", src_meta)
+        get_storage().publish_dir(stage, ckpt, CKPT_SOURCES)
 
     def merge_and_write(t: pa.Table) -> pa.Table:
         """One shuffle partition → one idempotent checkpoint file."""
@@ -439,107 +458,38 @@ def merge_segments(
         return latest
 
     # ---- docvalues + store: ORDERED concat of disjoint doc ranges ----
-    # source segments cover disjoint doc-id intervals. Without
-    # tombstones the side files need NO transform at all — hard-link
-    # them into the merged segment with order-preserving name prefixes
-    # (readers discover directory files lexicographically), skipping a
-    # full decode/encode of the store (the largest payload in the
-    # segment). With tombstones, stream-filter with preserve_order.
+    # source segments cover disjoint doc-id intervals, so each source
+    # part keeps its order-preserving name (readers list part files
+    # lexicographically). A part whose footer doc-id range holds no
+    # tombstone is hard-linked, with no decode/encode of the store (the
+    # largest payload in the segment); one that does is read on the
+    # driver, filtered by its own doc_id column and rewritten in its
+    # layout, or skipped when no row is left. The docvalues and the
+    # store drop the same docs, so their rows stay in step.
     ordered = sorted(names, key=lambda n: segs[n]["min_doc_id"])
-    if tombs.size == 0:
-        for fname in (DOCVALUES_FILE, STORE_FILE):
-            dst = os.path.join(tmp, fname.replace(".parquet", ""))
-            os.makedirs(dst, exist_ok=True)
-            for i, n in enumerate(ordered):
-                for j, sp in enumerate(segment_parts(os.path.join(seg_dir, n), fname)):
-                    dp = os.path.join(dst, f"{i:05d}-{j:04d}.parquet")
+    for fname in (DOCVALUES_FILE, STORE_FILE):
+        dst = os.path.join(tmp, fname.replace(".parquet", ""))
+        os.makedirs(dst, exist_ok=True)
+        layout = (
+            {"row_group_size": STORE_BLOCK_ROWS, "compression": STORE_COMPRESSION}
+            if fname == STORE_FILE
+            else {}
+        )
+        for i, n in enumerate(ordered):
+            for j, sp in enumerate(segment_parts(os.path.join(seg_dir, n), fname)):
+                dp = os.path.join(dst, f"{i:05d}-{j:04d}.parquet")
+                if not _holds_tombstone(sp, tombs):
                     get_storage().link_or_copy(sp, dp)
-    else:
-        ctx = ray.data.DataContext.get_current()
-        prev_preserve = ctx.execution_options.preserve_order
-        ctx.execution_options.preserve_order = True
-        try:
-            for fname in (DOCVALUES_FILE, STORE_FILE):
-                paths = [f for n in ordered for f in segment_parts(os.path.join(seg_dir, n), fname)]
-                side, _ = read_parquet_sized(paths)
-                tomb_sorted = tombs
-
-                def drop(t: pa.Table) -> pa.Table:
-                    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                    return t.filter(pa.array(~np.isin(ids, tomb_sorted)))
-
-                side = side.map_batches(drop, batch_format="pyarrow")
-                # the store keeps the fresh-segment block layout, so a
-                # winner fetch decodes STORE_BLOCK_ROWS rows, not a Ray block
-                layout = (
-                    {"row_group_size": STORE_BLOCK_ROWS, "compression": STORE_COMPRESSION}
-                    if fname == STORE_FILE
-                    else {}
-                )
-                side.write_parquet(os.path.join(tmp, fname.replace(".parquet", "")), **layout)
-        finally:
-            ctx.execution_options.preserve_order = prev_preserve
-
-    # num_docs / min / max come from parquet FOOTER metadata (row counts
-    # + row-group statistics) — never a data-page read: at 10^9 docs the
-    # doc_id column alone would be ~8 GB of driver RAM
-    n_docs = 0
-    # zone maps for EVERY integer fast-field column (doc_id + numerics)
-    # from the same footer pass; a column with any stats-less row group
-    # is dropped (bounds must never be narrower than the data)
-    zone: dict[str, list[int]] = {}
-    zone_bad: set[str] = set()
-    # non-null value counts per column (the zone map's third element,
-    # needed by the sort-by floor); a row group without a null_count
-    # statistic poisons the column's count but keeps its [min, max]
-    zone_valid: dict[str, int] = {}
-    count_bad: set[str] = set()
-    dv_dir = os.path.join(tmp, "docvalues")
-    # Ray writes no directory for an empty dataset
-    for fn in os.listdir(dv_dir) if os.path.isdir(dv_dir) else []:
-        if not fn.endswith(".parquet"):
-            continue
-        md = pq.ParquetFile(os.path.join(dv_dir, fn)).metadata
-        n_docs += md.num_rows
-        col_names = [md.schema.column(i).name for i in range(md.num_columns)]
-        for ci, name in enumerate(col_names):
-            if name.startswith("norm_") or name.startswith("facet_"):
-                continue
-            for rg in range(md.num_row_groups):
-                if not md.row_group(rg).num_rows:
                     continue
-                st = md.row_group(rg).column(ci).statistics
-                ok = (st is not None and isinstance(st.min, int)
-                      and not isinstance(st.min, bool))
-                if not ok:
-                    zone_bad.add(name)
-                    continue
-                lo, hi = zone.get(name, (st.min, st.max))[:2]
-                zone[name] = [min(lo, st.min), max(hi, st.max)]
-                if st.has_null_count:
-                    zone_valid[name] = zone_valid.get(name, 0) + (
-                        md.row_group(rg).num_rows - st.null_count
-                    )
-                else:
-                    count_bad.add(name)
-    for name, z in zone.items():
-        if name not in count_bad and name in zone_valid:
-            z.append(int(zone_valid[name]))
-    for name in zone_bad:
-        zone.pop(name, None)
-    if not n_docs:  # every source doc was deleted: publish no segment
+                t = pq.read_table(sp)
+                ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
+                t = t.filter(pa.array(~np.isin(ids, tombs)))
+                if t.num_rows:
+                    pq.write_table(t, dp, **layout)
+    if not segment_parts(tmp, DOCVALUES_FILE):  # every source doc was deleted
         shutil.rmtree(tmp, ignore_errors=True)
         return commit(index_root, lambda latest: rebase(latest, None))
-    stats_missing = "doc_id" in zone_bad
-    id_min, id_max = zone.get("doc_id", (None, None))[:2]
-    if stats_missing or id_min is None:
-        # a writer without column statistics must not silently produce
-        # min/max = 0 — doc-id allocation (_append_docs) and merge
-        # ordering key off these; fall back to reading the column
-        dv = pq.read_table(dv_dir, columns=["doc_id"])
-        ids = dv["doc_id"].to_numpy(zero_copy_only=False)
-        id_min, id_max = int(ids.min()), int(ids.max())
-        zone["doc_id"] = [id_min, id_max, int(ids.size)]
+
     field_stats: dict[str, dict] = {}
     for s in sources:
         for f, st in s.get("field_stats", {}).items():
@@ -547,31 +497,14 @@ def merge_segments(
             field_stats[f]["total_tokens"] += st["total_tokens"]
     # NOTE: token totals of deleted docs stay counted until their segment
     # fully merges away — same drift tantivy accepts between merges.
-    # term bloom (toshi_ray.termbloom): rebuilt over the merged term
-    # dictionary — a column-pruned read of (field, term) only, never the
-    # posting payloads, so the cost is vocab-proportional (the dict is a
-    # small fraction of the postings file; payload columns stay on disk).
-    from toshi_ray import termbloom
-
-    bloom = termbloom.build_term_blooms(
-        pq.read_table(os.path.join(tmp, "postings"), columns=["field", "term"])
-    )
-    if bloom is not None:
-        payload, bloom_meta = bloom
-        with open(os.path.join(tmp, termbloom.TERMBLOOM_FILE), "wb") as f:
-            f.write(payload)
-    else:
-        bloom_meta = None
-    meta = {
+    # the bloom needs only the (field, term) columns: the posting
+    # payloads stay on disk
+    terms = pq.read_table(os.path.join(tmp, "postings"), columns=["field", "term"])
+    meta = finish_segment(tmp, {
         "name": new_name,
-        "write_id": uuid.uuid4().hex[:8],  # see segments.write_segment
-        "num_docs": int(n_docs),
-        "min_doc_id": int(id_min) if id_min is not None else 0,
         # the sources' max: appends must never reissue a deleted doc's id
         "max_doc_id": max(s["max_doc_id"] for s in sources),
         "field_stats": field_stats,
-        "fastfield_stats": zone,
-        **({"term_bloom": bloom_meta} if bloom_meta is not None else {}),
         "merged_from": names,  # lineage
         "metrics": {
             "merge_secs": round(time.perf_counter() - t0, 3),
@@ -579,10 +512,7 @@ def merge_segments(
             "parts_resumed": n_resumed,
             "shuffle_input_blocks": n_blocks,
         },
-    }
-    with open(os.path.join(tmp, META_FILE), "w") as f:
-        json.dump(meta, f)
-
+    }, terms)
     return commit(index_root, lambda latest: rebase(latest, meta))
 
 
@@ -595,22 +525,22 @@ def maybe_merge(index_root: str, **kw) -> list[dict]:
     return out
 
 
-def gc_segments(index_root: str, *, checkpoint_grace_s: float = 3600.0) -> int:
+def gc_segments(index_root: str) -> int:
     """Delete segment dirs no longer referenced by the manifest, plus
     merge checkpoints that can no longer be resumed from.
 
     Checkpoint retention is decided by SOURCE LIVENESS, not age: each
-    checkpoint records its source segments' content signatures
-    (`sources.json`); as long as every source is still live with
-    unchanged content, a crashed merge retried later — even days later
-    — resumes from the per-partition files, so the checkpoint is KEPT.
-    Once any source segment is gone or rewritten (e.g. the merge
-    published and its inputs were gc'ed) no future merge can produce
-    the same key, and the checkpoint is reclaimed immediately.
-    ``checkpoint_grace_s`` only governs legacy checkpoints without a
-    `sources.json` (pre-upgrade), where age is the only signal.
+    checkpoint dir is created with its source segments' content
+    signatures inside (`sources.json`); as long as every source is still
+    live with unchanged content, a crashed merge retried later — even
+    days later — resumes from the per-partition files, so the
+    checkpoint is KEPT. Once any source segment is gone or rewritten
+    (e.g. the merge published and its inputs were gc'ed) no future merge
+    can produce the same key, and the checkpoint is reclaimed at once,
+    as is a checkpoint dir without `sources.json`.
 
-    In-flight protection: `.tmp-*` assembly dirs are never touched."""
+    In-flight protection: `.tmp-*` dirs (segments and checkpoints still
+    being assembled) are never touched."""
     seg_dir = os.path.join(index_root, SEGMENTS_DIR)
     removed = []
 
@@ -622,37 +552,21 @@ def gc_segments(index_root: str, *, checkpoint_grace_s: float = 3600.0) -> int:
             if name not in live and not name.startswith(".tmp"):
                 shutil.rmtree(os.path.join(seg_dir, name), ignore_errors=True)
                 removed.append(name)
-        ckpt_root = os.path.join(index_root, ".merge-ckpt")
-        if os.path.isdir(ckpt_root):
-            now = time.time()
-            for key in list(os.listdir(ckpt_root)):
-                d = os.path.join(ckpt_root, key)
-                src_meta = os.path.join(d, "sources.json")
-                if os.path.exists(src_meta):
-                    try:
-                        with open(src_meta) as f:
-                            src = json.load(f)
-                        resumable = all(nm in live for nm in src["names"]) and [
-                            _segment_content_sig(seg_dir, nm) for nm in src["names"]
-                        ] == src["sigs"]
-                    except (OSError, ValueError, KeyError):
-                        resumable = False
-                    if not resumable:
-                        shutil.rmtree(d, ignore_errors=True)
-                    continue
-                # legacy checkpoint without source metadata: age heuristic,
-                # floored at 10 minutes — a merge that JUST created its dir
-                # (window between makedirs and the sources.json rename) must
-                # not be reaped by an aggressive checkpoint_grace_s=0 sweep
-                try:
-                    newest = max(
-                        (os.path.getmtime(os.path.join(d, f)) for f in os.listdir(d)),
-                        default=os.path.getmtime(d),
-                    )
-                except OSError:
-                    continue
-                if now - newest > max(checkpoint_grace_s, 600.0):
-                    shutil.rmtree(d, ignore_errors=True)
+        ckpt_root = os.path.join(index_root, CKPT_DIR)
+        for key in os.listdir(ckpt_root) if os.path.isdir(ckpt_root) else []:
+            if key.startswith(".tmp-"):
+                continue
+            d = os.path.join(ckpt_root, key)
+            try:
+                with open(os.path.join(d, CKPT_SOURCES)) as f:
+                    src = json.load(f)
+                resumable = all(nm in live for nm in src["names"]) and [
+                    _segment_content_sig(seg_dir, nm) for nm in src["names"]
+                ] == src["sigs"]
+            except (OSError, ValueError, KeyError):
+                resumable = False
+            if not resumable:
+                shutil.rmtree(d, ignore_errors=True)
         manifest["garbage"] = []
         return manifest
 

@@ -16,8 +16,16 @@ re-expressed as Parquet so Ray Data / pyarrow can stream it:
       store.parquet      stored fields for retrieval — sorted by doc_id, in
                          STORE_BLOCK_ROWS-row zstd row groups: the unit a
                          winner fetch decodes
+      termbloom.bin      per-field term bloom filters (toshi_ray.termbloom)
       meta.json          doc counts + exact per-field token totals
-                         (global BM25 stats are summed from these)
+                         (global BM25 stats are summed from these),
+                         zone maps, bloom layout, write id
+
+A merged segment's postings, docvalues and store are directories of
+part files instead. Whoever writes the parts, one function finishes the
+directory (`finish_segment`): it derives the zone maps and doc counts
+from the docvalues part footers, builds the bloom and writes meta.json,
+for the build (`write_segment`) and the merge alike.
 
 All posting lists for one batch of documents are built in ONE
 vectorized pass (dictionary-encode + lexsort + reduceat). Postings rows
@@ -43,10 +51,11 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from toshi_ray import codecs
+from toshi_ray import codecs, termbloom
 from toshi_ray.analyzer import get_analyzer
 from toshi_ray.fieldnorm import fieldnorm_to_id
 from toshi_ray.schema import FACET, Schema
+from toshi_ray.storage import get_storage
 
 POSTINGS_FILE = "postings.parquet"
 DOCVALUES_FILE = "docvalues.parquet"
@@ -256,16 +265,6 @@ def build_segment_tables(
     posting_parts: list[pa.Table] = []
     dv_cols: dict[str, pa.Array] = {doc_id_col: pa.array(doc_ids, type=pa.uint64())}
     field_stats: dict[str, dict] = {}
-    # zone map: [min, max, n_valid] per integer fast field — a range /
-    # numeric-term query skips the whole segment (no docvalues data
-    # pages) when its bounds are disjoint with the segment's; n_valid
-    # (the NON-NULL value count — docs missing the field don't carry a
-    # value) lets the sort-by floor bound the k-th value soundly
-    fastfield_stats: dict[str, list[int]] = (
-        {doc_id_col: [int(doc_ids.min()), int(doc_ids.max()), int(len(doc_ids))]}
-        if len(doc_ids)
-        else {}
-    )
 
     for f in schema.fields:
         if f.is_text and f.indexed:
@@ -285,15 +284,6 @@ def build_segment_tables(
                 dv_cols[f.name] = col.cast(pa.timestamp("us")).combine_chunks()
             else:
                 dv_cols[f.name] = col.cast(pa.int64()).combine_chunks()
-            if f.type != "date":
-                arr = dv_cols[f.name]
-                mm = pa.compute.min_max(arr)
-                if mm["min"].is_valid:
-                    fastfield_stats[f.name] = [
-                        mm["min"].as_py(),
-                        mm["max"].as_py(),
-                        len(arr) - arr.null_count,
-                    ]
         elif f.type == FACET and f.name in batch.column_names:
             dv_cols[f"facet_{f.name}"] = batch[f.name].cast(pa.string()).combine_chunks()
 
@@ -316,8 +306,6 @@ def build_segment_tables(
         "min_doc_id": int(doc_ids.min()) if len(doc_ids) else 0,
         "max_doc_id": int(doc_ids.max()) if len(doc_ids) else 0,
         "field_stats": field_stats,
-        "fastfield_stats": fastfield_stats,
-        "num_terms": postings.num_rows,
     }
     return postings, docvalues, store, meta
 
@@ -341,21 +329,9 @@ def write_segment(
     if os.path.exists(os.path.join(final, META_FILE)):
         with open(os.path.join(final, META_FILE)) as f:
             return json.load(f)
-    # the write id tells this write from any other under the same name
-    # (an overwrite rebuild reuses names): searchers key readers on it
-    write_id = uuid.uuid4().hex[:8]
-    meta = dict(meta, name=name, write_id=write_id)
-    tmp = os.path.join(segments_dir, f".tmp-{name}-{write_id}")
+    tmp = os.path.join(segments_dir, f".tmp-{name}-{uuid.uuid4().hex[:8]}")
     os.makedirs(tmp, exist_ok=True)
     pq.write_table(postings, os.path.join(tmp, POSTINGS_FILE))
-    from toshi_ray import termbloom
-
-    bloom = termbloom.build_term_blooms(postings)
-    if bloom is not None:
-        payload, bmeta = bloom
-        with open(os.path.join(tmp, termbloom.TERMBLOOM_FILE), "wb") as f:
-            f.write(payload)
-        meta["term_bloom"] = bmeta
     pq.write_table(docvalues, os.path.join(tmp, DOCVALUES_FILE))
     pq.write_table(
         store,
@@ -363,13 +339,82 @@ def write_segment(
         row_group_size=STORE_BLOCK_ROWS,
         compression=STORE_COMPRESSION,
     )
-    with open(os.path.join(tmp, META_FILE), "w") as f:
-        json.dump(meta, f)
-    from toshi_ray.storage import get_storage
-
+    meta = finish_segment(tmp, dict(meta, name=name), postings)
     # losing the publish race to an identical-content twin keeps theirs;
     # any other failure raises (see toshi_ray.storage)
     get_storage().publish_dir(tmp, final, META_FILE)
+    return meta
+
+
+def _footer_zone(md: pq.FileMetaData, col: int) -> list[int] | None:
+    """[min, max, n_valid] of integer column ``col`` of one parquet part,
+    from its footer's row-group statistics: ``[]`` when every value is
+    null, None when a row group holding values carries no bounds."""
+    lo = hi = None
+    n = 0
+    for rg in range(md.num_row_groups):
+        group = md.row_group(rg)
+        st = group.column(col).statistics
+        if st is None or not st.has_null_count:
+            return None
+        valid = group.num_rows - st.null_count
+        if not valid:
+            continue  # an all-null group bounds nothing
+        if not st.has_min_max:
+            return None
+        lo = st.min if lo is None else min(lo, st.min)
+        hi = st.max if hi is None else max(hi, st.max)
+        n += valid
+    return [lo, hi, n] if n else []
+
+
+def finish_segment(seg_dir: str, meta: dict, terms: pa.Table) -> dict:
+    """Finish a segment directory whose postings, docvalues and store
+    part files are written: the one writer of a segment's meta, for the
+    build and the merge alike. It adds
+
+    - ``fastfield_stats``, the zone maps: [min, max, n_valid] per
+      integer fast field, doc_id included, from the docvalues part
+      footers (a part written without statistics has that column
+      read). A range or sort query skips a segment on its bounds, and
+      n_valid (non-null values only) lets the sort-by floor bound the
+      k-th value; a column with no value has no entry;
+    - ``num_docs`` and ``min_doc_id``, from doc_id's zone map;
+    - ``term_bloom`` and its ``termbloom.bin``, over ``terms``: the
+      (field, term) columns of the postings written there (the build
+      passes the table it wrote, so a commit reads no postings back);
+    - a fresh ``write_id``, which tells this write from any other under
+      the same name (an overwrite rebuild reuses names): searchers key
+      readers on it;
+
+    then writes ``meta.json`` and returns the meta. Publishing the
+    directory is the caller's."""
+    zones: dict[str, list] = {}
+    for path in segment_parts(seg_dir, DOCVALUES_FILE):
+        md = pq.read_metadata(path)
+        for i, f in enumerate(md.schema.to_arrow_schema()):
+            if not pa.types.is_integer(f.type) or f.name.startswith("norm_"):
+                continue
+            z = _footer_zone(md, i)
+            if z is None:
+                col = pq.read_table(path, columns=[f.name])[f.name]
+                mm = pa.compute.min_max(col)
+                z = [mm["min"].as_py(), mm["max"].as_py(), len(col) - col.null_count]
+                z = z if z[2] else []
+            if z:
+                zones.setdefault(f.name, []).append(z)
+    zone = {c: [min(z[0] for z in zs), max(z[1] for z in zs), sum(z[2] for z in zs)]
+            for c, zs in zones.items()}
+    id_min, _, n_docs = zone.get("doc_id", [0, 0, 0])
+    meta = dict(meta, num_docs=n_docs, min_doc_id=id_min, fastfield_stats=zone,
+                write_id=uuid.uuid4().hex[:8])
+    bloom = termbloom.build_term_blooms(terms)
+    if bloom is not None:
+        payload, meta["term_bloom"] = bloom
+        with open(os.path.join(seg_dir, termbloom.TERMBLOOM_FILE), "wb") as f:
+            f.write(payload)
+    with open(os.path.join(seg_dir, META_FILE), "w") as f:
+        json.dump(meta, f)
     return meta
 
 
@@ -516,8 +561,6 @@ class SegmentReader:
         fm = bm["fields"].get(field)
         if fm is None:
             return []  # segment holds no postings for this field at all
-        from toshi_ray import termbloom
-
         if self._bloom_bits is None:
             self._bloom_bits = np.fromfile(
                 os.path.join(self.dir, bm.get("file", termbloom.TERMBLOOM_FILE)),
