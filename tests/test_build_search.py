@@ -326,6 +326,37 @@ def test_apply_tombstones_vectorized():
     assert gone.schema == postings.schema
 
 
+def test_build_with_another_doc_id_column_searches_by_doc_id(ray_session):
+    """``doc_id_col="id"`` names the source's id column; the segments key
+    on ``doc_id`` like any other, so the meta counts the docs and hits
+    carry the source ids."""
+    import pyarrow as pa
+    import ray.data
+
+    from toshi_ray.pipelines.build import load_manifest
+    from toshi_ray.segments import build_segment_tables
+
+    ids = [30, 10, 20, 50, 40]
+    texts = ["red fox", "blue fox", "red hen", "red cat", "green fox"]
+    schema = Schema.build(FieldDef("text", "text"))
+    root = tempfile.mkdtemp(prefix="toshi_idcol_")
+    build_index(ray.data.from_arrow(pa.table({"id": pa.array(ids, pa.uint64()), "text": texts})),
+                schema, root, doc_id_col="id", docs_per_segment=3)
+    segs = load_manifest(root)["segments"]
+    assert sorted(s["num_docs"] for s in segs) == [2, 3]
+    assert sorted(s["min_doc_id"] for s in segs) == [10, 40]
+    s = Searcher(root, distributed=False)
+    r = s.search({"query": {"term": {"text": "red"}}, "limit": 10})
+    assert sorted(d["doc"]["doc_id"] for d in r["docs"]) == [20, 30, 50]
+    assert {d["doc"]["doc_id"]: d["doc"]["text"] for d in r["docs"]}[50] == "red cat"
+    assert s.count({"query": {"term": {"text": "fox"}}}) == 3
+    s.close()
+    # a batch that carries a different doc_id column too is refused
+    both = pa.table({"id": [1], "doc_id": [2], "text": ["x"]})
+    with pytest.raises(ValueError, match="both 'id'"):
+        build_segment_tables(both, schema, "id")
+
+
 def test_build_is_resumable(ray_session):
     root = tempfile.mkdtemp(prefix="toshi_resume_")
     m1 = build_index(pages_dataset(300, parallelism=2), page_schema(), root,
@@ -1122,9 +1153,11 @@ def test_fastfield_reads_are_column_pruned(ray_session, monkeypatch):
     """Range and sort queries must fetch ONLY the fast-field columns
     they touch from docvalues — never the whole docvalues table, and
     (for pure range/all-sort queries) no postings payloads at all."""
+    import json
     import os
+    import struct
 
-    import pyarrow.parquet as pq
+    import pyarrow as pa
 
     import toshi_ray.segments as segments
 
@@ -1161,18 +1194,25 @@ def test_fastfield_reads_are_column_pruned(ray_session, monkeypatch):
     # a pure range / match-all-sort query never opens postings payloads
     assert post_reads == [], post_reads
     # doc retrieval for the sort's top-k hits the store — that's the
-    # requested payload, not waste — and decodes no block beyond those
-    # holding the 7 winners
+    # requested payload, not waste — and decompresses exactly the frames
+    # holding the 7 winners: each part is its zstd frames, cut by the
+    # footer's offsets (before the raw sizes, the schema bytes and the
+    # 20-byte trailer), each frame one JSON doc per line
     readers = [r for _, g in s._groups for r in g.readers]
     holding = 0
     for r in readers:
-        for path in segments.segment_parts(r.dir, "store.parquet"):
-            with pq.ParquetFile(path) as f:
-                for rg in range(f.metadata.num_row_groups):
-                    ids = f.read_row_group(rg, columns=["doc_id"])["doc_id"].to_pylist()
-                    holding += bool(set(ids) & set(range(393, 400)))
-    blocks_read = sum(r.store_blocks_read for r in readers)
-    assert 0 < blocks_read <= holding, (blocks_read, holding)
+        for path in segments.segment_parts(r.dir, segments.STORE_FILE):
+            data = open(path, "rb").read()
+            _, n_frames, n_schema, _ = struct.unpack("<QII4s", data[-20:])
+            foot = len(data) - 20 - n_schema - 12 * n_frames - 8
+            offsets = np.frombuffer(data, "<u8", n_frames + 1, foot).tolist()
+            raw = np.frombuffer(data, "<u4", n_frames, foot + 8 * (n_frames + 1)).tolist()
+            for a, b, n in zip(offsets[:-1], offsets[1:], raw):
+                frame = pa.Codec("zstd").decompress(data[a:b], decompressed_size=n, asbytes=True)
+                ids = {json.loads(line)["doc_id"] for line in frame.split(b"\n")}
+                holding += bool(ids & set(range(393, 400)))
+    frames_read = sum(r.store_frames_read for r in readers)
+    assert frames_read == holding > 0, (frames_read, holding)
 
 
 def test_copy_only_storage_backend(ray_session):

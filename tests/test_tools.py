@@ -40,4 +40,4 @@ def test_fastfield_audit_first_doc_without_tokens(ray_session, tmp_path, capsys,
     assert "rare_term" not in out["term_bloom"]
     assert out["term_bloom"]["absent_term"]["postings_files_opened"] == 0
     assert out["n_sort_hits"] == 20
-    assert out["store_blocks_read"] > 0
+    assert out["store_frames_read"] > 0

@@ -113,8 +113,8 @@ def main() -> None:
         if os.path.exists(os.path.join(seg_root, d, "termbloom.bin"))
     )
     n_segments = len(s.segments)
-    # store reads are row-group fetches, counted by the readers
-    store_blocks = sum(r.store_blocks_read for _, g in s._groups for r in g.readers)
+    # store reads are frame fetches, counted by the readers
+    store_frames = sum(r.store_frames_read for _, g in s._groups for r in g.readers)
 
     ff_reads = reads[:n_fastfield_reads]
     by_kind: dict[str, dict[str, int]] = {}
@@ -139,7 +139,7 @@ def main() -> None:
             {c for p, cols in ff_reads if "docvalues" in p for c in (cols or ())}
         ),
         "postings_reads": sum(1 for p, _ in ff_reads if "postings" in p),
-        "store_blocks_read": store_blocks,
+        "store_frames_read": store_frames,
         "term_bloom": {
             "segments_total": n_segments,
             "bloom_bytes_total": bloom_bytes,

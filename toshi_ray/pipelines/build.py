@@ -72,7 +72,9 @@ TOMBSTONES_DIR = "tombstones"
 #      block_tf_offsets, block_last_doc) and total_tf / max_tf: doc-id
 #      deltas restart per list, not per 128-doc block, and one last_doc
 #      column per row serves the merge's tombstone range pre-filter
-FORMAT_VERSION = 8
+# v9 = the doc store is store.frames (16-doc zstd frames of JSON docs
+#      plus a footer), not store.parquet: a v8 reader finds no store
+FORMAT_VERSION = 9
 
 
 class SegmentBuilder:

@@ -37,9 +37,11 @@ is small by definition.
 
 Doc-partitioned side files (docvalues / store) merge by concatenating
 the sources' part files — doc ranges of input segments are disjoint. A
-part is hard-linked unless its footer doc-id range holds a tombstone;
-only such a part is read on the driver (one part at a time), filtered
-and rewritten. The merged directory is then finished like a built one
+source's docvalues part and its paired store part are hard-linked
+unless the docvalues footer's doc-id range holds a tombstone; only such
+a pair is read on the driver (one pair at a time): the docvalues part is
+filtered and rewritten, the store part re-framed with the same rows.
+The merged directory is then finished like a built one
 (`segments.finish_segment`: zone maps, term bloom, meta.json).
 
 Tombstones (delete-by-term, reference `handle.rs:184-210`, SURVEY.md
@@ -74,8 +76,6 @@ from toshi_ray.segments import (
     DOCVALUES_FILE,
     META_FILE,
     POSTINGS_FILE,
-    STORE_BLOCK_ROWS,
-    STORE_COMPRESSION,
     STORE_FILE,
     _binary_from_offsets,
     _binary_parts,
@@ -83,6 +83,7 @@ from toshi_ray.segments import (
     decode_postings,
     empty_postings,
     encode_postings,
+    filter_store_part,
     finish_segment,
     segment_parts,
 )
@@ -460,32 +461,35 @@ def merge_segments(
     # ---- docvalues + store: ORDERED concat of disjoint doc ranges ----
     # source segments cover disjoint doc-id intervals, so each source
     # part keeps its order-preserving name (readers list part files
-    # lexicographically). A part whose footer doc-id range holds no
-    # tombstone is hard-linked, with no decode/encode of the store (the
-    # largest payload in the segment); one that does is read on the
-    # driver, filtered by its own doc_id column and rewritten in its
-    # layout, or skipped when no row is left. The docvalues and the
-    # store drop the same docs, so their rows stay in step.
+    # lexicographically). Docvalues part j and store part j of a source
+    # hold the same docs, so one decision per pair, from the docvalues
+    # part's footer, keeps them in step: a pair whose doc-id range holds
+    # no tombstone is hard-linked, with no decode/encode of the store
+    # (the largest payload in the segment); otherwise the docvalues part
+    # is read on the driver and filtered by its own doc_id column, and
+    # the store part re-framed with the same rows, or both are skipped
+    # when no row is left.
     ordered = sorted(names, key=lambda n: segs[n]["min_doc_id"])
-    for fname in (DOCVALUES_FILE, STORE_FILE):
-        dst = os.path.join(tmp, fname.replace(".parquet", ""))
-        os.makedirs(dst, exist_ok=True)
-        layout = (
-            {"row_group_size": STORE_BLOCK_ROWS, "compression": STORE_COMPRESSION}
-            if fname == STORE_FILE
-            else {}
-        )
-        for i, n in enumerate(ordered):
-            for j, sp in enumerate(segment_parts(os.path.join(seg_dir, n), fname)):
-                dp = os.path.join(dst, f"{i:05d}-{j:04d}.parquet")
-                if not _holds_tombstone(sp, tombs):
-                    get_storage().link_or_copy(sp, dp)
-                    continue
-                t = pq.read_table(sp)
-                ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-                t = t.filter(pa.array(~np.isin(ids, tombs)))
-                if t.num_rows:
-                    pq.write_table(t, dp, **layout)
+    dv_dir, store_dir = (os.path.join(tmp, os.path.splitext(f)[0])
+                         for f in (DOCVALUES_FILE, STORE_FILE))
+    os.makedirs(dv_dir)
+    os.makedirs(store_dir)
+    store_suffix = os.path.splitext(STORE_FILE)[1]
+    for i, n in enumerate(ordered):
+        src = os.path.join(seg_dir, n)
+        pairs = zip(segment_parts(src, DOCVALUES_FILE), segment_parts(src, STORE_FILE), strict=True)
+        for j, (dv_src, store_src) in enumerate(pairs):
+            dv_dst = os.path.join(dv_dir, f"{i:05d}-{j:04d}.parquet")
+            store_dst = os.path.join(store_dir, f"{i:05d}-{j:04d}{store_suffix}")
+            if not _holds_tombstone(dv_src, tombs):
+                get_storage().link_or_copy(dv_src, dv_dst)
+                get_storage().link_or_copy(store_src, store_dst)
+                continue
+            t = pq.read_table(dv_src)
+            keep = ~np.isin(t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64), tombs)
+            if keep.any():
+                pq.write_table(t.filter(pa.array(keep)), dv_dst)
+                filter_store_part(store_src, keep, store_dst)
     if not segment_parts(tmp, DOCVALUES_FILE):  # every source doc was deleted
         shutil.rmtree(tmp, ignore_errors=True)
         return commit(index_root, lambda latest: rebase(latest, None))

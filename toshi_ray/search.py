@@ -381,8 +381,7 @@ class SegmentGroupScorer:
         """wanted: {local segment idx: [doc_ids]} → stored docs."""
         out = []
         for si, ids in wanted.items():
-            t = self.readers[si].store(np.asarray(ids, dtype=np.uint64))
-            out.extend(t.to_pylist())
+            out.extend(self.readers[si].store(np.asarray(ids, dtype=np.uint64)))
         return out
 
     # ---------------- evaluation ----------------
@@ -1109,10 +1108,12 @@ class Searcher:
 
         outs = []
         for s, rows, facet_acc in zip(searches, per_query_rows, per_query_facets):
-            docs = [
-                {"score": float(sc), "doc": _jsonify(docs_by_id.get(int(d), {"doc_id": int(d)}))}
-                for d, sc, _, _ in rows
-            ]
+            for d, _, gi, si in rows:
+                if int(d) not in docs_by_id:  # group gi holds segments gi, gi + n, ...
+                    seg = snap.segments[si * len(groups) + gi]["name"]
+                    raise LookupError(f"winner doc {int(d)} of segment {seg} was not fetched")
+            docs = [{"score": float(sc), "doc": _jsonify(docs_by_id[int(d)])}
+                    for d, sc, _, _ in rows]
             out = {"hits": len(docs), "docs": docs}
             if s.facets is not None:
                 out["facets"] = facet_acc

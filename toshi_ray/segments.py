@@ -2,7 +2,8 @@
 
 A segment mirrors what a Tantivy segment holds (SURVEY.md §1.1
 "Segment"; reference opens them via `toshi-server/src/handle.rs:221-232`)
-re-expressed as Parquet so Ray Data / pyarrow can stream it:
+re-expressed as Parquet so Ray Data / pyarrow can stream it, beside a
+doc store of compressed frames:
 
     seg-<min_doc>-<n>/
       postings.parquet   term dictionary + compressed posting lists
@@ -13,19 +14,28 @@ re-expressed as Parquet so Ray Data / pyarrow can stream it:
       docvalues.parquet  per-doc columnar values: doc_id, 1-byte fieldnorm
                          codes per text field, numeric fast fields,
                          facet paths  — sorted by doc_id
-      store.parquet      stored fields for retrieval — sorted by doc_id, in
-                         STORE_BLOCK_ROWS-row zstd row groups: the unit a
-                         winner fetch decodes
+      store.frames       stored fields for retrieval, in docvalues row
+                         order: zstd frames of STORE_BLOCK_ROWS docs, each
+                         the newline-joined compact JSON of its docs,
+                         then a footer of frame offsets, raw sizes, the
+                         doc count and the stored Arrow schema
+                         (tantivy's StoreWriter/StoreReader: compressed
+                         blocks plus a skip index)
       termbloom.bin      per-field term bloom filters (toshi_ray.termbloom)
       meta.json          doc counts + exact per-field token totals
                          (global BM25 stats are summed from these),
                          zone maps, bloom layout, write id
 
+A winner fetch maps doc id → row (the doc_id docvalues) → frame
+(row // STORE_BLOCK_ROWS), reads each needed frame with one `pread`,
+decompresses it and parses only the wanted lines.
+
 A merged segment's postings, docvalues and store are directories of
-part files instead. Whoever writes the parts, one function finishes the
-directory (`finish_segment`): it derives the zone maps and doc counts
-from the docvalues part footers, builds the bloom and writes meta.json,
-for the build (`write_segment`) and the merge alike.
+part files instead; docvalues part k and store part k hold the same
+docs. Whoever writes the parts, one function finishes the directory
+(`finish_segment`): it derives the zone maps and doc counts from the
+docvalues part footers, builds the bloom and writes meta.json, for the
+build (`write_segment`) and the merge alike.
 
 All posting lists for one batch of documents are built in ONE
 vectorized pass (dictionary-encode + lexsort + reduceat). Postings rows
@@ -43,6 +53,7 @@ from __future__ import annotations
 import copy
 import json
 import os
+import struct
 import threading
 import uuid
 from dataclasses import dataclass
@@ -59,16 +70,16 @@ from toshi_ray.storage import get_storage
 
 POSTINGS_FILE = "postings.parquet"
 DOCVALUES_FILE = "docvalues.parquet"
-STORE_FILE = "store.parquet"
+STORE_FILE = "store.frames"
 META_FILE = "meta.json"
 
-# The doc store is written in small fixed row groups so a winner fetch
-# decodes only the blocks holding its rows (tantivy's block-compressed
-# doc store with a skip index, SURVEY.md §1.1). Readers take the block
-# bounds from each store part's footer, so stores written with any
-# other grouping (one group per file, Ray-sized groups) read the same.
-STORE_BLOCK_ROWS = 64
-STORE_COMPRESSION = "zstd"
+# Docs per store frame: a winner fetch decompresses only the frames
+# holding its rows (tantivy's block-compressed doc store with a skip
+# index, SURVEY.md §1.1). On the perfbench query_merged index (1 CPU,
+# in-process CPU time), a 1-25-doc fetch cost 0.46 ms with 16-doc
+# frames and 0.65 ms with 32; either store was ~19% smaller than the
+# 64-row parquet row groups it replaced.
+STORE_BLOCK_ROWS = 16
 
 POSTINGS_SCHEMA = pa.schema([
     ("field", pa.string()),
@@ -255,15 +266,24 @@ def build_field_postings(
 def build_segment_tables(
     batch: pa.Table, schema: Schema, doc_id_col: str = "doc_id"
 ) -> tuple[pa.Table, pa.Table, pa.Table, dict]:
-    """Turn one batch of documents into (postings, docvalues, store, meta)."""
+    """Turn one batch of documents into (postings, docvalues, store, meta).
+    ``doc_id_col`` names the batch's id column; it is taken as ``doc_id``
+    here, once, so every table below and every reader keys on
+    ``doc_id`` (the source column stays, for a schema field of that name)."""
     if doc_id_col not in batch.column_names:
         raise ValueError(f"batch must carry a '{doc_id_col}' column")
-    order = pa.compute.sort_indices(batch[doc_id_col])
+    if doc_id_col != "doc_id":
+        if "doc_id" in batch.column_names:
+            raise ValueError(
+                f"batch carries both '{doc_id_col}' (the doc id column) and 'doc_id'"
+            )
+        batch = batch.append_column("doc_id", batch[doc_id_col])
+    order = pa.compute.sort_indices(batch["doc_id"])
     batch = batch.take(order)
-    doc_ids = batch[doc_id_col].to_numpy(zero_copy_only=False).astype(np.uint64)
+    doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
 
     posting_parts: list[pa.Table] = []
-    dv_cols: dict[str, pa.Array] = {doc_id_col: pa.array(doc_ids, type=pa.uint64())}
+    dv_cols: dict[str, pa.Array] = {"doc_id": pa.array(doc_ids, type=pa.uint64())}
     field_stats: dict[str, dict] = {}
 
     for f in schema.fields:
@@ -296,8 +316,8 @@ def build_segment_tables(
     )
     docvalues = pa.table(dv_cols)
 
-    stored_names = [doc_id_col] + [
-        f.name for f in schema.stored_fields if f.name in batch.column_names and f.name != doc_id_col
+    stored_names = ["doc_id"] + [
+        f.name for f in schema.stored_fields if f.name in batch.column_names and f.name != "doc_id"
     ]
     store = batch.select(stored_names)
 
@@ -331,14 +351,9 @@ def write_segment(
             return json.load(f)
     tmp = os.path.join(segments_dir, f".tmp-{name}-{uuid.uuid4().hex[:8]}")
     os.makedirs(tmp, exist_ok=True)
+    write_store(os.path.join(tmp, STORE_FILE), store)  # first: it refuses unstorable types
     pq.write_table(postings, os.path.join(tmp, POSTINGS_FILE))
     pq.write_table(docvalues, os.path.join(tmp, DOCVALUES_FILE))
-    pq.write_table(
-        store,
-        os.path.join(tmp, STORE_FILE),
-        row_group_size=STORE_BLOCK_ROWS,
-        compression=STORE_COMPRESSION,
-    )
     meta = finish_segment(tmp, dict(meta, name=name), postings)
     # losing the publish race to an identical-content twin keeps theirs;
     # any other failure raises (see toshi_ray.storage)
@@ -420,16 +435,150 @@ def finish_segment(seg_dir: str, meta: dict, terms: pa.Table) -> dict:
 
 def segment_parts(seg_dir: str, fname: str) -> list[str]:
     """The part files of one segment file, in row order: the single
-    parquet file of a fresh build, or the part files of a merged
+    file of a fresh build, or the part files (same suffix) of a merged
     segment's directory, ordered by file name. Always files: Ray's
     read_parquet rejects a list mixing files and directories."""
     p = os.path.join(seg_dir, fname)
     if os.path.isfile(p):
         return [p]
-    alt = os.path.join(seg_dir, fname.replace(".parquet", ""))
+    alt, suffix = os.path.splitext(p)
     if os.path.isdir(alt):
-        return [os.path.join(alt, f) for f in sorted(os.listdir(alt)) if f.endswith(".parquet")]
+        return [os.path.join(alt, f) for f in sorted(os.listdir(alt)) if f.endswith(suffix)]
     raise FileNotFoundError(p)
+
+
+# ---------------------------------------------------------------------------
+# The doc store. A part file is its zstd frames back to back, then the
+# footer: frame byte offsets (u64, one past the last frame's end too),
+# decompressed frame sizes (u32), the stored Arrow schema (IPC bytes),
+# and the trailer below.
+# ---------------------------------------------------------------------------
+
+_STORE_TRAILER = struct.Struct("<QII4s")  # doc count, frame count, schema bytes, magic
+_STORE_MAGIC = b"TSF1"
+_ZSTD = pa.Codec("zstd")
+
+
+def _json_exact(t: pa.DataType) -> bool:
+    """True for a type whose ``to_pylist`` values JSON gives back
+    unchanged: strings, integers of any width, bools, floats, nulls, and
+    dictionaries, lists and structs of those (a dictionary column is
+    stored as its values)."""
+    if (pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_integer(t)
+            or pa.types.is_boolean(t) or pa.types.is_null(t)
+            or pa.types.is_float32(t) or pa.types.is_float64(t)):
+        return True
+    if (pa.types.is_dictionary(t) or pa.types.is_list(t) or pa.types.is_large_list(t)
+            or pa.types.is_fixed_size_list(t)):
+        return _json_exact(t.value_type)
+    if pa.types.is_struct(t):
+        return all(_json_exact(t.field(i).type) for i in range(t.num_fields))
+    return False
+
+
+def _store_int_type(t: pa.DataType) -> pa.DataType | None:
+    """How a stored column's values are written: None for a type JSON
+    holds exactly (``_json_exact``); the type's own integer width for a
+    date, time, timestamp or duration, whose values are written as
+    integers and cast back on read. Any other type would come back from
+    JSON as a different value, so it raises."""
+    if _json_exact(t):
+        return None
+    if (pa.types.is_timestamp(t) or pa.types.is_date(t) or pa.types.is_time(t)
+            or pa.types.is_duration(t)):
+        return pa.int32() if t.bit_width == 32 else pa.int64()
+    raise TypeError(f"the doc store cannot hold Arrow type {t}")
+
+
+@dataclass
+class _StoreFooter:
+    """One store part's footer."""
+
+    offsets: list[int]  # byte offset of every frame, then the frames' end
+    raw: list[int]  # decompressed size of every frame
+    n_docs: int
+    schema: pa.Schema  # the stored columns, as written
+    temporal: list  # (name, integer type, type) of the columns written as integers
+
+
+def _write_frames(path: str, lines: list[bytes], schema: pa.Schema) -> None:
+    """Write one store part: ``lines`` (one compact JSON doc each, in row
+    order) in frames of STORE_BLOCK_ROWS, then the footer."""
+    offsets, raw = [0], []
+    with open(path, "wb") as f:
+        for a in range(0, len(lines), STORE_BLOCK_ROWS):
+            block = b"\n".join(lines[a : a + STORE_BLOCK_ROWS])
+            offsets.append(offsets[-1] + f.write(_ZSTD.compress(block, asbytes=True)))
+            raw.append(len(block))
+        sch = schema.serialize().to_pybytes()
+        f.write(np.asarray(offsets, "<u8").tobytes() + np.asarray(raw, "<u4").tobytes() + sch
+                + _STORE_TRAILER.pack(len(lines), len(raw), len(sch), _STORE_MAGIC))
+
+
+def write_store(path: str, store: pa.Table) -> None:
+    """Write a store table (``doc_id`` first, rows in docvalues order) as
+    one store part. Each row becomes the compact JSON object of its
+    ``to_pylist`` dict; a column whose values JSON cannot give back
+    unchanged raises here, before anything is written."""
+    cols = {}
+    for f in store.schema:
+        try:
+            int_type = _store_int_type(f.type)
+        except TypeError as e:
+            raise TypeError(f"stored field {f.name!r}: {e}") from None
+        cols[f.name] = store[f.name] if int_type is None else store[f.name].cast(int_type)
+    # json escapes newlines inside values, so a frame splits on b"\n";
+    # ASCII escapes encode faster than UTF-8 and parse back the same
+    dumps = json.JSONEncoder(separators=(",", ":")).encode
+    lines = [dumps(d).encode() for d in pa.table(cols).to_pylist()]
+    _write_frames(path, lines, store.schema.remove_metadata())
+
+
+def _read_store_footer(path: str) -> _StoreFooter:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        end = os.fstat(fd).st_size - _STORE_TRAILER.size
+        n_docs, n_frames, n_schema, magic = _STORE_TRAILER.unpack(
+            os.pread(fd, _STORE_TRAILER.size, end))
+        if magic != _STORE_MAGIC:
+            raise ValueError(f"{path}: not a doc store part")
+        n = 12 * n_frames + 8 + n_schema
+        buf = os.pread(fd, n, end - n)
+    finally:
+        os.close(fd)
+    schema = pa.ipc.read_schema(pa.py_buffer(buf[n - n_schema :]))
+    temporal = [(f.name, t, f.type) for f in schema
+                if (t := _store_int_type(f.type)) is not None]
+    return _StoreFooter(
+        offsets=np.frombuffer(buf, "<u8", n_frames + 1).tolist(),
+        raw=np.frombuffer(buf, "<u4", n_frames, 8 * (n_frames + 1)).tolist(),
+        n_docs=n_docs, schema=schema, temporal=temporal,
+    )
+
+
+def filter_store_part(src: str, keep: np.ndarray, dst: str) -> None:
+    """Re-frame store part ``src`` into ``dst`` keeping the rows ``keep``
+    marks (one bool per row, from the paired docvalues part). Lines are
+    copied as written: no JSON is parsed."""
+    footer = _read_store_footer(src)
+    if footer.n_docs != keep.size:
+        raise RuntimeError(
+            f"store part {src} holds {footer.n_docs} docs, its docvalues part {keep.size}")
+    with open(src, "rb") as f:
+        data = f.read(footer.offsets[-1])
+    lines = []
+    for a, b, r in zip(footer.offsets[:-1], footer.offsets[1:], footer.raw):
+        lines += _ZSTD.decompress(data[a:b], decompressed_size=r, asbytes=True).split(b"\n")
+    _write_frames(dst, [line for line, k in zip(lines, keep.tolist()) if k], footer.schema)
+
+
+class StoredDocs(list):
+    """The stored docs of one fetch, as dicts in doc-id order;
+    ``num_rows`` counts them, as a table's does."""
+
+    @property
+    def num_rows(self) -> int:
+        return len(self)
 
 
 class _SortedPostings:
@@ -487,14 +636,14 @@ class SegmentReader:
         self._dv_names: list[str] | None = None
         self._postings: _SortedPostings | None = None  # lazy, see _sorted_postings
         self._bloom_bits: np.ndarray | None = None  # lazy termbloom.bin
-        self._store_map: tuple | None = None  # lazy, see _store_blocks
+        self._store_map: tuple | None = None  # lazy, see _store_footers
         self.postings_loads = 0  # postings tables read by _sorted_postings
-        self.store_blocks_read = 0  # store row groups decoded by store(ids)
+        self.store_frames_read = 0  # store frames decompressed by store(ids)
 
     def carry(self) -> "SegmentReader":
         """This segment's reader for a newer index snapshot. What came
         from the segment's meta, side files and footers (the bloom
-        bits, the docvalues columns read so far, the store block map)
+        bits, the docvalues columns read so far, the store footers)
         carries over; the postings table, the bulk of a reader's
         memory, loads again on first use."""
         r = copy.copy(self)
@@ -619,38 +768,39 @@ class SegmentReader:
         a, b = p.spans.get(field, (0, 0))
         return p.table.select(["field", "term", "df", "first_doc"]).slice(a, b - a)
 
-    def _store_blocks(self) -> tuple:
-        """The store's block map, built once from the part footers (no
-        data pages): (part (path, parsed footer) pairs, first global row
-        of every block plus the total row count, each block's part and
-        row group within it, the doc_id docvalues it is addressed by).
-        Footers are cached rather than open files, so a reader holds no
-        file descriptor between fetches."""
+    def _store_footers(self) -> tuple:
+        """The store's part paths and footers, read once, with the first
+        row of every part plus the total row count and the doc_id
+        docvalues the store is addressed by. Footers are kept rather
+        than open files, so a reader holds no file descriptor between
+        fetches."""
         if self._store_map is None:
-            parts = [(p, pq.read_metadata(p)) for p in segment_parts(self.dir, STORE_FILE)]
-            n_groups = [md.num_row_groups for _, md in parts]
-            sizes = [md.row_group(rg).num_rows for _, md in parts for rg in range(md.num_row_groups)]
-            starts = np.zeros(len(sizes) + 1, dtype=np.int64)
-            np.cumsum(sizes, out=starts[1:])
-            block_part = np.repeat(np.arange(len(parts)), n_groups)
-            block_rg = np.concatenate([np.arange(n) for n in n_groups] or [np.empty(0, np.int64)])
-            self._store_map = (parts, starts, block_part, block_rg, self.doc_ids())
+            paths = segment_parts(self.dir, STORE_FILE)
+            footers = [_read_store_footer(p) for p in paths]
+            starts = np.zeros(len(paths) + 1, dtype=np.int64)
+            np.cumsum([f.n_docs for f in footers], out=starts[1:])
+            if starts[-1] != self.doc_ids().size:
+                raise RuntimeError(
+                    f"segment {self.dir}: store rows out of step with the doc_id docvalues"
+                    f" ({starts[-1]} stored docs, {self.doc_ids().size} doc ids)")
+            self._store_map = (paths, footers, starts, self.doc_ids())
         return self._store_map
 
-    def store(self, doc_ids: np.ndarray | None = None) -> pa.Table:
-        """Stored fields; ``doc_ids`` fetches just those docs, in doc-id
-        order, decoding only the store blocks that hold them:
-        doc_id → row (searchsorted on the doc_id docvalues, whose row
-        order the store shares) → block (footer row counts). Every
-        requested id must have a stored row — a winner always does,
-        tombstoned or not — so a missing id or a docvalues/store pair
-        out of step raises instead of returning the wrong document."""
-        if doc_ids is None:
-            return pq.read_table(segment_parts(self.dir, STORE_FILE))
-        parts, starts, block_part, block_rg, all_ids = self._store_blocks()
+    def store(self, doc_ids: np.ndarray) -> StoredDocs:
+        """The stored docs of ``doc_ids``, in doc-id order, parsing only
+        the store frames that hold them: doc_id → row (searchsorted on
+        the doc_id docvalues, whose row order the store shares) → part
+        (footer doc counts) → frame (row // STORE_BLOCK_ROWS), one
+        `pread` and one decompress per frame, and a JSON parse of the
+        wanted lines only. Every requested id must have a stored row —
+        a winner always does, tombstoned or not — so a missing id or a
+        docvalues/store pair out of step raises instead of returning
+        the wrong document."""
         ids = np.unique(np.asarray(doc_ids, dtype=np.uint64))
+        docs = StoredDocs()
         if ids.size == 0:
-            return parts[0][1].schema.to_arrow_schema().empty_table()
+            return docs
+        paths, footers, starts, all_ids = self._store_footers()
         rows = np.searchsorted(all_ids, ids)
         found = rows < all_ids.size
         found[found] = all_ids[rows[found]] == ids[found]
@@ -658,26 +808,32 @@ class SegmentReader:
             raise LookupError(
                 f"segment {self.dir}: no stored row for doc ids {ids[~found][:8].tolist()}"
             )
-        block = np.searchsorted(starts, rows, side="right") - 1
-        need, which = np.unique(block, return_inverse=True)
-        tables = []
-        for part in np.unique(block_part[need]):
-            path, md = parts[part]
-            with pq.ParquetFile(path, metadata=md) as f:
-                # a few small blocks: handing them to Arrow's thread
-                # pool costs more CPU than decoding them in line
-                rgs = block_rg[need[block_part[need] == part]].tolist()
-                tables.append(f.read_row_groups(rgs, use_threads=False))
-        self.store_blocks_read += need.size
-        # row offset of each needed block within the concatenated read
-        base = np.zeros(need.size, dtype=np.int64)
-        np.cumsum((starts[need + 1] - starts[need])[:-1], out=base[1:])
-        out = pa.concat_tables(tables).take(pa.array(base[which] + rows - starts[block]))
-        if not np.array_equal(out["doc_id"].to_numpy(zero_copy_only=False), ids):
+        part = np.searchsorted(starts, rows, side="right") - 1
+        local = rows - starts[part]
+        for p in np.unique(part).tolist():
+            footer, got, k = footers[p], [], -1
+            fd = os.open(paths[p], os.O_RDONLY)
+            try:
+                for r in local[part == p].tolist():  # ascending, so each frame once
+                    if r // STORE_BLOCK_ROWS != k:
+                        k = r // STORE_BLOCK_ROWS
+                        a, b = footer.offsets[k], footer.offsets[k + 1]
+                        lines = _ZSTD.decompress(os.pread(fd, b - a, a), asbytes=True,
+                                                 decompressed_size=footer.raw[k]).split(b"\n")
+                        self.store_frames_read += 1
+                    got.append(json.loads(lines[r % STORE_BLOCK_ROWS]))
+            finally:
+                os.close(fd)
+            for name, int_type, typ in footer.temporal:
+                values = pa.array([d[name] for d in got], int_type).cast(typ).to_pylist()
+                for d, v in zip(got, values):
+                    d[name] = v
+            docs.extend(got)
+        if [d["doc_id"] for d in docs] != ids.tolist():
             raise RuntimeError(
                 f"segment {self.dir}: store rows out of step with the doc_id docvalues"
             )
-        return out
+        return docs
 
 
 def decode_positions(table: pa.Table, tfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
