@@ -250,14 +250,15 @@ def test_fuzzy_const_scorer(ray_session, tmp_path):
     assert {d["doc"]["doc_id"]: d["score"] for d in r["docs"]} == {0: 1.0, 1: 1.0}
 
 
-def test_apply_tombstones_vectorized():
-    """The segmented-numpy tombstone path must drop exactly the
-    tombstoned docs from every posting row, keep positions of surviving
-    docs byte-exact, and recompute df and each row's doc range — including
-    on a schema with mixed positions/no-positions fields."""
+def test_merge_partition_drops_tombstones():
+    """The partition merge must drop exactly the tombstoned docs from
+    every merged posting list, keep positions of surviving docs exact,
+    and recompute df and each list's first doc — on a schema with mixed
+    positions/no-positions fields, over three sources whose rows of one
+    term concatenate."""
     import pyarrow as pa
 
-    from toshi_ray.pipelines.merge import apply_tombstones_to_postings
+    from toshi_ray.pipelines.merge import _merge_partition
     from toshi_ray.schema import FieldDef, Schema
     from toshi_ray.segments import (
         build_segment_tables,
@@ -278,10 +279,18 @@ def test_apply_tombstones_vectorized():
     tbl = pa.table(
         {"doc_id": pa.array(np.arange(n, dtype=np.uint64)), "text": texts, "tags": tags}
     )
-    postings, _, _, _ = build_segment_tables(tbl, schema)
+    # three sources over disjoint doc ranges, every row in shard 0
+    postings = pa.concat_tables(
+        [build_segment_tables(tbl.slice(lo, 100), schema)[0] for lo in (200, 0, 100)]
+    )
+    postings = postings.append_column(
+        "shard_out", pa.array(np.zeros(postings.num_rows, np.int64)))
 
     def decode_all(p):
+        """(field, term) → (doc ids, tfs, {doc: positions} or None, rows):
+        the key's rows concatenated in doc order."""
         out = {}
+        p = p.sort_by([("first_doc", "ascending")])
         for i, r in enumerate(p.to_pylist()):
             ids, tfs, _ = decode_postings(p.slice(i, 1))
             posmap = None
@@ -291,12 +300,19 @@ def test_apply_tombstones_vectorized():
                     int(i): pos[offs[j] : offs[j + 1]].tolist()
                     for j, i in enumerate(ids)
                 }
-            out[(r["field"], r["term"], r["shard"])] = (ids, tfs, posmap, r)
+            k = (r["field"], r["term"])
+            if k in out:
+                pids, ptfs, pposmap, rows = out[k]
+                out[k] = (np.concatenate([pids, ids]), np.concatenate([ptfs, tfs]),
+                          None if posmap is None else {**pposmap, **posmap}, rows + [r])
+            else:
+                out[k] = (ids, tfs, posmap, [r])
         return out
 
     tombs = np.array([3, 57, 58, 123, 299], dtype=np.uint64)
-    out = apply_tombstones_to_postings(postings, tombs)
+    out = _merge_partition(postings, tombs)
     orig, new = decode_all(postings), decode_all(out)
+    assert max(len(rows) for *_, rows in orig.values()) == 3
 
     exp_keys = set()
     for k, (ids, tfs, posmap, _) in orig.items():
@@ -304,26 +320,26 @@ def test_apply_tombstones_vectorized():
         if not keep.any():
             continue
         exp_keys.add(k)
-        nids, ntfs, nposmap, row = new[k]
+        nids, ntfs, nposmap, (row,) = new[k]
         np.testing.assert_array_equal(nids, ids[keep])
         np.testing.assert_array_equal(ntfs, tfs[keep])
         assert row["df"] == int(keep.sum())
         assert row["first_doc"] == int(ids[keep][0])
-        assert row["last_doc"] == int(ids[keep][-1])
         if posmap is not None:
             assert nposmap == {int(i): posmap[int(i)] for i in ids[keep]}
         else:
             assert nposmap is None
     assert set(new) == exp_keys
 
-    # rows with no overlapping doc range pass through untouched
+    # a tombstone outside every row merges as if there were none
     far = np.array([10_000_000], dtype=np.uint64)
-    assert apply_tombstones_to_postings(postings, far).equals(postings)
+    assert _merge_partition(postings, far).equals(
+        _merge_partition(postings, np.empty(0, np.uint64)))
 
-    # every doc deleted: a zero-row table with the input schema
-    gone = apply_tombstones_to_postings(postings, np.arange(n, dtype=np.uint64))
+    # every doc deleted: a zero-row table with the postings schema
+    gone = _merge_partition(postings, np.arange(n, dtype=np.uint64))
     assert gone.num_rows == 0
-    assert gone.schema == postings.schema
+    assert gone.schema == out.schema
 
 
 def test_build_with_another_doc_id_column_searches_by_doc_id(ray_session):
@@ -1303,8 +1319,8 @@ def test_merge_resumes_from_partition_checkpoints(ray_session):
 def _postings_by_term(tables, tombs=np.empty(0, np.uint64)) -> dict:
     """(field, term) → (doc ids, tfs, flat positions): every row of the
     key concatenated in doc order, tombstoned postings dropped, keys
-    left with no posting dropped. Also checks each row's df / first /
-    last doc against its decoded list."""
+    left with no posting dropped. Also checks each row's first doc
+    against its decoded list."""
     import pyarrow as pa
 
     from toshi_ray import codecs
@@ -1315,9 +1331,7 @@ def _postings_by_term(tables, tombs=np.empty(0, np.uint64)) -> dict:
     ).combine_chunks()
     doc_ids, tfs, offs = decode_postings(t)
     first = t["first_doc"].to_numpy(zero_copy_only=False)
-    last = t["last_doc"].to_numpy(zero_copy_only=False)
     assert np.array_equal(first, doc_ids[offs[:-1]])
-    assert np.array_equal(last, doc_ids[offs[1:] - 1])
     has_pos = t["positions"].is_valid().to_numpy(zero_copy_only=False)
     pos_rows = np.nonzero(has_pos)[0]
     pos_tfs = codecs.take_ranges(tfs, offs[:-1][pos_rows], np.diff(offs)[pos_rows])
@@ -1344,30 +1358,53 @@ def _postings_by_term(tables, tombs=np.empty(0, np.uint64)) -> dict:
 
 
 @pytest.mark.parametrize("hot_df_threshold,shard_span", [(100_000, 1_000_000), (50, 150)])
-@pytest.mark.parametrize("with_delete", [False, True])
+@pytest.mark.parametrize("with_delete", [False, True, "hot_shard", "spread"])
 def test_merge_equals_sources_concatenated_minus_tombstones(
         ray_session, tmp_path, hot_df_threshold, shard_span, with_delete):
     """The merged postings of every (field, term) are its sources'
     postings concatenated in doc order, minus the tombstoned docs — with
-    salting off and on, with and without a delete file."""
+    salting off and on, and with no delete file, a delete by term
+    (True), every doc of one 150-doc shard of a hot term deleted
+    ("hot_shard": with salting on, that whole group empties) or a seeded
+    1% of the docs deleted, one in every source ("spread")."""
     import os
 
+    import pyarrow as pa
+    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     from toshi_ray.pipelines.build import load_manifest, load_tombstones
-    from toshi_ray.segments import POSTINGS_FILE, segment_parts
+    from toshi_ray.pipelines.merge import commit_tombstones
+    from toshi_ray.segments import POSTINGS_FILE, decode_postings, segment_parts
 
     root = str(tmp_path / "ix")
     build_index(pages_dataset(600, parallelism=3), page_schema(), root, docs_per_segment=100)
-    if with_delete:
-        assert delete_by_term(Searcher(root, distributed=False), "text", "w00050") > 0
-    manifest = load_manifest(root)
-    tombs = load_tombstones(root, manifest)
-    assert tombs.size == 0 or with_delete
 
     def postings(name):
         return [pq.read_table(f) for f in
                 segment_parts(os.path.join(root, "segments", name), POSTINGS_FILE)]
+
+    sources = load_manifest(root)["segments"]
+    if with_delete is True:
+        assert delete_by_term(Searcher(root, distributed=False), "text", "w00050") > 0
+    elif with_delete == "hot_shard":
+        # the least frequent hot term, and its source rows in one shard
+        t = pa.concat_tables(p for s in sources for p in postings(s["name"]))
+        t = t.filter(pc.field("field") == "text")
+        terms, df = t["term"].to_numpy(zero_copy_only=False), t["df"].to_numpy()
+        hot = min(np.unique(terms[df > 50]), key=lambda w: df[terms == w].sum())
+        rows = t.filter(pc.field("term") == hot)
+        shard = rows["first_doc"].to_numpy() // 150
+        emptied = int(shard.max())
+        assert shard.min() < emptied
+        commit_tombstones(root, decode_postings(rows.filter(pa.array(shard == emptied)))[0])
+    elif with_delete == "spread":
+        rng = np.random.default_rng(11)
+        commit_tombstones(root, np.array(
+            [rng.integers(s["min_doc_id"], s["max_doc_id"] + 1) for s in sources], np.uint64))
+    manifest = load_manifest(root)
+    tombs = load_tombstones(root, manifest)
+    assert (tombs.size == 0) == (not with_delete)
 
     want = _postings_by_term(
         [t for s in manifest["segments"] for t in postings(s["name"])], tombs)
@@ -1381,6 +1418,10 @@ def test_merge_equals_sources_concatenated_minus_tombstones(
         assert np.array_equal(g_ids, ids), key
         assert np.array_equal(g_tfs, tfs), key
         assert np.array_equal(g_pos, pos), key
+    if with_delete == "hot_shard" and hot_df_threshold < 100_000:
+        hot_rows = pa.concat_tables(tables).filter(
+            (pc.field("field") == "text") & (pc.field("term") == hot))
+        assert 0 < hot_rows.num_rows and emptied not in hot_rows["shard"].to_pylist()
     salted = max(int(t["shard"].to_numpy().max()) for t in tables if t.num_rows)
     assert (salted > 0) == (hot_df_threshold < 100_000)
 

@@ -47,7 +47,7 @@ def test_encode_postings_roundtrip(lens, seed):
     """`segments.encode_postings` against the input lists: the segmented
     decode of the whole table and of each one-row slice give them back,
     each row's doc ids are that list's own delta + varint stream, and
-    its df, first_doc and last_doc describe the list."""
+    its df and first_doc describe the list."""
     rng = np.random.default_rng(seed)
     ids = [np.cumsum(rng.integers(1, rng.choice([2, 300, 2**20]), n)).astype(np.uint64) for n in lens]
     tfs = [rng.integers(1, rng.choice([2, 300]), n).astype(np.uint64) for n in lens]
@@ -73,4 +73,3 @@ def test_encode_postings_roundtrip(lens, seed):
         assert row["doc_ids"] == codecs.encode_doc_ids(ids[i])
         assert row["df"] == lens[i]
         assert row["first_doc"] == ids[i][0]
-        assert row["last_doc"] == ids[i][-1]

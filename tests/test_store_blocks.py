@@ -17,7 +17,7 @@ import pytest
 
 from toshi_ray.api import IndexCatalog
 from toshi_ray.query import QueryError
-from toshi_ray.pipelines.build import MANIFEST_FILE, build_index, load_manifest
+from toshi_ray.pipelines.build import FORMAT_VERSION, MANIFEST_FILE, build_index, load_manifest
 from toshi_ray.pipelines.merge import delete_by_term, merge_segments
 from toshi_ray.schema import FieldDef, Schema
 from toshi_ray.search import Searcher
@@ -141,7 +141,7 @@ def test_format8_index_is_refused_with_the_rebuild_message(ray_session):
         json.dump(manifest, f)
     with pytest.raises(QueryError) as e:
         Searcher(root, distributed=False)
-    assert "Index format 8 != reader format 9; rebuild the index" in str(e.value)
+    assert f"Index format 8 != reader format {FORMAT_VERSION}; rebuild the index" in str(e.value)
     build_index(pages_dataset(600, parallelism=3), page_schema(), root,
                 docs_per_segment=200)
     s = Searcher(root, distributed=False)

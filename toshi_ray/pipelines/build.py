@@ -74,14 +74,17 @@ TOMBSTONES_DIR = "tombstones"
 #      column per row serves the merge's tombstone range pre-filter
 # v9 = the doc store is store.frames (16-doc zstd frames of JSON docs
 #      plus a footer), not store.parquet: a v8 reader finds no store
-FORMAT_VERSION = 9
+# v10 = postings drop last_doc: the merge drops tombstoned docs inside
+#      its one partition merge, so no range pre-filter reads it; a
+#      postings row is 8 columns
+FORMAT_VERSION = 10
 
 
 class SegmentBuilder:
-    """Stateful map_batches stage: one call = one batch = one segment.
+    """The map_batches stage: one call = one batch = one segment.
 
-    Schema parse happens once per actor (`__init__`), per-batch work is
-    the vectorized posting build in `toshi_ray.segments`.
+    The schema is parsed once, in `__init__` on the driver; per-batch
+    work is the vectorized posting build in `toshi_ray.segments`.
     """
 
     def __init__(self, schema_json: list, segments_dir: str, doc_id_col: str):
@@ -166,7 +169,6 @@ def build_index(
     *,
     doc_id_col: str = "doc_id",
     docs_per_segment: int = 50_000,
-    concurrency: int | tuple | None = None,
     overwrite: bool = False,
     lineage: str | None = None,
 ) -> dict:
@@ -174,7 +176,7 @@ def build_index(
 
     ``docs_per_segment`` bounds one task's in-memory posting build (the
     `writer_memory` analogue, `settings.rs:38`); at 100 TB scale size it
-    so batch × concurrency fits a worker's heap.
+    so one batch fits a worker's heap.
     """
     os.makedirs(os.path.join(index_root, SEGMENTS_DIR), exist_ok=True)
     existing = load_manifest(index_root)
@@ -207,19 +209,10 @@ def build_index(
     ds = ds.select_columns(cols)
 
     t0 = time.perf_counter()
-    kwargs: dict = dict(
-        batch_format="pyarrow",
-        batch_size=docs_per_segment,
-        zero_copy_batch=True,
-    )
-    args = (schema.to_json(), os.path.join(index_root, SEGMENTS_DIR), doc_id_col)
-    if concurrency is not None:
-        # actor pool — state (parsed schema) amortized per actor
-        ds = ds.map_batches(SegmentBuilder, fn_constructor_args=args,
-                            concurrency=concurrency, **kwargs)
-    else:
-        ds = ds.map_batches(SegmentBuilder(*args), **kwargs)
-    meta_rows = ds.take_all()
+    builder = SegmentBuilder(schema.to_json(), os.path.join(index_root, SEGMENTS_DIR), doc_id_col)
+    meta_rows = ds.map_batches(
+        builder, batch_format="pyarrow", batch_size=docs_per_segment, zero_copy_batch=True
+    ).take_all()
     secs = time.perf_counter() - t0
 
     metas = [json.loads(r["meta"]) for r in meta_rows]

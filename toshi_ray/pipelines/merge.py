@@ -12,7 +12,8 @@ SURVEY.md §2.6 A3), re-expressed as a Ray Data job:
                                                       #   footers and the CPUs
       → map_batches(tag hot terms with doc-range salt)  # skew handling
       → groupby(hash(field,term,shard) % 64)          # the all-to-all shuffle
-          .map_groups(vectorized partition merge)     # ONE decode_postings
+          .map_groups(vectorized partition merge)     # ONE decode_postings,
+                                                      #   tombstones dropped,
                                                       #   + encode_postings
                                                       #   per partition
       → one checkpoint file per partition             # merged term dictionary
@@ -46,9 +47,12 @@ The merged directory is then finished like a built one
 
 Tombstones (delete-by-term, reference `handle.rs:184-210`, SURVEY.md
 §2.2 T5) are applied physically here: tombstoned doc_ids drop out of
-postings (re-encoded through the same `encode_postings`, so df and
-each row's first/last doc id are recomputed), docvalues and store. A
-merge of every segment then unlists the delete files it applied.
+postings inside the partition merge, the one place a merge rewrites
+them (so df and each row's first doc id are recomputed, and a group
+left with no posting goes), and out of docvalues and store. Salting
+and hot-term detection read the sources as they are, deleted docs
+included. A merge of every segment then unlists the delete files it
+applied.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from toshi_ray import codecs
 from toshi_ray.pipelines.build import (
     SEGMENTS_DIR,
     TOMBSTONES_DIR,
@@ -99,6 +102,11 @@ MIN_MERGE_SIZE = 8
 MIN_LAYER_SIZE = 10_000
 LEVEL_LOG_SIZE = 0.75
 
+# coarse shuffle partitions; each merges vectorized. 64 suits one node;
+# size ~2-4x the cluster's cores for a big merge so one partition's
+# postings fit a task heap while all cores stay busy.
+N_PARTS = 64
+
 
 def log_merge_candidates(
     segments: list[dict],
@@ -128,15 +136,17 @@ def log_merge_candidates(
     return [names for names in levels if len(names) >= min_merge_size]
 
 
-def _merge_partition(t: pa.Table) -> pa.Table:
-    """Vectorized merge of ALL posting rows in one coarse partition.
+def _merge_partition(t: pa.Table, tombs: np.ndarray) -> pa.Table:
+    """Vectorized merge of ALL posting rows in one coarse partition,
+    minus the tombstoned docs.
 
     The rows of one (field, term, shard_out) group concatenate in
     first_doc order (sources cover disjoint doc ranges): one
-    `decode_postings` of every row, one `encode_postings` of every group
-    — no per-term Python loop. Position
-    streams restart per doc, so a group's positions are the byte
-    concatenation of its rows', never re-encoded.
+    `decode_postings` of every row, one `np.isin` against ``tombs``, one
+    `encode_postings` of every group left with a posting — no per-term
+    Python loop. Position streams restart per doc, so a group's
+    positions are the byte concatenation of its rows', never re-encoded:
+    a deleted doc's positions are one run of its tf varints, cut out.
     """
     t = t.sort_by(
         [("field", "ascending"), ("term", "ascending"),
@@ -145,24 +155,37 @@ def _merge_partition(t: pa.Table) -> pa.Table:
     n = t.num_rows
     if n == 0:
         return empty_postings()
+    doc_ids, tfs, row_offs = decode_postings(t)
+    # a field records positions in all of its rows or in none
+    pos_col = t["positions"].combine_chunks()
+    pos_big, pos_rel = _binary_parts(pos_col)
+
+    keep = ~np.isin(doc_ids, tombs)
+    if not keep.all():
+        n_pos = np.where(np.repeat(pos_col.is_valid().to_numpy(zero_copy_only=False),
+                                   np.diff(row_offs)), tfs.astype(np.int64), 0)
+        # each posting's byte end: a varint ends at a byte below 0x80
+        pos_end = np.append(0, np.flatnonzero(pos_big < 0x80) + 1)[np.cumsum(n_pos)]
+        pos_len = np.diff(pos_end, prepend=0)
+        pos_big = pos_big[np.repeat(keep, pos_len)]
+        pos_rel = np.append(0, np.cumsum(pos_len * keep))[row_offs]
+        row_offs = np.append(0, np.cumsum(keep))[row_offs]
+        doc_ids, tfs = doc_ids[keep], tfs[keep]
+
     fields = t["field"].to_numpy(zero_copy_only=False)
     terms = t["term"].to_numpy(zero_copy_only=False)
     shards = t["shard_out"].to_numpy(zero_copy_only=False)
-
     new_g = np.ones(n, dtype=bool)
     new_g[1:] = (
         (fields[1:] != fields[:-1]) | (terms[1:] != terms[:-1]) | (shards[1:] != shards[:-1])
     )
     g_starts = np.nonzero(new_g)[0]
-    g_offsets = np.concatenate([g_starts, [n]]).astype(np.int64)
+    # a group whose every doc was deleted goes: its rows hold no posting
+    # and no position byte, so the next group may start at them
+    g_starts = g_starts[np.diff(row_offs[np.append(g_starts, n)]) > 0]
+    g_offsets = np.append(g_starts, n)
 
-    doc_ids, tfs, row_offs = decode_postings(t)
-    g_val_offs = row_offs[g_offsets]
-
-    # a field records positions in all of its rows or in none
     take_starts = pa.array(g_starts)
-    pos_col = t["positions"].combine_chunks()
-    pos_big, pos_rel = _binary_parts(pos_col)
     pos_arr = _binary_from_offsets(pos_big.tobytes(), pos_rel[g_offsets])
     if pos_col.null_count:
         pos_arr = pa.compute.if_else(
@@ -174,83 +197,9 @@ def _merge_partition(t: pa.Table) -> pa.Table:
         shards[g_starts].astype(np.int32),
         doc_ids,
         tfs,
-        g_val_offs,
+        row_offs[g_offsets],
         pos_arr,
     )
-
-
-def apply_tombstones_to_postings(batch: pa.Table, tombs: np.ndarray) -> pa.Table:
-    """Vectorized tombstone application for one postings batch.
-
-    Reference semantics (`handle.rs:184-210`): deleted docs drop out of
-    every posting row; df and the row's doc range recompute. Rows whose
-    [first_doc, last_doc] range does not intersect the (sorted)
-    tombstone set pass through UNTOUCHED — the common case at scale,
-    where deletes hit a tiny doc-id range. Touched rows go decode →
-    mask → encode: one `decode_postings`, the tombstoned postings
-    dropped, one `encode_postings`.
-    """
-    n = batch.num_rows
-    if n == 0 or tombs.size == 0:
-        return batch
-    batch = batch.combine_chunks()
-
-    # ---- range pre-filter: which rows CAN contain a tombstone? ----
-    first = batch["first_doc"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    row_last = batch["last_doc"].to_numpy(zero_copy_only=False).astype(np.uint64)
-    pos_t = np.searchsorted(tombs, first)
-    hit = (pos_t < tombs.size) & (
-        tombs[np.minimum(pos_t, tombs.size - 1)] <= row_last
-    )
-    if not hit.any():
-        return batch
-    clean = batch.filter(pa.array(~hit))
-    sub = batch.filter(pa.array(hit)).combine_chunks()
-
-    doc_ids, tfs, row_offs = decode_postings(sub)
-    keep = ~np.isin(doc_ids, tombs)
-    if keep.all():  # range overlapped but no actual doc matched
-        return batch
-    kept_per_row = np.add.reduceat(keep, row_offs[:-1]).astype(np.int64)
-    row_sel = np.nonzero(kept_per_row > 0)[0]
-    if row_sel.size == 0:
-        return clean
-    new_offs = np.zeros(row_sel.size + 1, np.int64)
-    np.cumsum(kept_per_row[row_sel], out=new_offs[1:])
-
-    # ---- positions: per-doc gap spans survive doc drops unchanged ----
-    pos_col = sub["positions"].combine_chunks()
-    has_pos_row = ~pos_col.is_null().to_numpy(zero_copy_only=False)
-    pos_counts = np.where(np.repeat(has_pos_row, np.diff(row_offs)), tfs.astype(np.int64), 0)
-    pos_offs = np.zeros(pos_counts.size + 1, np.int64)
-    np.cumsum(pos_counts, out=pos_offs[1:])
-    kidx = np.nonzero(keep)[0]
-    kept_pos_gaps = codecs.take_ranges(
-        codecs.varint_decode(_binary_parts(pos_col)[0]), pos_offs[:-1][kidx], pos_counts[kidx]
-    )
-    new_pos_offs = np.zeros(row_sel.size + 1, np.int64)
-    np.cumsum(np.add.reduceat(pos_counts * keep, row_offs[:-1])[row_sel], out=new_pos_offs[1:])
-    pos_arr = _binary_from_offsets(
-        *codecs.segmented_varint_encode(kept_pos_gaps, new_pos_offs)
-    )
-    if not has_pos_row.all():
-        pos_arr = pa.compute.if_else(
-            pa.array(has_pos_row[row_sel]), pos_arr,
-            pa.nulls(row_sel.size, type=pa.large_binary()),
-        )
-
-    take = pa.array(row_sel)
-    rebuilt = encode_postings(
-        sub["field"].take(take),
-        sub["term"].take(take),
-        sub["shard"].take(take),
-        doc_ids[keep],
-        tfs[keep],
-        new_offs,
-        pos_arr,
-    )
-    rebuilt = rebuilt.select(batch.column_names).cast(batch.schema)
-    return pa.concat_tables([clean, rebuilt])
 
 
 def _segment_content_sig(seg_dir: str, name: str) -> str:
@@ -279,8 +228,6 @@ def merge_segments(
     *,
     hot_df_threshold: int = 100_000,
     shard_span: int = 1_000_000,
-    apply_deletes: bool = True,
-    n_parts: int = 64,
 ) -> dict:
     """Merge the named segments (default: all) into one; publish manifest.
 
@@ -305,17 +252,13 @@ def merge_segments(
     names = seg_names or list(segs)
     sources = [segs[n] for n in names]
 
-    tombs = load_tombstones(index_root, manifest) if apply_deletes else np.empty(0, np.uint64)
+    tombs = load_tombstones(index_root, manifest)
     # a merge of every segment applies every delete file it read, and
     # doc ids are never reissued (the merged max_doc_id is the sources';
     # with no doc left, the manifest keeps it),
     # so the rebase unlists those files; files committed after this read
     # stay listed. The files stay on disk until a reader-safe gc.
-    applied = (
-        set(manifest.get("tombstones", []))
-        if apply_deletes and set(names) == set(segs)
-        else set()
-    )
+    applied = set(manifest.get("tombstones", [])) if set(names) == set(segs) else set()
 
     seg_dir = os.path.join(index_root, SEGMENTS_DIR)
 
@@ -333,7 +276,7 @@ def merge_segments(
     merge_key = hashlib.sha1(
         "|".join(
             ["|".join(_content_sig(n) for n in sorted(names)),
-             f"parts={n_parts}", f"span={shard_span}", f"hot={hot_df_threshold}",
+             f"parts={N_PARTS}", f"span={shard_span}", f"hot={hot_df_threshold}",
              f"fmt={FORMAT_VERSION}",
              hashlib.sha1(tombs.tobytes()).hexdigest()]
         ).encode()
@@ -358,15 +301,9 @@ def merge_segments(
     )
     hot_keys = pa.array(np.unique(joined.to_numpy(zero_copy_only=False)), type=pa.string())
 
-    # coarse shuffle partitions; each merges vectorized. 64 suits one
-    # node; size ~2-4x the cluster's cores for a big merge so one
-    # partition's postings fit a task heap while all cores stay busy.
-
     def tag(batch: pa.Table) -> pa.Table:
         from toshi_ray.ops.dedup import _hash_strings, _mix
 
-        if tombs.size:
-            batch = apply_tombstones_to_postings(batch, tombs)
         key = pa.compute.binary_join_element_wise(
             batch["field"].combine_chunks().cast(pa.string()),
             batch["term"].combine_chunks().cast(pa.string()),
@@ -379,7 +316,7 @@ def merge_segments(
         shard_out = np.where(is_hot, (fd // shard_span).astype(np.int64), 0)
         batch = batch.append_column("shard_out", pa.array(shard_out, type=pa.int64()))
         th = _hash_strings(batch["term"].combine_chunks().cast(pa.large_binary()))
-        part = (_mix(th ^ shard_out.astype(np.uint64)) % np.uint64(n_parts)).astype(np.int64)
+        part = (_mix(th ^ shard_out.astype(np.uint64)) % np.uint64(N_PARTS)).astype(np.int64)
         return batch.append_column("part", pa.array(part))
 
     # NOTE: no global sort after the partition merge — each partition's
@@ -404,14 +341,16 @@ def merge_segments(
 
     def merge_and_write(t: pa.Table) -> pa.Table:
         """One shuffle partition → one idempotent checkpoint file."""
-        if t.num_rows == 0:  # e.g. tombstones deleted every doc
+        # a zero-row block names no partition; every partition writes
+        # its part file, empty when its every doc was deleted
+        if t.num_rows == 0:
             return pa.table({"part": pa.array([], pa.int64()),
                              "resumed": pa.array([], pa.bool_())})
         part = int(t["part"][0].as_py())
         out_path = os.path.join(ckpt, f"part-{part:05d}.parquet")
         if os.path.exists(out_path):  # per-partition checkpoint hit
             return pa.table({"part": [part], "resumed": [True]})
-        merged = _merge_partition(t)
+        merged = _merge_partition(t, tombs)
         tmp_path = f"{out_path}.tmp-{uuid.uuid4().hex[:8]}"
         pq.write_table(merged, tmp_path)
         get_storage().publish_file(tmp_path, out_path)
@@ -520,12 +459,12 @@ def merge_segments(
     return commit(index_root, lambda latest: rebase(latest, meta))
 
 
-def maybe_merge(index_root: str, **kw) -> list[dict]:
+def maybe_merge(index_root: str) -> list[dict]:
     """Run the log policy over the manifest; merge every candidate bucket."""
     out = []
     manifest = load_manifest(index_root)
     for bucket in log_merge_candidates(manifest["segments"]):
-        out.append(merge_segments(index_root, bucket, **kw))
+        out.append(merge_segments(index_root, bucket))
     return out
 
 

@@ -322,10 +322,7 @@ class SegmentGroupScorer:
                     or (len(top_vals) >= k and zm < top_vals[k - 1])
                 ):
                     continue
-            doc_ids, scores = self._eval(plan, reader, stats)
-            if stats.tombstones is not None and stats.tombstones.size and doc_ids.size:
-                keep = ~np.isin(doc_ids, stats.tombstones)
-                doc_ids, scores = doc_ids[keep], scores[keep]
+            doc_ids, scores = self._eval_live(plan, reader, stats)
             if facets:
                 self._count_facets(reader, doc_ids, facets, facet_counts)
             if doc_ids.size == 0:
@@ -369,13 +366,7 @@ class SegmentGroupScorer:
         return sum(a.size for a in self.match_ids(plan, stats))
 
     def match_ids(self, plan, stats: Stats) -> list[np.ndarray]:
-        out = []
-        for r in self.readers:
-            ids = self._eval(plan, r, stats)[0]
-            if stats.tombstones is not None and stats.tombstones.size and ids.size:
-                ids = ids[~np.isin(ids, stats.tombstones)]
-            out.append(ids)
-        return out
+        return [self._eval_live(plan, r, stats)[0] for r in self.readers]
 
     def fetch_docs(self, wanted: dict) -> list[dict]:
         """wanted: {local segment idx: [doc_ids]} → stored docs."""
@@ -385,6 +376,15 @@ class SegmentGroupScorer:
         return out
 
     # ---------------- evaluation ----------------
+
+    def _eval_live(self, plan, reader: SegmentReader, stats: Stats):
+        """`_eval` minus the tombstoned docs: the one place a query drops
+        deletes."""
+        doc_ids, scores = self._eval(plan, reader, stats)
+        if stats.tombstones is not None and stats.tombstones.size and doc_ids.size:
+            keep = ~np.isin(doc_ids, stats.tombstones)
+            doc_ids, scores = doc_ids[keep], scores[keep]
+        return doc_ids, scores
 
     def _norm_lookup(self, reader: SegmentReader, field: str, doc_ids: np.ndarray) -> np.ndarray:
         col = f"norm_{field}"

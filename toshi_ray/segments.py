@@ -7,7 +7,7 @@ doc store of compressed frames:
 
     seg-<min_doc>-<n>/
       postings.parquet   term dictionary + compressed posting lists
-                         (field, term, shard, df, first_doc, last_doc,
+                         (field, term, shard, df, first_doc,
                           doc_ids Δ+varint, tfs varint,
                           positions Δ+varint)
                                         — sorted by (field, term, shard)
@@ -40,8 +40,9 @@ build (`write_segment`) and the merge alike.
 All posting lists for one batch of documents are built in ONE
 vectorized pass (dictionary-encode + lexsort + reduceat). Postings rows
 have one writer, `encode_postings` (one segmented encode of every
-list's payloads), which the build, the merge and delete application
-all call; `decode_postings` is its bulk inverse.
+list's payloads), which the build and the merge call (the merge drops
+tombstoned docs before it encodes); `decode_postings` is its bulk
+inverse.
 
 Multiple rows may exist for one (field, term): hot terms are sharded by
 doc-range (`shard` column) so the merge stage can salt skewed keys and
@@ -87,7 +88,6 @@ POSTINGS_SCHEMA = pa.schema([
     ("shard", pa.int32()),
     ("df", pa.uint32()),
     ("first_doc", pa.uint64()),
-    ("last_doc", pa.uint64()),
     ("doc_ids", pa.large_binary()),
     ("tfs", pa.large_binary()),
     ("positions", pa.large_binary()),
@@ -133,8 +133,8 @@ def encode_postings(
     positions: pa.Array | None,
 ) -> pa.Table:
     """POSTINGS_SCHEMA rows for many posting lists in one vectorized
-    pass — the one writer of the posting layout (build, merge and delete
-    application all call it).
+    pass — the one writer of the posting layout (the build and the merge
+    call it).
 
     ``doc_ids`` (ascending within each list) and ``tfs`` are flat arrays
     cut into non-empty lists by ``offsets`` (len = n_lists + 1); ``field``,
@@ -143,7 +143,7 @@ def encode_postings(
 
     Each list's doc ids are delta-coded from an absolute first id, so
     ONE segmented encode covers every list; a row also carries its
-    first and last doc id (the merge's tombstone range pre-filter)."""
+    first doc id (readers order a term's shard rows by it)."""
     doc_ids = np.asarray(doc_ids, np.uint64)
     tfs = np.asarray(tfs, np.uint64)
     offsets = np.asarray(offsets, np.int64)
@@ -159,7 +159,6 @@ def encode_postings(
             "shard": shard,
             "df": np.diff(offsets).astype(np.uint32),
             "first_doc": doc_ids[offsets[:-1]],
-            "last_doc": doc_ids[offsets[1:] - 1],
             "doc_ids": _binary_from_offsets(doc_payload, doc_offs),
             "tfs": _binary_from_offsets(tf_payload, tf_offs),
             "positions": pa.nulls(n, pa.large_binary()) if positions is None else positions,

@@ -107,13 +107,10 @@ def bulk_index_ndjson(
     *,
     id_col: str = "doc_id",
     docs_per_segment: int = 50_000,
-    **build_kw,
 ) -> dict:
     """NDJSON files → validated Dataset → `build_index` (map-only,
     atomic manifest publish = the whole-bulk rollback)."""
     from toshi_ray.pipelines.build import build_index
 
     ds = read_ndjson_docs(paths, schema, id_col=id_col)
-    return build_index(
-        ds, schema, index_root, docs_per_segment=docs_per_segment, **build_kw
-    )
+    return build_index(ds, schema, index_root, docs_per_segment=docs_per_segment)
