@@ -109,6 +109,23 @@ def test_add_non_object_errors(catalog):  # handlers/index.rs:150-169
     assert str(e.value) == "Error in Index: 'The provided string is not valid JSON'"
 
 
+@pytest.mark.parametrize("value, kind", [(["a b", "c"], "sequence"), ({"a": "c"}, "map")])
+def test_a_list_or_map_in_a_string_field_is_refused(catalog, value, kind):
+    """A text or facet field holds one string: a list or a map is a
+    JSON type error (serde's wording), not its Python repr indexed."""
+    import json
+
+    want = f"Error Parsing Json: 'invalid type: {kind}, expected a string'"
+    with pytest.raises(QueryError) as e:
+        catalog.add_document("test_index", {"document": {"test_text": value}})
+    assert str(e.value) == want
+    with pytest.raises(QueryError) as e:
+        catalog.bulk_insert("test_index", json.dumps({"test_facet": value}))
+    assert str(e.value) == want
+    assert catalog.search("test_index", {"query": {"term": {"test_text": "c"}}})["hits"] == 0
+    assert catalog.all_docs("test_index")["hits"] == 5
+
+
 def test_delete_term(catalog):
     r = catalog.delete_term("test_index", {"test_text": "duckiment"})
     assert r["docs_affected"] == 1

@@ -96,17 +96,73 @@ def test_brute_force_ann_matches_numpy(emb):
         assert sub["vec_id"].tolist() == want
 
 
-def test_ivf_recall_reasonable(emb):
-    from toshi_ray.ops.similarity import brute_force_topk, ivf_topk, train_ivf_centroids
+def test_ivf_recall_reasonable(emb, tmp_path):
+    from toshi_ray.ops.similarity import (
+        brute_force_topk,
+        build_ivf_index,
+        ivf_index_topk,
+        train_ivf_centroids,
+    )
 
     head = emb.limit(5).take_all()
     q = np.stack([r["embedding"] for r in head])
     bf = brute_force_topk(emb, q, k=10)
     cent = train_ivf_centroids(emb, n_cells=8)
-    iv = ivf_topk(emb, q, cent, k=10, nprobe=4)
+    path = build_ivf_index(emb, cent, str(tmp_path / "ivf"))
+    iv = ivf_index_topk(path, q, cent, k=10, nprobe=4)
     bs = set(map(tuple, bf[["query_id", "vec_id"]].values.tolist()))
     is_ = set(map(tuple, iv[["query_id", "vec_id"]].values.tolist()))
     assert len(bs & is_) / len(bs) >= 0.5  # nprobe=4 of 8 cells
+
+
+@pytest.mark.parametrize("kind", ["ivf_index", "lsh", "pq"])
+def test_ann_ties_at_the_cut_keep_the_lowest_ids(ray_session, tmp_path, kind):
+    """Bit-equal scores at the k-th place keep the lowest ids, whatever
+    the kernel and however the rows fall into blocks: 20 copies of query
+    0's 5th-best vector, with ids that run down the row order, spread
+    over 3 blocks (and, for IVF, into one of 4 cells)."""
+    import ray.data
+
+    from toshi_ray.ops.similarity import (
+        _normalize,
+        brute_force_topk,
+        build_ivf_index,
+        hash_pq_codebook,
+        ivf_index_topk,
+        lsh_topk,
+        pq_topk,
+        train_ivf_centroids,
+    )
+
+    rng = np.random.default_rng(5)
+    n, d, k = 240, 8, 5
+    v = rng.standard_normal((n, d))
+    q = rng.standard_normal((2, d))
+    ids = np.arange(n)[::-1].copy()
+    fifth = np.argsort(-(_normalize(q[:1]) @ _normalize(v).T)[0], kind="stable")[k - 1]
+    others = np.setdiff1d(np.arange(n), [fifth])
+    v[rng.choice(others, 20, replace=False)] = v[fifth]
+    t = pa.table({"vec_id": pa.array(ids, pa.int64()),
+                  "embedding": pa.FixedSizeListArray.from_arrays(pa.array(v.reshape(-1)), d)})
+    ds = ray.data.from_arrow(t).repartition(3)
+    qids = np.array([7, 8])
+
+    if kind == "pq":
+        book = hash_pq_codebook(4, 16, 2)
+        got = pq_topk(ds, q, book, k=k, query_ids=qids)
+        one = pq_topk(ray.data.from_arrow(t).repartition(1), q, book, k=k, query_ids=qids)
+        pd.testing.assert_frame_equal(got, one)
+        return
+    if kind == "ivf_index":
+        cent = train_ivf_centroids(ds, n_cells=4)
+        path = build_ivf_index(ds, cent, str(tmp_path / "ivf"))
+        got = ivf_index_topk(path, q, cent, k=k, nprobe=4, query_ids=qids)
+    else:
+        got = lsh_topk(ds, q, k=k, n_planes=d, probe_hamming=d, query_ids=qids)
+    want = brute_force_topk(ds, q, k=k, query_ids=qids)
+    assert (got[["query_id", "vec_id"]].values.tolist()
+            == want[["query_id", "vec_id"]].values.tolist())
+    np.testing.assert_allclose(got["score"], want["score"], rtol=1e-12)
 
 
 def test_token_stats_matches_sql(docs):
@@ -219,32 +275,50 @@ def test_exact_dedup_across_batches(ray_session):
 
 
 def test_ivf_partitioned_index(emb, tmp_path):
-    """The partitioned IVF index must agree with the scan-based IVF and
-    only read the probed cells."""
-    import numpy as np
+    """The partitioned IVF index reads only the probed cells, and each
+    query gets the exact (score desc, id asc) top-k over the vectors of
+    its own probed cells."""
+    import glob
+    import os
+
+    import pyarrow.parquet as pq
 
     from toshi_ray.ops.similarity import (
+        _normalize,
+        _vec_matrix,
         build_ivf_index,
         ivf_index_topk,
-        ivf_topk,
         train_ivf_centroids,
     )
 
     cent = train_ivf_centroids(emb, n_cells=8)
     path = build_ivf_index(emb, cent, str(tmp_path / "ivf"))
-    import os
-
     cells_on_disk = [d for d in os.listdir(path) if d.startswith("cell=")]
     assert len(cells_on_disk) == 8
 
     head = emb.limit(4).take_all()
     q = np.stack([r["embedding"] for r in head])
     qids = np.array([r["vec_id"] for r in head])
-    a = ivf_index_topk(path, q, cent, k=8, nprobe=3, query_ids=qids)
-    b = ivf_topk(emb, q, cent, k=8, nprobe=3, query_ids=qids)
-    pa_ = a[["query_id", "vec_id"]].values.tolist()
-    pb_ = b[["query_id", "vec_id"]].values.tolist()
-    assert pa_ == pb_
+    got, stats = ivf_index_topk(path, q, cent, k=8, nprobe=3, query_ids=qids,
+                                return_stats=True)
+
+    qn = _normalize(q.astype(np.float64))
+    probes = np.argsort(-(qn @ cent.T), axis=1)[:, :3]
+    probed_files = {f for c in np.unique(probes)
+                    for f in glob.glob(os.path.join(path, f"cell={c}", "*.parquet"))}
+    assert stats["files_read"] == len(probed_files) < stats["files_total"]
+
+    index = pq.read_table(path, columns=["vec_id", "embedding", "cell_id"])
+    ids = index["vec_id"].to_numpy()
+    cell = index["cell_id"].to_numpy()
+    sims = qn @ _normalize(_vec_matrix(index["embedding"])).T
+    want = []
+    for qi in range(len(qids)):
+        own = np.flatnonzero(np.isin(cell, probes[qi]))
+        top = own[np.lexsort((ids[own], -sims[qi, own]))[:8]]
+        want += [[qids[qi], i] for i in ids[top]]
+    want.sort(key=lambda r: r[0])  # stable: the result is in query_id order
+    assert got[["query_id", "vec_id"]].values.tolist() == want
 
 
 def test_sliding_window_matches_sql(ray_session):
@@ -2258,6 +2332,26 @@ def test_value_stats_wide_range_distributed_fold(ray_session):
         assert df.loc[k, "p50_x100"] == int(v[(n + 1) // 2 - 1])
         assert df.loc[k, "min_x100"] == int(v[0])
         assert df.loc[k, "max_x100"] == int(v[-1])
+
+
+def test_gather_table_runs_the_pipeline_once(ray_session, tmp_path):
+    """A lazy Dataset runs once through `gather_table`: each map call
+    leaves one marker file, so there are exactly as many as blocks."""
+    import os
+    import uuid
+
+    import ray.data
+
+    from toshi_ray.ops._gather import gather_table
+
+    def mark(t: pa.Table) -> pa.Table:
+        open(os.path.join(tmp_path, uuid.uuid4().hex), "w").close()
+        return t
+
+    ds = ray.data.range(40, override_num_blocks=4).map_batches(
+        mark, batch_format="pyarrow", batch_size=None)
+    assert gather_table(ds).num_rows == 40
+    assert len(os.listdir(tmp_path)) == 4
 
 
 def test_gather_table_contract(ray_session):

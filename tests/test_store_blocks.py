@@ -390,6 +390,34 @@ def test_every_stored_type_round_trips_through_the_catalog(ray_session):
     assert got == want
 
 
+def test_a_stored_date_serializes_as_rfc3339_utc(ray_session, tmp_path):
+    """A date read back from the store renders as tantivy's JSON form of
+    a date, both in a pretty search and in the HTTP response."""
+    import urllib.request
+
+    import ray.data
+
+    from toshi_ray.server import ToshiRayServer
+
+    build_index(ray.data.from_arrow(typed_table(typed_docs(3))), TYPED_SCHEMA,
+                str(tmp_path / "typed"), docs_per_segment=16)
+    c = IndexCatalog(str(tmp_path))
+    body = {"query": {"term": {"body": "alpha"}}, "limit": 10}
+    want = {0: "2021-03-04T05:06:07.000891Z", 1: "2021-03-05T05:06:07.000891Z",
+            2: "2021-03-06T05:06:07.000891Z"}
+
+    def dates(out: dict) -> dict:
+        return {d["doc"]["doc_id"]: d["doc"]["ts"] for d in out["docs"]}
+
+    assert dates(json.loads(c.search("typed", body, pretty=True))) == want
+    with ToshiRayServer(c) as srv:
+        r = urllib.request.Request(srv.addr + "/typed", data=json.dumps(body).encode(),
+                                   method="POST")
+        with urllib.request.urlopen(r, timeout=30) as resp:
+            assert resp.status == 200
+            assert dates(json.loads(resp.read())) == want
+
+
 def test_dictionary_list_and_struct_columns_store_their_values():
     """Columns whose values JSON holds exactly, nested or dictionary
     encoded, come back as ``to_pylist`` gives them."""

@@ -23,6 +23,7 @@ whole-batch rollback for free (parse error ⇒ nothing published —
 
 from __future__ import annotations
 
+import datetime
 import json
 import logging
 import os
@@ -45,6 +46,16 @@ from toshi_ray.search import Searcher
 from toshi_ray.segments import build_segment_tables, write_segment
 
 _LOG = logging.getLogger("toshi_ray.api")
+
+
+def json_default(v):
+    """``json.dumps(default=)`` for a response: a stored date comes back
+    from the doc store as a ``datetime`` and renders as an RFC 3339 UTC
+    string, tantivy's JSON form of a date (``2021-03-04T05:06:07.000891Z``)."""
+    if isinstance(v, datetime.datetime):  # naive: the store casts to timestamp[us]
+        return v.isoformat() + "Z"
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
 
 class AutoCommitWatcher:
     """Analogue of the reference's commit watcher (`commit.rs:11-28`):
@@ -271,7 +282,7 @@ class IndexCatalog:
         (`toshi-types/src/query/mod.rs:28-59`): return an indented JSON
         string instead of the dict."""
         out = self._searcher(name).search(body)
-        return json.dumps(out, indent=2) if pretty else out
+        return json.dumps(out, indent=2, default=json_default) if pretty else out
 
     def all_docs(self, name: str) -> dict:
         return self.search(name, None)
@@ -317,6 +328,10 @@ class IndexCatalog:
                     raise QueryError.json(f"invalid value: integer `{v}`, expected u64")
             elif fdef.type == "i64" and (not isinstance(v, int) or isinstance(v, bool)):
                 raise QueryError.json(f"invalid type: {json.dumps(v)}, expected i64")
+            elif fdef.type in ("text", "facet") and isinstance(v, (list, dict)):
+                # a field holds one string; str(v) would index the repr
+                kind = "sequence" if isinstance(v, list) else "map"
+                raise QueryError.json(f"invalid type: {kind}, expected a string")
 
     def _append_docs(self, name: str, docs: list[dict]) -> dict | None:
         """Micro-segment append: docs → one new segment, built inside the

@@ -15,10 +15,14 @@ import pyarrow as pa
 def gather_table(ds) -> "pa.Table | None":
     """Materialize a (cap-checked, bounded) Dataset onto the driver as a
     single Arrow table. Returns ``None`` when the dataset has no rows so
-    callers keep their explicit empty-schema branches."""
+    callers keep their explicit empty-schema branches.
+
+    The dataset runs once: ``to_arrow_refs`` of a lazy Dataset asks for
+    its schema after the run, which starts a second (``limit=1``)
+    execution of the first block, shuffles before it included."""
     import ray
 
-    tbls = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    tbls = [t for t in ray.get(ds.materialize().to_arrow_refs()) if t.num_rows]
     if not tbls:
         return None
     return pa.concat_tables(tbls).combine_chunks()

@@ -1,11 +1,19 @@
 """Approximate-nearest-neighbor search over an embedding column.
 
-Baseline: brute-force cosine top-k — the query matrix is broadcast ONCE
-(`ray.put`), every batch does one numpy matmul and emits only its local
-top-k rows (k × n_queries per batch, not the batch), the driver merges.
-Scale path: IVF — a coarse centroid codebook (trained on a driver-side
-sample, broadcast) assigns each vector to a cell; queries probe only
-`nprobe` cells, so the matmul touches a fraction of the corpus.
+One scan, four kernels. `_scan_topk` runs every embedding top-k: a
+batch's kernel returns only its (n_q × batch rows) score matrix, −inf
+for a pair that is not a candidate; the scan makes the one local cut
+(`_local_topk_rows`, score desc then id asc, so bit-equal scores at the
+k-th place keep the lowest ids), drops −inf, gathers the blocks as
+Arrow (`gather_table`) and cuts k per query with one lexsort.
+
+Kernels: brute force (one matmul against the query matrix, broadcast
+ONCE with `ray.put`); IVF (a coarse centroid codebook trained on a
+driver-side sample assigns each vector to a cell, the index is written
+partitioned by cell, a probe reads only its `nprobe` cells' files, and
+a row outside a query's probed cells scores −inf); sign-LSH (the matmul
+touches only columns within h bits of some query's code); PQ (ADC: a
+per-query lookup table gathered by the batch's codes).
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 
 def _vec_matrix(col) -> np.ndarray:
@@ -34,12 +43,76 @@ def _vec_matrix(col) -> np.ndarray:
     return flat.reshape(n, int(lens[0])).astype(np.float64)
 
 
-def _as_matrix(col) -> np.ndarray:
-    return _vec_matrix(col)
-
-
 def _normalize(v: np.ndarray) -> np.ndarray:
     return v / np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-12)
+
+
+def _local_topk_rows(sims: np.ndarray, ids: np.ndarray, k: int):
+    """Per-query local top-k with the DETERMINISTIC (score desc, id asc)
+    tie-break: argpartition alone splits bit-equal scores arbitrarily
+    (exact duplicate embeddings), which could drop the lower id locally
+    while the SQL oracle keeps it. → (rows_q, col_idx) flat selection."""
+    n_q, n = sims.shape
+    kk = min(k, n)
+    if kk == 0:  # an empty batch
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    part = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
+    rows_out, cols_out = [], []
+    for qi in range(n_q):
+        thresh = sims[qi, part[qi]].min()
+        cand = np.nonzero(sims[qi] >= thresh)[0]  # ALL ties at the boundary
+        order = np.lexsort((ids[cand], -sims[qi, cand]))[:kk]
+        sel = cand[order]
+        rows_out.append(np.full(sel.size, qi, np.int64))
+        cols_out.append(sel)
+    return np.concatenate(rows_out), np.concatenate(cols_out)
+
+
+def _scan_topk(ds, n_q: int, k: int, id_col: str, query_ids, score_batch):
+    """The one embedding top-k scan → (DataFrame (query_id, <id_col>,
+    score) in (query_id, score desc, id asc) order, (candidate pairs,
+    vectors)).
+
+    ``score_batch(t)`` → the (n_q × t.num_rows) score matrix of a batch,
+    −inf where a (query, row) pair is not a candidate. Each batch emits
+    its local top-k rows plus one tally row (null query_id) holding its
+    finite-score pair count and its row count, so the totals need no
+    second execution."""
+    from toshi_ray.ops._gather import col_i64, gather_table
+
+    qids = np.asarray(query_ids if query_ids is not None else np.arange(n_q)).astype(np.int64)
+
+    def scan(t: pa.Table) -> pa.Table:
+        sims = score_batch(t) if t.num_rows else np.empty((n_q, 0))
+        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        rows_q, cols = _local_topk_rows(sims, ids, k)
+        sc = sims[rows_q, cols]
+        hit = sc > -np.inf
+        rows_q, cols, sc = rows_q[hit], cols[hit], sc[hit]
+        tally = np.arange(sc.size + 1) == sc.size  # the last row
+        zeros = np.zeros(sc.size, np.int64)
+        return pa.table({
+            "query_id": pa.array(np.append(qids[rows_q], 0), mask=tally),
+            id_col: pa.array(np.append(ids[cols], 0), mask=tally),
+            "score": pa.array(np.append(sc, 0.0), mask=tally),
+            "pairs": pa.array(np.append(zeros, np.isfinite(sims).sum())),
+            "vecs": pa.array(np.append(zeros, t.num_rows)),
+        })
+
+    t = gather_table(ds.map_batches(scan, batch_format="pyarrow"))
+    if t is None:
+        q = ids = np.empty(0, np.int64)
+        s, tally = np.empty(0), (0, 0)
+    else:
+        tally = (int(pc.sum(t["pairs"]).as_py()), int(pc.sum(t["vecs"]).as_py()))
+        t = t.filter(pc.is_valid(t["query_id"]))
+        q, ids = col_i64(t, "query_id"), col_i64(t, id_col)
+        s = t["score"].to_numpy()
+        order = np.lexsort((ids, -s, q))
+        q, ids, s = q[order], ids[order], s[order]
+        top = np.arange(q.size) - np.searchsorted(q, q) < k  # rank within query
+        q, ids, s = q[top], ids[top], s[top]
+    return pd.DataFrame({"query_id": q, id_col: ids, "score": s}), tally
 
 
 def brute_force_topk(
@@ -50,44 +123,20 @@ def brute_force_topk(
     vec_col: str = "embedding",
     id_col: str = "vec_id",
     query_ids: np.ndarray | None = None,
-    normalized: bool = True,
 ):
     """→ pandas DataFrame (query_id, vec_id, score) — exact cosine top-k.
 
-    The per-batch kernel is one matmul against the broadcast query
-    matrix; only local top-k rows leave each task.
-    """
+    The kernel is one matmul of the batch against the broadcast query
+    matrix."""
     import ray
 
-    q = np.asarray(query_vecs, dtype=np.float64)
-    if normalized:
-        q = _normalize(q)
-    qids = np.asarray(query_ids) if query_ids is not None else np.arange(q.shape[0])
+    q = _normalize(np.asarray(query_vecs, dtype=np.float64))
     q_ref = ray.put(q)
 
-    def score(t: pa.Table) -> pa.Table:
-        qm = ray.get(q_ref)
-        v = _as_matrix(t[vec_col])
-        if normalized:
-            v = _normalize(v)
-        sims = qm @ v.T  # (n_q, n_batch)
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        # local top-k per query with the deterministic (score desc,
-        # id asc) tie-break — argpartition alone could locally drop the
-        # lower id of a bit-equal pair the oracle keeps
-        rows_q, cand = _local_topk_rows(sims, ids, k)
-        return pa.table(
-            {
-                "query_id": pa.array(qids[rows_q]),
-                id_col: pa.array(ids[cand]),
-                "score": pa.array(sims[rows_q, cand]),
-            }
-        )
+    def score(t: pa.Table) -> np.ndarray:
+        return ray.get(q_ref) @ _normalize(_vec_matrix(t[vec_col])).T
 
-    parts = ds.map_batches(score, batch_format="pyarrow").take_all()
-    df = pd.DataFrame(parts)
-    df = df.sort_values(["query_id", "score", id_col], ascending=[True, False, True])
-    return df.groupby("query_id", as_index=False).head(k).reset_index(drop=True)
+    return _scan_topk(ds, q.shape[0], k, id_col, query_ids, score)[0]
 
 
 def train_ivf_centroids(
@@ -202,7 +251,7 @@ def build_ivf_index(
 
     def assign(t: pa.Table) -> pa.Table:
         cent = ray.get(cent_ref)
-        v = _normalize(_as_matrix(t[vec_col]))
+        v = _normalize(_vec_matrix(t[vec_col]))
         cell = np.argmax(v @ cent.T, axis=1).astype(np.int32)
         # `cell` becomes the hive partition dir; `cell_id` stays physical
         # so per-row cells survive a manually-pruned read
@@ -249,26 +298,26 @@ def ivf_index_topk(
     return_stats: bool = False,
 ):
     """ANN over a partitioned IVF index: reads ONLY the probed cells
-    (parquet partition pruning), then exact cosine within them.
+    (parquet partition pruning), then exact cosine within them; a row
+    outside a query's own probed cells scores −inf for that query.
 
     ``return_stats=True`` additionally returns
     {files_read, bytes_read, files_total, bytes_total} so callers (and
     tests) can assert the probe touched ≤ nprobe/n_cells of the index."""
-    import ray.data
-
-    q = _normalize(np.asarray(query_vecs, dtype=np.float64))
-    qids = np.asarray(query_ids) if query_ids is not None else np.arange(q.shape[0])
-    probes = np.argsort(-(q @ centroids.T), axis=1)[:, :nprobe]
-    cells = sorted({int(c) for row in probes for c in row})
-    # manual partition pruning: only the probed cells' directories are
-    # even LISTED, let alone read
+    import glob
     import os
 
-    import glob
+    import ray
 
+    q = _normalize(np.asarray(query_vecs, dtype=np.float64))
+    probes = np.argsort(-(q @ centroids.T), axis=1)[:, :nprobe]
+    probed = np.zeros((q.shape[0], centroids.shape[0]), bool)  # (n_q, n_cells)
+    probed[np.arange(q.shape[0])[:, None], probes] = True
+    # manual partition pruning: only the probed cells' directories are
+    # even LISTED, let alone read
     paths = [
         f
-        for c in cells
+        for c in np.flatnonzero(probed.any(axis=0))
         for f in sorted(glob.glob(os.path.join(index_path, f"cell={c}", "*.parquet")))
     ]
     stats = None
@@ -280,137 +329,29 @@ def ivf_index_topk(
             "files_total": len(all_files),
             "bytes_total": sum(os.path.getsize(p) for p in all_files),
         }
-    if not paths:
-        empty = pd.DataFrame({"query_id": [], id_col: [], "score": []})
-        return (empty, stats) if return_stats else empty
-    ds = ray.data.read_parquet(paths)
-    import ray
+    if paths:
+        ref = ray.put((q, probed))
 
-    ref = ray.put((q, probes))
+        def score(t: pa.Table) -> np.ndarray:
+            qm, probed_b = ray.get(ref)
+            sims = qm @ _normalize(_vec_matrix(t[vec_col])).T
+            cell = t["cell_id"].to_numpy(zero_copy_only=False)
+            sims[~probed_b[:, cell]] = -np.inf
+            return sims
 
-    def score(t: pa.Table) -> pa.Table:
-        qm, prob = ray.get(ref)
-        v = _normalize(_as_matrix(t[vec_col]))
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        cell = t["cell_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        out_q, out_id, out_s = [], [], []
-        for qi in range(qm.shape[0]):
-            m = np.isin(cell, prob[qi])
-            if not m.any():
-                continue
-            sims = v[m] @ qm[qi]
-            kk = min(k, sims.size)
-            loc = np.argpartition(-sims, kk - 1)[:kk]
-            out_q.append(np.full(kk, qids[qi]))
-            out_id.append(ids[m][loc])
-            out_s.append(sims[loc])
-        if not out_q:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             id_col: pa.array([], pa.int64()),
-                             "score": pa.array([], pa.float64())})
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q)),
-                id_col: pa.array(np.concatenate(out_id)),
-                "score": pa.array(np.concatenate(out_s)),
-            }
-        )
-
-    parts = ds.map_batches(score, batch_format="pyarrow").take_all()
-    df = pd.DataFrame(parts)
-    if df.empty:
-        df = pd.DataFrame({"query_id": [], id_col: [], "score": []})
+        df = _scan_topk(ray.data.read_parquet(paths), q.shape[0], k, id_col,
+                        query_ids, score)[0]
     else:
-        df = df.sort_values(["query_id", "score", id_col], ascending=[True, False, True])
-        df = df.groupby("query_id", as_index=False).head(k).reset_index(drop=True)
+        none = np.empty(0, np.int64)
+        df = pd.DataFrame({"query_id": none, id_col: none, "score": np.empty(0)})
     return (df, stats) if return_stats else df
-
-
-def ivf_topk(
-    ds,
-    query_vecs: np.ndarray,
-    centroids: np.ndarray,
-    *,
-    k: int = 10,
-    nprobe: int = 4,
-    vec_col: str = "embedding",
-    id_col: str = "vec_id",
-    query_ids: np.ndarray | None = None,
-):
-    """IVF-style ANN: per batch, score only vectors whose cell is probed
-    by some query. Centroids + queries broadcast once."""
-    import ray
-
-    q = _normalize(np.asarray(query_vecs, dtype=np.float64))
-    qids = np.asarray(query_ids) if query_ids is not None else np.arange(q.shape[0])
-    probes = np.argsort(-(q @ centroids.T), axis=1)[:, :nprobe]  # (n_q, nprobe)
-    ref = ray.put((q, centroids, probes))
-
-    def score(t: pa.Table) -> pa.Table:
-        qm, cent, prob = ray.get(ref)
-        v = _normalize(_as_matrix(t[vec_col]))
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        cell = np.argmax(v @ cent.T, axis=1)
-        out_q, out_id, out_s = [], [], []
-        for qi in range(qm.shape[0]):
-            m = np.isin(cell, prob[qi])
-            if not m.any():
-                continue
-            sims = v[m] @ qm[qi]
-            kk = min(k, sims.size)
-            loc = np.argpartition(-sims, kk - 1)[:kk]
-            out_q.append(np.full(kk, qids[qi]))
-            out_id.append(ids[m][loc])
-            out_s.append(sims[loc])
-        if not out_q:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             id_col: pa.array([], pa.int64()),
-                             "score": pa.array([], pa.float64())})
-        return pa.table(
-            {
-                "query_id": pa.array(np.concatenate(out_q)),
-                id_col: pa.array(np.concatenate(out_id)),
-                "score": pa.array(np.concatenate(out_s)),
-            }
-        )
-
-    parts = ds.map_batches(score, batch_format="pyarrow").take_all()
-    df = pd.DataFrame(parts)
-    if df.empty:
-        return pd.DataFrame({"query_id": [], id_col: [], "score": []})
-    df = df.sort_values(["query_id", "score", id_col], ascending=[True, False, True])
-    return df.groupby("query_id", as_index=False).head(k).reset_index(drop=True)
 
 
 # ---------------------------------------------------------------------------
 # Sign-LSH bucketed ANN — the shuffle-free scale path alongside IVF
 # ---------------------------------------------------------------------------
 
-# per-batch stats row markers (negative — never a real id; ids are
-# int64 throughout: the engine's hash-derived doc ids are 63-bit)
-_STATS_PAIRS = -(1 << 62)
-_STATS_VECS = -(1 << 62) + 1
-
 MAX_LSH_PLANES = 20  # popcount table is 2^n_planes entries
-
-
-def _local_topk_rows(sims: np.ndarray, ids: np.ndarray, k: int):
-    """Per-query local top-k with the DETERMINISTIC (score desc, id asc)
-    tie-break: argpartition alone splits bit-equal scores arbitrarily
-    (exact duplicate embeddings), which could drop the lower id locally
-    while the SQL oracle keeps it. → (rows_q, col_idx) flat selection."""
-    n_q, n = sims.shape
-    kk = min(k, n)
-    part = np.argpartition(-sims, kk - 1, axis=1)[:, :kk]
-    rows_out, cols_out = [], []
-    for qi in range(n_q):
-        thresh = sims[qi, part[qi]].min()
-        cand = np.nonzero(sims[qi] >= thresh)[0]  # ALL ties at the boundary
-        order = np.lexsort((ids[cand], -sims[qi, cand]))[:kk]
-        sel = cand[order]
-        rows_out.append(np.full(sel.size, qi, np.int64))
-        cols_out.append(sel)
-    return np.concatenate(rows_out), np.concatenate(cols_out)
 
 
 def lsh_bucket_codes(v: np.ndarray, n_planes: int, planes: str = "axis",
@@ -464,8 +405,8 @@ def lsh_topk(
 
     ``return_stats=True`` → (df, {"candidate_pairs", "total_pairs",
     "total_vectors"}): scored (query, vector) pairs vs the n_q × N a
-    brute-force scan would score, summed from per-batch sentinel rows —
-    no second dataset execution.
+    brute-force scan would score, summed from the scan's per-batch
+    tally rows — no second dataset execution.
     """
     import ray
 
@@ -473,69 +414,27 @@ def lsh_topk(
         raise ValueError(f"n_planes {n_planes} > {MAX_LSH_PLANES} "
                          "(popcount table is 2^n_planes entries)")
     q = _normalize(np.asarray(query_vecs, dtype=np.float64))
-    qids = (np.asarray(query_ids) if query_ids is not None
-            else np.arange(q.shape[0])).astype(np.int64)
     qb = lsh_bucket_codes(q, n_planes, planes, seed)
     pop = np.array([bin(i).count("1") for i in range(1 << n_planes)], dtype=np.int64)
     q_ref = ray.put((q, qb))
 
-    def score(t: pa.Table) -> pa.Table:
+    def score(t: pa.Table) -> np.ndarray:
         qm, qcodes = ray.get(q_ref)
-        v = _normalize(_as_matrix(t[vec_col]))
-        if v.shape[0] == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             id_col: pa.array([], pa.int64()),
-                             "score": pa.array([], pa.float64())})
+        v = _normalize(_vec_matrix(t[vec_col]))
         codes = lsh_bucket_codes(v, n_planes, planes, seed)
-        ham = pop[(qcodes[:, None] ^ codes[None, :]).astype(np.int64)]
-        mask = ham <= probe_hamming  # (n_q, n_batch)
-        ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        # sentinel rows carry (candidate pairs, batch vectors) so the
-        # driver sums true scan volume without re-executing the dataset
-        sent_q = np.array([_STATS_PAIRS, _STATS_VECS], np.int64)
-        sent_v = np.array([float(mask.sum()), float(v.shape[0])])
+        mask = pop[(qcodes[:, None] ^ codes[None, :]).astype(np.int64)] <= probe_hamming
         cols = mask.any(axis=0)
-        if not cols.any():
-            return pa.table({"query_id": pa.array(sent_q),
-                             id_col: pa.array(sent_q),
-                             "score": pa.array(sent_v)})
+        sims = np.full(mask.shape, -np.inf)  # non-candidates never rank
         # the matmul touches ONLY candidate columns — this is the point
         # of the bucket prune (brute force scores every pair)
-        vsub, ids_sub = v[cols], ids[cols]
-        sims = qm @ vsub.T
-        sims[~mask[:, cols]] = -np.inf  # non-candidates never rank
-        rows_q, sel = _local_topk_rows(sims, ids_sub, k)
-        sc = sims[rows_q, sel]
-        keep = np.isfinite(sc)  # drop masked fillers from sparse buckets
-        return pa.table(
-            {
-                "query_id": pa.array(
-                    np.concatenate([qids[rows_q][keep], sent_q])
-                ),
-                id_col: pa.array(
-                    np.concatenate([ids_sub[sel][keep], sent_q])
-                ),
-                "score": pa.array(np.concatenate([sc[keep], sent_v])),
-            }
-        )
+        sims[:, cols] = np.where(mask[:, cols], qm @ v[cols].T, -np.inf)
+        return sims
 
-    parts = ds.map_batches(score, batch_format="pyarrow").take_all()
-    df = pd.DataFrame(parts)
-    if not len(df):
-        df = pd.DataFrame({"query_id": [], id_col: [], "score": []})
-    sent = df["query_id"] <= _STATS_VECS if len(df) else pd.Series(dtype=bool)
-    stats = None
-    if return_stats:
-        pairs = df.loc[df["query_id"] == _STATS_PAIRS, "score"].sum() if len(df) else 0
-        vecs = df.loc[df["query_id"] == _STATS_VECS, "score"].sum() if len(df) else 0
-        stats = {"candidate_pairs": int(pairs),
-                 "total_pairs": int(vecs) * q.shape[0],
-                 "total_vectors": int(vecs)}
-    if len(df):
-        df = df[~sent]
-    df = df.sort_values(["query_id", "score", id_col], ascending=[True, False, True])
-    out = df.groupby("query_id", as_index=False).head(k).reset_index(drop=True)
-    return (out, stats) if return_stats else out
+    out, (pairs, vecs) = _scan_topk(ds, q.shape[0], k, id_col, query_ids, score)
+    if not return_stats:
+        return out
+    return out, {"candidate_pairs": pairs, "total_pairs": vecs * q.shape[0],
+                 "total_vectors": vecs}
 
 
 def semantic_decontam(
@@ -708,7 +607,6 @@ def pq_topk(
 
     n_sub, n_cent, sub = codebook.shape
     q = _normalize_seq(np.asarray(query_vecs, dtype=np.float64))
-    qids = np.asarray(query_ids) if query_ids is not None else np.arange(q.shape[0])
     # LUT[qi, s, c] = q_s · book[s, c], sequential over j
     lut = np.zeros((q.shape[0], n_sub, n_cent), np.float64)
     for s in range(n_sub):
@@ -716,26 +614,14 @@ def pq_topk(
             lut[:, s, :] = lut[:, s, :] + (
                 q[:, s * sub + j, None] * codebook[s, :, j][None, :]
             )
-    ref = ray.put((codebook, lut, qids))
+    ref = ray.put((codebook, lut))
 
-    def score(t: pa.Table) -> pa.Table:
-        book, lut_b, qids_b = ray.get(ref)
-        v = _normalize_seq(_vec_matrix(t[vec_col]))
-        codes = pq_assign(v, book)
-        sc = np.zeros((lut_b.shape[0], v.shape[0]), np.float64)
+    def score(t: pa.Table) -> np.ndarray:
+        book, lut_b = ray.get(ref)
+        codes = pq_assign(_normalize_seq(_vec_matrix(t[vec_col])), book)
+        sc = np.zeros((lut_b.shape[0], codes.shape[0]), np.float64)
         for s in range(book.shape[0]):
             sc = sc + lut_b[:, s, :][:, codes[:, s]]
-        ids = t[id_col].to_numpy(zero_copy_only=False)
-        rows_q, cand = _local_topk_rows(sc, ids, k)
-        return pa.table(
-            {
-                "query_id": pa.array(qids_b[rows_q]),
-                id_col: pa.array(ids[cand]),
-                "score": pa.array(sc[rows_q, cand]),
-            }
-        )
+        return sc
 
-    parts = ds.map_batches(score, batch_format="pyarrow").take_all()
-    df = pd.DataFrame(parts)
-    df = df.sort_values(["query_id", "score", id_col], ascending=[True, False, True])
-    return df.groupby("query_id", as_index=False).head(k).reset_index(drop=True)
+    return _scan_topk(ds, q.shape[0], k, id_col, query_ids, score)[0]

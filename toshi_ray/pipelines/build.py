@@ -134,7 +134,7 @@ def commit(index_root: str, mutate) -> dict:
         manifest["version"] = prev.get("version", 0) + 1
         manifest["format"] = FORMAT_VERSION
         manifest["segments"] = sorted(manifest["segments"], key=lambda s: s["min_doc_id"])
-        _atomic_write(mpath, json.dumps(manifest, indent=1))
+        _atomic_write(mpath, json.dumps(manifest))  # compact: `indent` forces the pure-Python encoder
     return manifest
 
 

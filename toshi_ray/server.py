@@ -28,7 +28,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from toshi_ray.api import IndexCatalog
+from toshi_ray.api import IndexCatalog, json_default
 from toshi_ray.query import QueryError
 
 
@@ -51,7 +51,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _send(self, status: int, payload) -> None:
         body = (
             payload.encode() if isinstance(payload, str)
-            else json.dumps(payload).encode()
+            else json.dumps(payload, default=json_default).encode()
         )
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
