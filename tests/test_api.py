@@ -434,3 +434,65 @@ def test_concurrent_publish_on_write_appends_keep_every_doc(ray_session, monkeyp
     assert results == [{"created": True}] * 2
     assert c.all_docs("race")["hits"] == 2
     assert c.index_summary("race")["summaries"]["num_docs"] == 2
+
+
+def test_a_failed_commit_never_serves_its_docs(monkeypatch):
+    """A commit that published its segment directory but failed to write
+    the manifest: the next append of the same doc ids must list its own
+    segment, not the failed write's."""
+    from toshi_ray.pipelines import build
+
+    c = IndexCatalog(tempfile.mkdtemp(prefix="toshi_cat_"))
+    c.create_index("ix", F2_SCHEMA)
+    real = build._atomic_write
+    failed = []
+
+    def flaky(path, payload):
+        if path.endswith(build.MANIFEST_FILE) and not failed:
+            failed.append(path)
+            raise OSError("no space left on device")
+        return real(path, payload)
+
+    monkeypatch.setattr(build, "_atomic_write", flaky)
+    with pytest.raises(OSError):
+        c.bulk_insert("ix", '{"test_text": "never one"}\n{"test_text": "never two"}')
+    assert c.bulk_insert("ix", '{"test_text": "apple one"}\n{"test_text": "apple two"}') == {"docs": 2}
+    assert c.search("ix", {"query": {"term": {"test_text": "apple"}}})["hits"] == 2
+    assert c.search("ix", {"query": {"term": {"test_text": "never"}}})["hits"] == 0
+
+
+DATE_SCHEMA = [
+    {"name": "ts", "type": "date", "options": {"indexed": True, "stored": True, "fast": True}},
+    {"name": "body", "type": "text",
+     "options": {"indexing": {"record": "position", "tokenizer": "default"}, "stored": True}},
+]
+
+
+def test_a_date_field_takes_an_rfc3339_string():
+    """A date is written as RFC 3339, through one add and a bulk: the
+    store gives the string back unchanged and the fast field holds its
+    UTC instant. Any other value is a QueryError, and a bulk holding one
+    publishes nothing."""
+    import json
+
+    c = IndexCatalog(tempfile.mkdtemp(prefix="toshi_cat_"))
+    c.create_index("ix", DATE_SCHEMA)
+    given = ["2021-03-04T05:06:07.000891Z", "2021-03-04T07:06:08.000891+02:00",
+             "2021-03-05t05:06:07z"]
+    c.add_document("ix", {"document": {"ts": given[0], "body": "alpha"}})
+    c.bulk_insert("ix", "\n".join(json.dumps({"ts": t, "body": "alpha"}) for t in given[1:]))
+    out = json.loads(c.search("ix", {"query": {"term": {"body": "alpha"}}, "limit": 10},
+                              pretty=True))
+    assert sorted(d["doc"]["ts"] for d in out["docs"]) == sorted(given)
+    r = c.search("ix", {"query": None, "sort_by": "ts", "limit": 3})
+    # 2021-03-04T05:06:07Z is 1614834367 s after the epoch
+    assert [d["score"] for d in r["docs"]] == [1614920767e6, 1614834368000891.0, 1614834367000891.0]
+    for bad in ("not a date", 1614834367, "2021-03-04", "2021-02-30T00:00:00Z", True,
+                ["2021-03-04T05:06:07Z"]):
+        with pytest.raises(QueryError, match="Error Parsing Json"):
+            c.add_document("ix", {"document": {"ts": bad, "body": "beta"}})
+        with pytest.raises(QueryError, match="Error Parsing Json"):
+            c.bulk_insert("ix", '{"ts": "2021-03-04T05:06:07Z", "body": "beta"}\n'
+                          + json.dumps({"ts": bad, "body": "beta"}))
+    assert c.search("ix", {"query": {"term": {"body": "beta"}}})["hits"] == 0
+    assert c.all_docs("ix")["hits"] == 3

@@ -140,7 +140,9 @@ def test_reader_postings_match_disk(ray_session):
     files: `postings_for_terms` gives the on-disk rows sorted by (field,
     term, first_doc), so each term's shard rows come in doc order, and
     `df_for_terms` and `term_dict` give the on-disk df sums and
-    dictionary."""
+    dictionary. A reader primed with the tables that wrote a fresh
+    segment answers the same, and its docvalues and store equal a disk
+    reader's, with no postings read."""
     import os
     from collections import Counter
 
@@ -149,7 +151,7 @@ def test_reader_postings_match_disk(ray_session):
     import pyarrow.parquet as pq
 
     from toshi_ray.pipelines.build import load_manifest
-    from toshi_ray.segments import SegmentReader
+    from toshi_ray.segments import SegmentReader, build_segment_tables, write_segment
 
     def seg_dirs(n_docs, **merge_kw):
         root = tempfile.mkdtemp(prefix="toshi_cache_")
@@ -183,14 +185,25 @@ def test_reader_postings_match_disk(ray_session):
         for t in hot
     )
 
+    tables = build_segment_tables(make_pages_batch(np.arange(400)), page_schema())
+    primed_dir = tempfile.mkdtemp(prefix="toshi_primed_")
+    primed_dir = os.path.join(primed_dir, write_segment(primed_dir, *tables)["name"])
+
+    def primed(seg_dir):
+        r = SegmentReader(seg_dir)
+        r.prime(tables[0], tables[1])
+        return r
+
     key = [("field", "ascending"), ("term", "ascending"), ("first_doc", "ascending")]
     scoring = ["df", "doc_ids", "tfs"]
-    for seg_dir, extra in ((fresh_dir, []), (merged_dir, [hot[:3], hot])):
+    for seg_dir, extra, open_reader in ((fresh_dir, [], SegmentReader),
+                                        (merged_dir, [hot[:3], hot], SegmentReader),
+                                        (primed_dir, [], primed)):
         disk = on_disk(seg_dir).sort_by(key)
         df: dict[str, int] = {}
         for t, n in zip(disk["term"].to_pylist(), disk["df"].to_pylist()):
             df[t] = df.get(t, 0) + n
-        r = SegmentReader(seg_dir)
+        r = open_reader(seg_dir)
         for terms in (["the"], ["the", "w00042"], ["missingterm"], *extra):
             want = disk.filter(pc.is_in(disk["term"], pa.array(terms)))
             assert r.postings_for_terms("text", terms).equals(want), terms
@@ -199,6 +212,16 @@ def test_reader_postings_match_disk(ray_session):
         for t in hot if seg_dir == merged_dir else ["the"]:
             assert first_docs_ascend(r.postings_for_terms("text", [t], ["first_doc"])), t
         assert r.term_dict("text").equals(disk.select(["field", "term", "df", "first_doc"]))
+
+    warm, cold = primed(primed_dir), SegmentReader(primed_dir)
+    cols = cold.dv_column_names()
+    assert warm.dv_column_names() == cols
+    assert warm.docvalues(cols).equals(cold.docvalues(cols))
+    assert warm.docvalues(cols[::-1]).equals(cold.docvalues(cols[::-1]))
+    ids = cold.doc_ids()
+    assert warm.store(ids) == cold.store(ids)
+    assert warm.term_dict("text").equals(cold.term_dict("text"))
+    assert warm.postings_loads == 0 and cold.postings_loads == 1
 
 
 def test_reader_loads_postings_once():

@@ -9,6 +9,7 @@ import tempfile
 import threading
 import time
 
+import numpy as np
 import pyarrow as pa
 import pytest
 
@@ -322,3 +323,96 @@ def test_concurrent_docvalues_misses_add_the_column_once(tmp_path, monkeypatch):
     assert errors == []
     assert reader.docvalues(["n"])["n"].to_pylist() == list(range(8))
     assert reader.docvalues(["doc_id", "n"]).num_columns == 2
+
+
+def _reader_of(c: IndexCatalog, write_id: str) -> segments.SegmentReader:
+    """The catalog searcher's current reader of one write."""
+    (r,) = [r for r in c._searchers["ix"]._snap.readers.values()
+            if r.meta["write_id"] == write_id]
+    return r
+
+
+def test_a_commit_hands_its_searcher_the_segment_it_wrote(monkeypatch):
+    """After an append, the next search opens the new segment with the
+    tables the catalog built: neither its postings nor its docvalues
+    are read back, and the answers equal a fresh searcher's."""
+    c, root = _catalog(2)
+    assert c.search("ix", Q)["hits"] == 2
+    reads: list[str] = []
+    real = segments.pq.read_table
+
+    def spy(path, *a, **kw):
+        reads.append(str(path))
+        return real(path, *a, **kw)
+
+    monkeypatch.setattr(segments.pq, "read_table", spy)
+    seg = c._append_docs("ix", [{"text": "common fresh"}])["segments"][-1]
+    got = c.search("ix", {"query": {"term": {"text": "fresh"}}, "limit": 10})
+    assert got["hits"] == 1 and c.search("ix", Q)["hits"] == 3
+    assert not [p for p in reads if seg["name"] in p]
+    r = _reader_of(c, seg["write_id"])
+    assert r.postings_loads == 0 and r._dv is not None
+    monkeypatch.setattr(segments.pq, "read_table", real)
+    assert got == Searcher(root, distributed=False).search(
+        {"query": {"term": {"text": "fresh"}}, "limit": 10})
+    assert "ix" not in c._primed
+
+
+def test_only_the_latest_write_is_held_for_priming():
+    """A write-only client pins at most one write's tables per index,
+    and the first search after many appends is still right."""
+    c, _ = _catalog(1)
+    assert c.search("ix", Q)["hits"] == 1
+    ids = []
+    for i in range(20):
+        ids.append(c._append_docs("ix", [{"text": f"common more{i}"}])["segments"][-1]["write_id"])
+        assert list(c._primed) == ["ix"] and list(c._primed["ix"]) == [ids[-1]]
+    assert c.search("ix", Q)["hits"] == 10  # the limit
+    assert c._searchers["ix"].count(Q) == 21
+    assert c.search("ix", {"query": {"term": {"text": "more0"}}})["hits"] == 1
+    assert c.search("ix", {"query": {"term": {"text": "more19"}}})["hits"] == 1
+    assert c._primed == {}
+    assert _reader_of(c, ids[-1]).postings_loads == 0
+    assert _reader_of(c, ids[0]).postings_loads == 1
+
+
+def test_a_refresh_reads_only_the_delete_files_added_since(monkeypatch):
+    """Deletes carry from snapshot to snapshot: a refresh reads only the
+    delete files listed after the previous snapshot's, and after a full
+    merge unlists them it holds only what the new list names. No
+    deleted doc comes back either way."""
+    from toshi_ray import search
+    from toshi_ray.pipelines.merge import merge_segments
+
+    c, root = _catalog(6)
+    s = Searcher(root, distributed=False)
+    loaded: list[list[str]] = []
+    real = search.load_tombstones
+
+    def spy(index_root, manifest):
+        loaded.append(list(manifest.get("tombstones", [])))
+        return real(index_root, manifest)
+
+    monkeypatch.setattr(search, "load_tombstones", spy)
+    for i in (0, 1):
+        assert c.delete_term("ix", {"text": f"doc{i}"}) == {"docs_affected": 1}
+        s.refresh()
+        assert loaded[-1] == load_manifest(root)["tombstones"][-1:]  # the new file only
+    both = s.tombstones
+    assert both.size == 2 and np.array_equal(both, np.unique(both))
+    assert s.count(Q) == 4
+    for i in (0, 1):
+        assert s.count({"query": {"term": {"text": f"doc{i}"}}}) == 0
+    assert np.array_equal(s.tombstones, real(root, load_manifest(root)))
+
+    merge_segments(root)
+    assert load_manifest(root).get("tombstones", []) == []
+    loaded.clear()
+    s.refresh()
+    assert loaded == [[]] and s.tombstones.size == 0
+    assert c.delete_term("ix", {"text": "doc2"}) == {"docs_affected": 1}
+    s.refresh()
+    assert s.tombstones.size == 1 and s.count(Q) == 3
+    for i in (0, 1, 2):
+        assert s.count({"query": {"term": {"text": f"doc{i}"}}}) == 0
+        assert c.search("ix", {"query": {"term": {"text": f"doc{i}"}}})["hits"] == 0

@@ -254,3 +254,60 @@ def test_string_hash_values_are_frozen():
     # the same values from a large_string array and from a slice
     assert (_hash_strings(pa.array(strings, pa.large_string())) == h).all()
     assert (_hash_strings(pa.array(strings).slice(1000, 50)) == h[1000:1050]).all()
+
+
+def test_probe_hashes_come_from_one_bounded_memo(monkeypatch):
+    """`may_contain` hashes a term once: the memo gives the frozen
+    `_hash_strings` values cold and warm, hashes only what it lacks in
+    one call, and past its bound still answers correctly, also under
+    concurrent probes."""
+    import threading
+
+    from toshi_ray.ops.dedup import _hash_strings
+
+    strings = _seeded_strings()
+    want = _hash_strings(pa.array(strings))
+    monkeypatch.setattr(termbloom, "_HASH_MEMO", {})
+    calls: list[int] = []
+    real = termbloom._term_hashes
+
+    def spy(terms):
+        calls.append(len(terms))
+        return real(terms)
+
+    monkeypatch.setattr(termbloom, "_term_hashes", spy)
+    assert (termbloom._memo_hashes(strings) == want).all()  # cold
+    assert calls == [len(strings)]
+    assert (termbloom._memo_hashes(strings) == want).all()  # warm
+    assert (termbloom._memo_hashes(strings[::-1]) == want[::-1]).all()
+    assert calls == [len(strings)]
+    assert (termbloom._memo_hashes(strings[:5] + ["zq-new"]) ==
+            _hash_strings(pa.array(strings[:5] + ["zq-new"]))).all()
+    assert calls == [len(strings), 1]
+
+    monkeypatch.setattr(termbloom, "_HASH_MEMO_MAX", 64)
+    termbloom._HASH_MEMO.clear()
+    for a in range(0, len(strings), 50):
+        assert (termbloom._memo_hashes(strings[a : a + 50]) == want[a : a + 50]).all()
+        assert len(termbloom._HASH_MEMO) <= 64
+    assert (termbloom._memo_hashes(strings) == want).all()  # one call past the bound
+    assert len(termbloom._HASH_MEMO) <= 64
+
+    payload, meta = termbloom.build_term_blooms(
+        pa.table({"field": ["t"] * 300, "term": strings[:300]}))
+    bits, fm = np.frombuffer(payload, np.uint8), meta["fields"]["t"]
+    bad = []
+
+    def probe(seed: int) -> None:
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            pick = [strings[i] for i in rng.integers(0, 300, 20)]
+            if not termbloom.may_contain(bits, fm, pick, meta["k"]).all():
+                bad.append(pick)
+
+    threads = [threading.Thread(target=probe, args=(i,)) for i in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert bad == []

@@ -27,7 +27,9 @@ import datetime
 import json
 import logging
 import os
+import re
 import threading
+import uuid
 
 import numpy as np
 import pyarrow as pa
@@ -55,6 +57,27 @@ def json_default(v):
     if isinstance(v, datetime.datetime):  # naive: the store casts to timestamp[us]
         return v.isoformat() + "Z"
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+_RFC3339 = re.compile(r"\d{4}-\d\d-\d\d[Tt]\d\d:\d\d:\d\d(\.\d+)?([Zz]|[+-]\d\d:\d\d)?")
+
+
+def _utc_instant(v) -> datetime.datetime:
+    """A date field's value as a naive UTC datetime: an RFC 3339 string,
+    what tantivy 0.19 parses for a date. A string without an offset is
+    read as UTC, as the catalog has always taken it. Anything else is a
+    `QueryError`."""
+    if not isinstance(v, str):
+        raise QueryError.json(f"invalid type: {json.dumps(v)}, expected an RFC 3339 date")
+    try:
+        if not _RFC3339.fullmatch(v):
+            raise ValueError(v)
+        dt = datetime.datetime.fromisoformat(v.upper())
+    except ValueError:
+        raise QueryError.json(f"invalid value: {json.dumps(v)}, expected an RFC 3339 date") from None
+    if dt.tzinfo is not None:
+        dt = dt.astimezone(datetime.timezone.utc).replace(tzinfo=None)
+    return dt
 
 
 class AutoCommitWatcher:
@@ -120,7 +143,10 @@ class IndexCatalog:
         self.buffered_writes = buffered_writes
         self._pending: dict[str, list[dict]] = {}
         self._opstamp: dict[str, int] = {}
-        self._mutex = threading.Lock()  # guards _pending/_opstamp (ticker thread)
+        # index -> {write_id: (postings, docvalues)} of its latest append,
+        # handed to the next refresh of its searcher (`_searcher`)
+        self._primed: dict[str, dict] = {}
+        self._mutex = threading.Lock()  # guards _pending/_opstamp/_primed (ticker thread)
         self._bulk_lock = threading.Event()
         self._watcher: AutoCommitWatcher | None = None
         if auto_commit_s:
@@ -311,10 +337,14 @@ class IndexCatalog:
         root = self._require(name)
         version = load_manifest(root)["version"]
         searcher = self._searchers.get(name)
+        if searcher is not None and searcher.manifest["version"] == version:
+            return searcher
+        with self._mutex:  # consumed here, used or not: one write is held at most
+            primed = self._primed.pop(name, None)
         if searcher is None:
             searcher = self._searchers[name] = Searcher(root, distributed=False)
-        elif searcher.manifest["version"] != version:
-            searcher.refresh()
+        else:  # the segment of the latest append opens with its tables loaded
+            searcher.refresh(primed)
         return searcher
 
     def _validate(self, schema: Schema, doc: dict) -> None:
@@ -328,6 +358,8 @@ class IndexCatalog:
                     raise QueryError.json(f"invalid value: integer `{v}`, expected u64")
             elif fdef.type == "i64" and (not isinstance(v, int) or isinstance(v, bool)):
                 raise QueryError.json(f"invalid type: {json.dumps(v)}, expected i64")
+            elif fdef.type == "date":
+                _utc_instant(v)
             elif fdef.type in ("text", "facet") and isinstance(v, (list, dict)):
                 # a field holds one string; str(v) would index the repr
                 kind = "sequence" if isinstance(v, list) else "map"
@@ -335,18 +367,26 @@ class IndexCatalog:
 
     def _append_docs(self, name: str, docs: list[dict]) -> dict | None:
         """Micro-segment append: docs → one new segment, built inside the
-        commit so its doc ids come from the locked manifest."""
+        commit so its doc ids come from the locked manifest. Its postings
+        and docvalues tables are kept, keyed by the write's `write_id`,
+        for the next refresh of the index's searcher (`_searcher`)."""
         if not docs:
             return None
         root = self._require(name)
         schema = self._schema(name)
-        rows = {}
+        rows, given = {}, {}
         for f in schema.fields:
             vals = [d.get(f.name) for d in docs]
             if f.type in ("i64", "u64"):
                 rows[f.name] = pa.array(vals, type=pa.int64() if f.type == "i64" else pa.uint64())
+            elif f.type == "date":  # the fast field holds the UTC instant
+                rows[f.name] = pa.array([None if v is None else _utc_instant(v) for v in vals],
+                                        pa.timestamp("us"))
+                given[f.name] = pa.array(vals, pa.string())
             else:
                 rows[f.name] = pa.array([None if v is None else str(v) for v in vals], pa.string())
+
+        written = {}
 
         def append(manifest: dict) -> dict:
             # a merge that left no doc keeps its sources' high-water mark
@@ -356,8 +396,18 @@ class IndexCatalog:
             ids = pa.array(np.arange(next_id, next_id + len(docs), dtype=np.uint64))
             batch = pa.table({**rows, "doc_id": ids})  # ids replace any doc_id field
             postings, dv, store, meta = build_segment_tables(batch, schema)
-            manifest["segments"].append(
-                write_segment(os.path.join(root, SEGMENTS_DIR), postings, dv, store, meta))
+            for f, col in given.items():  # the store keeps a date as the string given
+                if f in store.column_names:
+                    store = store.set_column(store.schema.get_field_index(f), f, col)
+            # a fresh name per write: a failed commit's published directory
+            # can never stand in for a later append of the same doc ids
+            seg = f"seg-{next_id:012d}-{len(docs)}-{uuid.uuid4().hex[:8]}"
+            meta = write_segment(os.path.join(root, SEGMENTS_DIR), postings, dv, store, meta, seg)
+            manifest["segments"].append(meta)
+            written[meta["write_id"]] = (postings, dv)
             return manifest
 
-        return commit(root, append)
+        manifest = commit(root, append)
+        with self._mutex:
+            self._primed[name] = written
+        return manifest

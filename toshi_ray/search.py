@@ -690,9 +690,14 @@ class _Snapshot:
     automaton queries), one `SegmentReader` per segment, and the scorer
     pool, built on first use by `Searcher._pin`. `Searcher.refresh`
     builds a snapshot whole before it swaps it in, and a query takes
-    every phase from the one snapshot it pinned."""
+    every phase from the one snapshot it pinned.
 
-    def __init__(self, index_root: str, prev: "_Snapshot | None"):
+    A snapshot starts from the previous one: it carries the reader of
+    every unchanged manifest entry, primes a new reader from ``primed``
+    (``{write_id: (postings, docvalues)}``, the tables of a write this
+    process made) and reads only the delete files added since."""
+
+    def __init__(self, index_root: str, prev: "_Snapshot | None", primed: dict | None = None):
         with open(os.path.join(index_root, MANIFEST_FILE)) as f:
             self.manifest = json.load(f)
         fmt = self.manifest.get("format")
@@ -709,7 +714,7 @@ class _Snapshot:
             for fname, st in s.get("field_stats", {}).items():
                 totals[fname] = totals.get(fname, 0) + st["total_tokens"]
         self.avgdl = {f: tot / self.n_docs if self.n_docs else 0.0 for f, tot in totals.items()}
-        self.tombstones = load_tombstones(index_root, self.manifest)
+        self.tombstones = self._tombstones(index_root, prev)
         self.df_cache: dict = {}  # (field, term) -> global df
         self.term_unions: dict = {}  # field -> pa.Array of its distinct terms
         # a segment whose manifest entry is unchanged carries its reader
@@ -720,12 +725,28 @@ class _Snapshot:
         self.readers: dict[str, SegmentReader] = {}
         for s in self.segments:
             key = json.dumps(s, sort_keys=True)
-            self.readers[key] = kept[key].carry() if key in kept else SegmentReader(
-                os.path.join(index_root, SEGMENTS_DIR, s["name"])
-            )
+            if key in kept:
+                self.readers[key] = kept[key].carry()
+                continue
+            r = self.readers[key] = SegmentReader(os.path.join(index_root, SEGMENTS_DIR, s["name"]))
+            tables = (primed or {}).get(s.get("write_id"))
+            if tables is not None:
+                r.prime(*tables)
         self.pool: list | None = None  # [(kind, scorer)]
         self.pins = 0  # queries running on this snapshot
         self.retired = False  # replaced or closed: the last pin kills the pool
+
+    def _tombstones(self, index_root: str, prev: "_Snapshot | None") -> np.ndarray:
+        """The manifest's tombstoned doc ids. Delete commits only append
+        to the list, so when it extends the previous snapshot's, only the
+        files added since are read; any other change (a full merge
+        unlists the files it applied) reloads them all."""
+        files = self.manifest.get("tombstones", [])
+        done = prev.manifest.get("tombstones", []) if prev is not None else None
+        if done is None or files[: len(done)] != done:
+            return load_tombstones(index_root, self.manifest)
+        added = load_tombstones(index_root, {"tombstones": files[len(done):]})
+        return np.union1d(prev.tombstones, added) if added.size else prev.tombstones
 
     def plan(self, body) -> Search:
         """``body`` parsed, with its automaton queries rewritten against
@@ -873,11 +894,13 @@ class Searcher:
             self._refresh_thread.join(timeout=5)
             self._refresh_stop = None
 
-    def refresh(self) -> None:
+    def refresh(self, primed: dict | None = None) -> None:
         """Swap in a snapshot of the manifest on disk. It is built whole
         first: a failure (wrong format, a missing delete file) raises
-        and leaves the current snapshot serving."""
-        snap = _Snapshot(self.index_root, self._snap)
+        and leaves the current snapshot serving. ``primed`` maps a
+        write_id to the (postings, docvalues) tables that write put on
+        disk; a new reader of that write starts with them loaded."""
+        snap = _Snapshot(self.index_root, self._snap, primed)
         with self._lock:
             old, self._snap = self._snap, snap
             doomed = self._retire(old) if old is not None else None

@@ -625,6 +625,10 @@ class SegmentReader:
     table is loaded, the term bloom keeps segments that lack every
     requested term from being read at all. Docvalues (norms / fast
     fields) load once per reader.
+
+    A reader of a segment this process has just built starts loaded
+    instead (`prime`): the catalog hands the tables it wrote to its
+    searcher's next snapshot, so a commit reads none of them back.
     """
 
     def __init__(self, seg_dir: str):
@@ -638,6 +642,15 @@ class SegmentReader:
         self._store_map: tuple | None = None  # lazy, see _store_footers
         self.postings_loads = 0  # postings tables read by _sorted_postings
         self.store_frames_read = 0  # store frames decompressed by store(ids)
+
+    def prime(self, postings: pa.Table, docvalues: pa.Table) -> None:
+        """Start loaded from the tables `write_segment` wrote to this
+        directory (``postings`` and ``docvalues`` of `build_segment_tables`)
+        instead of reading them back. A fresh segment's postings are in
+        dictionary order already, so the sort takes no copy."""
+        self._postings = _SortedPostings(postings)
+        self._dv = docvalues
+        self._dv_names = docvalues.column_names
 
     def carry(self) -> "SegmentReader":
         """This segment's reader for a newer index snapshot. What came

@@ -32,6 +32,11 @@ Arrow buffer, no Python loop over terms): h1 = low 32 bits, h2 = high
 ~BITS_PER_TERM bits per unique term (k=7 probes → ~0.8% FPR at 10
 bits/term). Bit arrays for all fields are concatenated into ONE side
 file; meta records per-field (m, off, len, n).
+
+A query probes the bloom of every segment it has not loaded with the
+same few terms, so `may_contain` takes term hashes from one bounded,
+module-level memo keyed by the term string: each term is hashed once,
+not once per segment (an `ingest_visible` op made ~37 probes).
 """
 
 from __future__ import annotations
@@ -117,11 +122,37 @@ def build_term_blooms(postings: pa.Table) -> tuple[bytes, dict] | None:
     return b"".join(parts), meta
 
 
+# Bounded by a clear. A lookup fills its own result and never reads the
+# memo back, so a clear by a concurrent search cannot lose a hash.
+_HASH_MEMO: dict[str, int] = {}
+_HASH_MEMO_MAX = 1 << 14
+
+
+def _memo_hashes(terms: list[str]) -> np.ndarray:
+    """`_term_hashes` of ``terms``, hashing only the terms the memo does
+    not hold, in one call."""
+    out = np.empty(len(terms), _U)
+    missing = []
+    for i, t in enumerate(terms):
+        h = _HASH_MEMO.get(t)
+        if h is None:
+            missing.append(i)
+        else:
+            out[i] = h
+    if missing:
+        new = [terms[i] for i in missing]
+        hashed = _term_hashes(pa.array(new, type=pa.string()))
+        out[missing] = hashed
+        if len(_HASH_MEMO) + len(new) > _HASH_MEMO_MAX:
+            _HASH_MEMO.clear()
+        _HASH_MEMO.update(zip(new[:_HASH_MEMO_MAX], hashed.tolist()))
+    return out
+
+
 def may_contain(
     bits: np.ndarray, field_meta: dict, terms: list[str], k: int = BLOOM_K
 ) -> np.ndarray:
     """→ bool mask over ``terms``: True = the segment MAY contain it.
     ``k`` must be the writer's probe count (segment meta ``term_bloom.k``)."""
     view = bits[field_meta["off"] : field_meta["off"] + field_meta["len"]]
-    h = _term_hashes(pa.array(terms, type=pa.string()))
-    return _test_bits(view, _probe_positions(h, field_meta["m"], k))
+    return _test_bits(view, _probe_positions(_memo_hashes(terms), field_meta["m"], k))
