@@ -15,12 +15,7 @@ long token leaves a position gap), matching tantivy's tokenizer/filter
 split — phrase queries see those gaps.
 
 Everything is vectorized: `pyarrow.compute` regex split + numpy offset
-arithmetic; no Python loop over rows or tokens. A column whose strings
-are all ASCII splits on the byte class `[^A-Za-z0-9]+`, which RE2 runs
-in less than half the time of the Unicode class. On ASCII text the two
-classes are the same set (the only ASCII letters and digits are A-Z,
-a-z and 0-9), so the terms are identical. A column holding any
-non-ASCII string takes the Unicode class whole: one batch, one path.
+arithmetic; no Python loop over rows or tokens.
 
 Chain ORDER matches tantivy exactly: the un-lowered column is split,
 the 40-byte RemoveLongFilter is applied to the ORIGINAL token bytes,
@@ -51,10 +46,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# Unicode alphanumeric run (RE2 syntax, used by the Arrow kernel), and
-# the same set over ASCII for an all-ASCII column.
+# Unicode alphanumeric run (RE2 syntax, used by the Arrow kernel).
 _SPLIT_PATTERN = r"[^\p{L}\p{N}]+"
-_ASCII_SPLIT_PATTERN = r"[^A-Za-z0-9]+"
 MAX_TOKEN_BYTES = 40  # RemoveLongFilter::limit(40): keep len(utf8) < 40
 
 
@@ -90,9 +83,7 @@ class DefaultAnalyzer:
         col = pc.fill_null(col, "")
         # SimpleTokenizer first: split the UN-lowered text (LowerCaser
         # runs last in tantivy's chain — see module docstring)
-        ascii_only = pc.all(pc.string_is_ascii(col)).as_py()
-        lists = pc.split_pattern_regex(
-            col, pattern=_ASCII_SPLIT_PATTERN if ascii_only else _SPLIT_PATTERN)
+        lists = pc.split_pattern_regex(col, pattern=_SPLIT_PATTERN)
         if isinstance(lists, pa.ChunkedArray):
             lists = lists.combine_chunks()
         flat = lists.flatten()

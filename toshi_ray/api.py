@@ -143,9 +143,9 @@ class IndexCatalog:
         self.buffered_writes = buffered_writes
         self._pending: dict[str, list[dict]] = {}
         self._opstamp: dict[str, int] = {}
-        # index -> {write_id: (postings, docvalues)} of its latest append,
+        # index -> (write_id, postings, docvalues) of its latest append,
         # handed to the next refresh of its searcher (`_searcher`)
-        self._primed: dict[str, dict] = {}
+        self._primed: dict[str, tuple] = {}
         self._mutex = threading.Lock()  # guards _pending/_opstamp/_primed (ticker thread)
         self._bulk_lock = threading.Event()
         self._watcher: AutoCommitWatcher | None = None
@@ -386,9 +386,10 @@ class IndexCatalog:
             else:
                 rows[f.name] = pa.array([None if v is None else str(v) for v in vals], pa.string())
 
-        written = {}
+        written = None  # (write_id, postings, docvalues) of this append
 
         def append(manifest: dict) -> dict:
+            nonlocal written
             # a merge that left no doc keeps its sources' high-water mark
             # in the manifest: ids of deleted docs are never reissued
             next_id = 1 + max([manifest.get("max_doc_id", -1)]
@@ -404,7 +405,7 @@ class IndexCatalog:
             seg = f"seg-{next_id:012d}-{len(docs)}-{uuid.uuid4().hex[:8]}"
             meta = write_segment(os.path.join(root, SEGMENTS_DIR), postings, dv, store, meta, seg)
             manifest["segments"].append(meta)
-            written[meta["write_id"]] = (postings, dv)
+            written = (meta["write_id"], postings, dv)
             return manifest
 
         manifest = commit(root, append)

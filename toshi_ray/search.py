@@ -693,11 +693,11 @@ class _Snapshot:
     every phase from the one snapshot it pinned.
 
     A snapshot starts from the previous one: it carries the reader of
-    every unchanged manifest entry, primes a new reader from ``primed``
-    (``{write_id: (postings, docvalues)}``, the tables of a write this
-    process made) and reads only the delete files added since."""
+    every unchanged manifest entry, and primes the new reader of the
+    entry whose ``write_id`` matches ``primed`` (``(write_id, postings,
+    docvalues)``, the tables of a write this process made)."""
 
-    def __init__(self, index_root: str, prev: "_Snapshot | None", primed: dict | None = None):
+    def __init__(self, index_root: str, prev: "_Snapshot | None", primed: tuple | None = None):
         with open(os.path.join(index_root, MANIFEST_FILE)) as f:
             self.manifest = json.load(f)
         fmt = self.manifest.get("format")
@@ -714,7 +714,7 @@ class _Snapshot:
             for fname, st in s.get("field_stats", {}).items():
                 totals[fname] = totals.get(fname, 0) + st["total_tokens"]
         self.avgdl = {f: tot / self.n_docs if self.n_docs else 0.0 for f, tot in totals.items()}
-        self.tombstones = self._tombstones(index_root, prev)
+        self.tombstones = load_tombstones(index_root, self.manifest)
         self.df_cache: dict = {}  # (field, term) -> global df
         self.term_unions: dict = {}  # field -> pa.Array of its distinct terms
         # a segment whose manifest entry is unchanged carries its reader
@@ -729,24 +729,11 @@ class _Snapshot:
                 self.readers[key] = kept[key].carry()
                 continue
             r = self.readers[key] = SegmentReader(os.path.join(index_root, SEGMENTS_DIR, s["name"]))
-            tables = (primed or {}).get(s.get("write_id"))
-            if tables is not None:
-                r.prime(*tables)
+            if primed is not None and s.get("write_id") == primed[0]:
+                r.prime(*primed[1:])
         self.pool: list | None = None  # [(kind, scorer)]
         self.pins = 0  # queries running on this snapshot
         self.retired = False  # replaced or closed: the last pin kills the pool
-
-    def _tombstones(self, index_root: str, prev: "_Snapshot | None") -> np.ndarray:
-        """The manifest's tombstoned doc ids. Delete commits only append
-        to the list, so when it extends the previous snapshot's, only the
-        files added since are read; any other change (a full merge
-        unlists the files it applied) reloads them all."""
-        files = self.manifest.get("tombstones", [])
-        done = prev.manifest.get("tombstones", []) if prev is not None else None
-        if done is None or files[: len(done)] != done:
-            return load_tombstones(index_root, self.manifest)
-        added = load_tombstones(index_root, {"tombstones": files[len(done):]})
-        return np.union1d(prev.tombstones, added) if added.size else prev.tombstones
 
     def plan(self, body) -> Search:
         """``body`` parsed, with its automaton queries rewritten against
@@ -894,11 +881,11 @@ class Searcher:
             self._refresh_thread.join(timeout=5)
             self._refresh_stop = None
 
-    def refresh(self, primed: dict | None = None) -> None:
+    def refresh(self, primed: tuple | None = None) -> None:
         """Swap in a snapshot of the manifest on disk. It is built whole
         first: a failure (wrong format, a missing delete file) raises
-        and leaves the current snapshot serving. ``primed`` maps a
-        write_id to the (postings, docvalues) tables that write put on
+        and leaves the current snapshot serving. ``primed`` is
+        ``(write_id, postings, docvalues)``, the tables one write put on
         disk; a new reader of that write starts with them loaded."""
         snap = _Snapshot(self.index_root, self._snap, primed)
         with self._lock:
