@@ -486,7 +486,7 @@ def test_blockmax_prunes_and_stays_exact(ray_session):
     plan = s._plan({"query": {"term": {"text": "hot"}}}, snap.schema).query
     stats = snap.stats([plan])
 
-    exhaustive_ids, exhaustive_scores = scorer._eval(plan, scorer.readers[0], stats)
+    exhaustive_ids, exhaustive_scores, _ = scorer._eval(plan, stats, [0])
     order = np.lexsort((exhaustive_ids, -exhaustive_scores))[:10]
     want = list(zip(exhaustive_ids[order].tolist(),
                     np.round(exhaustive_scores[order], 12).tolist()))
@@ -525,7 +525,7 @@ def test_union_blockmax_exact_and_prunes(ray_session):
     plan = s._plan({"query": q}, snap.schema).query
     stats = snap.stats([plan])
 
-    ex_ids, ex_scores = scorer._eval(plan, scorer.readers[0], stats)
+    ex_ids, ex_scores, _ = scorer._eval(plan, stats, [0])
     order = np.lexsort((ex_ids, -ex_scores))[:10]
     want = list(zip(ex_ids[order].tolist(),
                     np.round(ex_scores[order], 12).tolist()))
@@ -538,7 +538,7 @@ def test_union_blockmax_exact_and_prunes(ray_session):
     with s2._pin() as snap2:
         sc2: SegmentGroupScorer = snap2.pool[0][1]
     st2 = snap2.stats([s2._plan({"query": q}, snap2.schema).query])
-    e_ids, e_sc = sc2._eval(s2._plan({"query": q}, snap2.schema).query, sc2.readers[0], st2)
+    e_ids, e_sc, _ = sc2._eval(s2._plan({"query": q}, snap2.schema).query, st2, [0])
     if st2.tombstones is not None:
         keep = ~np.isin(e_ids, st2.tombstones)
         e_ids, e_sc = e_ids[keep], e_sc[keep]
@@ -642,15 +642,13 @@ def test_conjunction_skip_exact_and_prunes(ray_session):
     q = {"bool": {"must": [{"term": {"text": "w01000"}}, {"term": {"text": "the"}}]}}
     plan = s._plan({"query": q}, snap.schema).query
     stats = snap.stats([plan])
-    reader = scorer.readers[0]
-
     # expected result: per-term exhaustive evals intersected by hand
-    a = scorer._eval(plan.must[0], reader, stats)
-    b = scorer._eval(plan.must[1], reader, stats)
+    a = scorer._eval(plan.must[0], stats, [0])
+    b = scorer._eval(plan.must[1], stats, [0])
     common, ia, ib = np.intersect1d(a[0], b[0], assume_unique=True, return_indices=True)
     want_ids, want_scores = common, a[1][ia] + b[1][ib]
 
-    got_ids, got_scores = scorer._eval(plan, reader, stats)
+    got_ids, got_scores, _ = scorer._eval(plan, stats, [0])
     assert got_ids.tolist() == want_ids.tolist()
     np.testing.assert_allclose(got_scores, want_scores, rtol=1e-12)
     # and through the public search API

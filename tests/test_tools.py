@@ -41,3 +41,19 @@ def test_fastfield_audit_first_doc_without_tokens(ray_session, tmp_path, capsys,
     assert out["term_bloom"]["absent_term"]["postings_files_opened"] == 0
     assert out["n_sort_hits"] == 20
     assert out["store_frames_read"] > 0
+
+
+def test_segment_curve_runs_and_results_agree():
+    """`tools/segment_curve.py` on a small corpus: a p50 per kind and
+    overall at each segment count, the same results at every count, and
+    the ratio to the first count."""
+    path = os.path.join(TOOLS, "segment_curve.py")
+    spec = importlib.util.spec_from_file_location("segment_curve", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    out = tool.curve(2048, [1, 4], decks=1, rounds=1, seed=41)
+    assert out["queries"] == 22 and set(out["p50_ms"]) == {"1", "4"}
+    for row in out["p50_ms"].values():
+        assert row["same_results"] is True
+        assert {"all", "term_rare", "phrase", "sort", "facet"} <= set(row)
+    assert out["all_ratio"]["1"] == 1.0

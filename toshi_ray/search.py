@@ -4,9 +4,10 @@ Execution mirrors the reference's search path (`LocalIndex::search_index`,
 `toshi-server/src/handle.rs:77-160`, SURVEY.md §3.3) re-expressed for a
 partitioned index: the driver computes GLOBAL statistics (N, avgdl, per
 query-term df summed across segments — the stats-broadcast step
-SURVEY.md §2.5 calls out), broadcasts (plan, stats) to per-segment
-scorers, each scorer produces a local top-k + facet counts, and the
-driver heap-merges and cuts to k — the `SearchResults` Add/Sum monoid
+SURVEY.md §2.5 calls out), broadcasts (plan, stats) to scorer groups,
+each group evaluates the plan once over all its segments into a local
+top-k + facet counts, and the driver merges them with one lexsort and
+cuts to k — the `SearchResults` Add/Sum monoid
 (`toshi-types/src/client.rs:37-55`) with the re-sort the reference's
 concat-merge omits.
 
@@ -30,9 +31,9 @@ its stats, its segment readers and a scorer pool over them. A refresh
 swaps in a new snapshot that carries over the reader of every segment
 whose manifest entry did not change (`SegmentReader.carry`); each
 query pins one snapshot for all of its phases. Scorers run
-in-process, or as Ray actors (one per segment group — the stateful
-stage holding postings/norms, SURVEY.md §7.2) that open their own
-readers.
+in-process, as one group over every segment, or as Ray actors (one per
+segment group — the stateful stage holding postings/norms, SURVEY.md
+§7.2) that open their own readers.
 """
 
 from __future__ import annotations
@@ -208,21 +209,72 @@ def _levenshtein_filter(
 @dataclass(frozen=True)
 class _TermSetQuery:
     """A fuzzy or regex query after `_Snapshot.rewrite`: the terms of the
-    snapshot's term union it matched. Like tantivy's AutomatonWeight
-    (a BitSetDocSet in ConstScorer(1.0)), every doc holding any of them
-    scores 1.0, however many of them it holds (fuzzy.rs:31)."""
+    snapshot's term union it matched, sorted and unique. Like tantivy's
+    AutomatonWeight (a BitSetDocSet in ConstScorer(1.0)), every doc
+    holding any of them scores 1.0, however many of them it holds
+    (fuzzy.rs:31)."""
 
     field: str
     terms: tuple[str, ...]
 
 
+_SCORE_COLS = ["df", "doc_ids", "tfs"]  # never the positions payload
+_PHRASE_COLS = ["df", "doc_ids", "tfs", "positions"]
+_NO_HITS = (np.empty(0, np.uint64), np.empty(0, np.float64), np.empty(0, np.int64))
+
+
+def _doc_order(ids: np.ndarray, *cols: np.ndarray) -> tuple:
+    """``ids`` and the arrays beside them, in doc-id order. Rows arrive
+    in reader order, which is doc-id order unless the readers' doc-id
+    spans interleave (a merge of non-adjacent segments) or overlap."""
+    if ids.size > 1 and (ids[1:] < ids[:-1]).any():
+        order = np.argsort(ids, kind="stable")
+        return (ids[order], *(c[order] for c in cols))
+    return (ids, *cols)
+
+
+def _reader_runs(src: np.ndarray) -> list[tuple[int, slice | np.ndarray]]:
+    """(reader ordinal, rows) per reader that holds rows of ``src``,
+    ordinals ascending. Rows come in one run per reader unless a doc-id
+    sort interleaved them: a run is a slice (no gather), else the rows
+    are an index array in their order."""
+    if src.size == 0:
+        return []
+    cuts = np.flatnonzero(src[1:] != src[:-1]) + 1
+    if (src[cuts - 1] < src[cuts]).all():
+        bounds = [0, *cuts.tolist(), src.size]
+        return [(int(src[a]), slice(a, b)) for a, b in zip(bounds[:-1], bounds[1:])]
+    order = np.argsort(src, kind="stable")
+    ords, starts = np.unique(src[order], return_index=True)
+    return list(zip(ords.tolist(), np.split(order, starts[1:])))
+
+
+def _holding(src: np.ndarray) -> list[int]:
+    """The ordinals of the readers that hold rows of ``src``."""
+    return [o for o, _ in _reader_runs(src)]
+
+
 class SegmentGroupScorer:
-    """Evaluates query plans over the readers of a group of segments.
+    """Evaluates query plans over a group of segments, once per plan
+    rather than once per segment.
 
     This is the stateful stage: each reader's postings table (its term
     dictionary too), norms and fast fields load once, on first use, and
-    stay with the reader; per query, posting rows are slices of that
-    table.
+    stay with the reader. Tantivy collects per segment; here a
+    segment's fixed cost (lookup, decode, norm gather, BM25, cut)
+    dominates, so each leaf runs once over the group's segments: a text
+    leaf asks every reader for its rows (its bloom before its postings
+    load, its dictionary after), joins them with one `pa.concat_tables`
+    and decodes them with one `decode_postings`; a docvalues leaf reads
+    only the segments its zone maps keep. A hit is a row of (doc id,
+    score, reader ordinal), like tantivy's `DocAddress(segment_ord,
+    doc)`, so norm, fast-field and facet gathers touch only the readers
+    that hold hits. Hits are in doc-id order (doc ids are unique across
+    an index's segments). The group drops tombstones and cuts its top k
+    once per query.
+
+    In-process search runs one group over every segment; Ray actors
+    run this same code over ``readers[i::n]``.
     """
 
     def __init__(self, readers: list[SegmentReader], schema_json: list):
@@ -284,71 +336,57 @@ class SegmentGroupScorer:
         facets: dict | None = None,
         sort_floor: float | None = None,
     ):
-        """Per-segment eval → local top-k: every query, sorted or scored,
-        is evaluated exhaustively by `_eval` and cut by one lexsort.
-        Returns (rows [(doc_id, score, seg_idx_local)], facet_counts dict)."""
-        top_rows: list[tuple[int, float, int]] = []
-        facet_counts: dict[str, int] = {}
-        readers_iter = list(enumerate(self.readers))
-        # sort-by top-k zone pruning: a segment whose zone-map max for
-        # the sort field is below the running k-th value cannot place a
-        # doc in the top k (sort is value-desc, doc_id-asc tie-break; a
-        # tie at zmax could still win on doc_id, so the skip is strict
-        # <). Visit unknown-bound segments first, then zmax-desc so the
-        # threshold tightens as early as possible. Facets need every
-        # segment's matches, so any facet request disables the skip.
-        # `sort_floor` is a driver-computed GLOBAL lower bound on the
-        # k-th sort value (sound across scorer groups, where the local
-        # running threshold cannot see other groups' segments).
-        sort_prune = sort_by is not None and not facets and k > 0
-        if sort_prune:
-            def _zmax(r):
-                # float cast: the ranking itself is float64-based
-                # (_fast_values astype), so the prune must compare in
-                # the same rounded domain — an exact-int comparison
-                # could prune a >2^53 value that TIES the k-th float
-                z = r.meta.get("fastfield_stats", {}).get(sort_by)
-                return None if z is None else float(z[1])
-
-            readers_iter.sort(
-                key=lambda p: (0, 0) if _zmax(p[1]) is None else (1, -_zmax(p[1]))
-            )
-            top_vals: list[float] = []  # running top-k sort values, desc
-        for si, reader in readers_iter:
-            if sort_prune:
-                zm = _zmax(reader)
-                if zm is not None and (
-                    (sort_floor is not None and zm < sort_floor)
-                    or (len(top_vals) >= k and zm < top_vals[k - 1])
-                ):
-                    continue
-            doc_ids, scores = self._eval_live(plan, reader, stats)
-            if facets:
-                self._count_facets(reader, doc_ids, facets, facet_counts)
-            if doc_ids.size == 0:
-                continue
+        """The group's top k of ``plan``: one evaluation over its readers,
+        tombstones dropped once, one lexsort on (score or sort value
+        desc, doc id asc; a NULL sort value, NaN, sorts last).
+        → (doc ids, scores or sort values, reader ordinals, facet counts)."""
+        if sort_by is not None and not facets and k > 0:
+            ids, keys, src = self._sorted_with_zone_pruning(plan, stats, k, sort_by, sort_floor)
+            counts: dict[str, int] = {}
+        else:
+            ids, keys, src = self._live(self._eval(plan, stats, range(len(self.readers))), stats)
+            counts = self._facet_counts(ids, src, facets) if facets else {}
             if sort_by is not None:
-                fdef = self.schema.field(sort_by)
-                if fdef is None:
-                    raise QueryError.execution(f"Unknown field: {sort_by}")
-                vals = self._fast_values(reader, sort_by, doc_ids).astype(np.float64)
-                order = np.lexsort((doc_ids, -vals))[:k]
-                for i in order:
-                    top_rows.append((int(doc_ids[i]), float(vals[i]), si))
-                if sort_prune:
-                    # NULL sort values surface as NaN — keep them out
-                    # of the threshold (NaN both misorders Python's
-                    # sorted() and is not a value bound); the threshold
-                    # engages only once k REAL values are collected
-                    top_vals = sorted(
-                        top_vals + [v for i in order if (v := float(vals[i])) == v],
-                        reverse=True,
-                    )[:k]
-            else:
-                order = np.lexsort((doc_ids, -scores))[:k]
-                for i in order:
-                    top_rows.append((int(doc_ids[i]), float(scores[i]), si))
-        return top_rows, facet_counts
+                keys = self._sort_values(sort_by, ids, src)
+        order = np.lexsort((ids, -keys))[:k]
+        return ids[order], keys[order], src[order], counts
+
+    def _sorted_with_zone_pruning(self, plan, stats: Stats, k: int, sort_by: str, sort_floor):
+        """Sort-by top k, read segment by segment: a segment whose
+        zone-map max for the sort field is below the driver's global
+        floor (`Searcher._sort_floor`) or the running k-th value cannot
+        place a doc in the top k (a tie at zmax could still win on doc
+        id, so both skips are strict <). Segments of unknown bound come
+        first, then zmax desc, so the threshold tightens as early as
+        possible. → the kept segments' top-k rows (ids, values, ordinals)."""
+
+        def zmax(r):
+            # float: the ranking compares float64 values, so an exact
+            # int compare could prune a >2^53 value that TIES the k-th
+            z = r.meta.get("fastfield_stats", {}).get(sort_by)
+            return None if z is None else float(z[1])
+
+        zs = [zmax(r) for r in self.readers]
+        visit = sorted(
+            (o for o, z in enumerate(zs) if z is None or sort_floor is None or z >= sort_floor),
+            key=lambda o: (0, 0) if zs[o] is None else (1, -zs[o]),
+        )
+        chunks, top = [], np.empty(0, np.float64)  # top: the running k best real values, desc
+        for o in visit:
+            if zs[o] is not None and top.size >= k and zs[o] < top[k - 1]:
+                continue
+            ids, _, src = self._live(self._eval(plan, stats, [o]), stats)
+            if ids.size == 0:
+                continue
+            vals = self._sort_values(sort_by, ids, src)
+            cut = np.lexsort((ids, -vals))[:k]
+            chunks.append((ids[cut], vals[cut], src[cut]))
+            # NULL sort values surface as NaN: never a value bound
+            real = vals[cut][~np.isnan(vals[cut])]
+            top = np.sort(np.concatenate([top, real]))[::-1][:k]
+        if not chunks:
+            return _NO_HITS
+        return tuple(np.concatenate(c) for c in zip(*chunks))
 
     def score_topk_many(
         self, plans, stats: Stats, ks, sort_bys, facets_list, sort_floors=None
@@ -366,7 +404,7 @@ class SegmentGroupScorer:
         return sum(a.size for a in self.match_ids(plan, stats))
 
     def match_ids(self, plan, stats: Stats) -> list[np.ndarray]:
-        return [self._eval_live(plan, r, stats)[0] for r in self.readers]
+        return [self._live(self._eval(plan, stats, range(len(self.readers))), stats)[0]]
 
     def fetch_docs(self, wanted: dict) -> list[dict]:
         """wanted: {local segment idx: [doc_ids]} → stored docs."""
@@ -377,171 +415,236 @@ class SegmentGroupScorer:
 
     # ---------------- evaluation ----------------
 
-    def _eval_live(self, plan, reader: SegmentReader, stats: Stats):
-        """`_eval` minus the tombstoned docs: the one place a query drops
+    @staticmethod
+    def _live(hits: tuple, stats: Stats) -> tuple:
+        """``hits`` minus the tombstoned docs: the one place a query drops
         deletes."""
-        doc_ids, scores = self._eval(plan, reader, stats)
-        if stats.tombstones is not None and stats.tombstones.size and doc_ids.size:
-            keep = ~np.isin(doc_ids, stats.tombstones)
-            doc_ids, scores = doc_ids[keep], scores[keep]
-        return doc_ids, scores
+        ids, scores, src = hits
+        if stats.tombstones is not None and stats.tombstones.size and ids.size:
+            keep = ~np.isin(ids, stats.tombstones)
+            return ids[keep], scores[keep], src[keep]
+        return hits
 
-    def _norm_lookup(self, reader: SegmentReader, field: str, doc_ids: np.ndarray) -> np.ndarray:
+    def _fetch(self, field: str, terms: list[str], ords, columns: list[str]) -> list:
+        """[(reader ordinal, postings rows)] of the readers in ``ords`` that
+        hold any of ``terms``. Each reader answers its own lookup: its
+        bloom before its postings load, its dictionary after."""
+        parts = []
+        for o in ords:
+            t = self.readers[o].postings_for_terms(field, terms, columns)
+            if t.num_rows:
+                parts.append((o, t))
+        return parts
+
+    @staticmethod
+    def _decode(tables: list[pa.Table], labels) -> tuple:
+        """(doc ids, tfs, label of each posting's table) of every posting
+        of ``tables``: one `pa.concat_tables`, one `decode_postings`."""
+        ids, tfs, offs = decode_postings(pa.concat_tables(tables))
+        ends = offs[np.cumsum([t.num_rows for t in tables])]
+        return ids, tfs, np.repeat(np.asarray(labels, np.int64), np.diff(ends, prepend=0))
+
+    def _rows_at(self, col: str, ids: np.ndarray, src: np.ndarray):
+        """(reader, row positions, docvalues rows) per reader that holds
+        hits and has column ``col``: one searchsorted of its doc ids."""
+        for o, at in _reader_runs(src):
+            r = self.readers[o]
+            if col in r.dv_column_names():
+                yield r, at, np.searchsorted(r.doc_ids(), ids[at])
+
+    def _bm25(self, field, ids, tfs, src, weight_idf, stats: Stats) -> np.ndarray:
         col = f"norm_{field}"
-        if col not in reader.dv_column_names():
-            return np.zeros(doc_ids.size, dtype=np.uint64)
-        all_ids = reader.doc_ids()
-        idx = np.searchsorted(all_ids, doc_ids)
-        codes = reader.docvalues([col])[col].to_numpy(zero_copy_only=False)
-        return id_to_fieldnorm(codes[idx])
-
-    def _fast_values(self, reader: SegmentReader, field: str, doc_ids: np.ndarray) -> np.ndarray:
-        if field not in reader.dv_column_names():
-            raise QueryError.execution(f"Unknown field: {field}")
-        all_ids = reader.doc_ids()
-        idx = np.searchsorted(all_ids, doc_ids)
-        return reader.docvalues([field])[field].to_numpy(zero_copy_only=False)[idx]
-
-    def _postings(self, reader: SegmentReader, field: str, term: str):
-        """(doc_ids, tfs) of one term, its hot-term shards concatenated
-        in doc order (the reader returns shard rows by first_doc)."""
-        tbl = reader.postings_for_terms(field, [term], ["df", "doc_ids", "tfs"])
-        if tbl.num_rows == 0:  # absent here: skip the decoder's fixed cost
-            return np.empty(0, np.uint64), np.empty(0, np.uint64)
-        return decode_postings(tbl)[:2]
-
-    def _bm25(self, reader, field, doc_ids, tfs, weight_idf, stats: Stats) -> np.ndarray:
-        dl = self._norm_lookup(reader, field, doc_ids).astype(np.float64)
+        dl = np.zeros(ids.size, np.float64)  # a segment without norms reads 0
+        for r, at, rows in self._rows_at(col, ids, src):
+            dl[at] = id_to_fieldnorm(r.docvalues([col])[col].to_numpy(zero_copy_only=False)[rows])
         avgdl = max(stats.avgdl.get(field, 0.0), 1e-9)
         tf = tfs.astype(np.float64)
         return weight_idf * (K1 + 1.0) * tf / (tf + K1 * (1.0 - B + B * dl / avgdl))
 
-    def _eval(self, node, reader: SegmentReader, stats: Stats):
-        """→ (sorted unique doc_ids: uint64, scores: float64)."""
+    def _sort_values(self, field: str, ids: np.ndarray, src: np.ndarray) -> np.ndarray:
+        """The float64 sort value of each hit (NaN for a NULL)."""
+        vals = np.empty(ids.size, np.float64)
+        for o, at in _reader_runs(src):
+            r = self.readers[o]
+            if self.schema.field(field) is None or field not in r.dv_column_names():
+                raise QueryError.execution(f"Unknown field: {field}")
+            col = r.docvalues([field])[field].to_numpy(zero_copy_only=False)
+            vals[at] = col[np.searchsorted(r.doc_ids(), ids[at])].astype(np.float64)
+        return vals
+
+    def _facet_counts(self, ids: np.ndarray, src: np.ndarray, facets: dict) -> dict:
+        """Hits per child path under the first requested root (only the
+        first is honored, handle.rs:146-155): one facet gather per reader
+        that holds hits, one count of the distinct values, then each
+        distinct value's child path."""
+        field, roots = next(iter(facets.items()))
+        if self.schema.field(field) is None:
+            raise QueryError.execution(f"Unknown field: {field}")
+        col = f"facet_{field}"
+        vals = [c for r, _, rows in self._rows_at(col, ids, src)
+                for c in r.docvalues([col])[col].take(rows).chunks]
+        if not vals:
+            return {}
+        counts = pc.value_counts(pa.chunked_array(vals, pa.string()))
+        prefix = (roots[0] if roots else "/").rstrip("/") + "/"
+        acc: dict[str, int] = {}
+        for v, n in zip(counts.field("values").to_pylist(), counts.field("counts").to_pylist()):
+            if v is not None and v.startswith(prefix):
+                child = prefix + v[len(prefix):].split("/")[0]
+                acc[child] = acc.get(child, 0) + n
+        return acc
+
+    def _dv_hits(self, ords, match) -> tuple:
+        """Hits of a docvalues leaf, each scoring 1.0: ``match(reader)`` is
+        a reader's matching doc ids, or None when its zone map or a
+        missing column rules it out unread."""
+        chunks = [(o, ids) for o in ords if (ids := match(self.readers[o])) is not None and ids.size]
+        if not chunks:
+            return _NO_HITS
+        ids = np.concatenate([c for _, c in chunks]).astype(np.uint64, copy=False)
+        src = np.repeat(np.array([o for o, _ in chunks], np.int64), [c.size for _, c in chunks])
+        ids, src = _doc_order(ids, src)
+        return ids, np.ones(ids.size, np.float64), src
+
+    def _eval(self, node, stats: Stats, ords) -> tuple:
+        """Hits of ``node`` over the readers ``ords``: (sorted unique doc
+        ids uint64, scores float64, reader ordinals)."""
         if isinstance(node, AllQuery):
-            ids = reader.doc_ids().astype(np.uint64)
-            return ids, np.ones(ids.size, np.float64)
+            return self._dv_hits(ords, lambda r: r.doc_ids())
 
         if isinstance(node, TermQuery):
             fdef = _indexed_field(self.schema, node.field)
             if fdef.is_text:
-                doc_ids, tfs = self._postings(reader, node.field, node.value)
-                if doc_ids.size == 0:
-                    return doc_ids, np.empty(0, np.float64)
+                parts = self._fetch(node.field, [node.value], ords, _SCORE_COLS)
+                if not parts:
+                    return _NO_HITS
+                ids, tfs, src = self._decode([t for _, t in parts], [o for o, _ in parts])
                 w = stats.idf.get((node.field, node.value), 0.0)
-                return doc_ids, self._bm25(reader, node.field, doc_ids, tfs, w, stats)
+                return _doc_order(ids, self._bm25(node.field, ids, tfs, src, w, stats), src)
             # numeric/facet equality — constant score (divergence note: the
             # reference only exercises term queries on text fields)
             col = node.field if fdef.is_numeric else f"facet_{node.field}"
-            if col not in reader.dv_column_names():
-                return np.empty(0, np.uint64), np.empty(0, np.float64)
-            if fdef.is_numeric:
-                try:
-                    target = int(node.value)
-                except (TypeError, ValueError):
-                    raise QueryError.execution(
-                        f"Invalid value for numeric field '{node.field}': '{node.value}'"
-                    )
-                if _zone_excludes(reader, col, gte=target, lte=target):
-                    return np.empty(0, np.uint64), np.empty(0, np.float64)
-            else:
+
+            def equal(r):
+                if col not in r.dv_column_names():
+                    return None
                 target = node.value
-            vals = reader.docvalues([col])[col]
-            # fill_null: a doc that omits this optional field stores a
-            # null — pc.equal propagates it and the null-bearing boolean
-            # would come back as an OBJECT array that numpy rejects as a
-            # mask (null never equals the target, per the reference)
-            mask = pc.fill_null(pc.equal(vals, target), False).to_numpy(
-                zero_copy_only=False
-            )
-            ids = reader.doc_ids()[mask].astype(np.uint64)
-            return ids, np.ones(ids.size, np.float64)
+                if fdef.is_numeric:
+                    try:
+                        target = int(node.value)
+                    except (TypeError, ValueError):
+                        raise QueryError.execution(
+                            f"Invalid value for numeric field '{node.field}': '{node.value}'"
+                        )
+                    if _zone_excludes(r, col, gte=target, lte=target):
+                        return None
+                # fill_null: a doc that omits this optional field stores a
+                # null — pc.equal propagates it and the null-bearing boolean
+                # would come back as an OBJECT array that numpy rejects as a
+                # mask (null never equals the target, per the reference)
+                mask = pc.fill_null(pc.equal(r.docvalues([col])[col], target), False)
+                return r.doc_ids()[mask.to_numpy(zero_copy_only=False)]
+
+            return self._dv_hits(ords, equal)
 
         if isinstance(node, PhraseQuery):
-            return self._eval_phrase(node, reader, stats)
+            return self._phrase(node, stats, ords)
 
         if isinstance(node, _TermSetQuery):
-            # ONE batched postings fetch and ONE decode for every matched
-            # term (a broad regex can match 10^4 terms); a term of the
-            # union that this segment lacks returns no rows here
-            tbl = reader.postings_for_terms(node.field, list(node.terms), ["df", "doc_ids", "tfs"])
-            if tbl.num_rows == 0:
-                return np.empty(0, np.uint64), np.empty(0, np.float64)
-            ids = np.unique(decode_postings(tbl)[0])
-            return ids, np.ones(ids.size, np.float64)
+            # ONE postings fetch per reader and ONE decode for every
+            # matched term (a broad regex can match 10^4 terms); a term of
+            # the union that a segment lacks returns no rows there
+            parts = self._fetch(node.field, list(node.terms), ords, _SCORE_COLS)
+            if not parts:
+                return _NO_HITS
+            ids, _, src = self._decode([t for _, t in parts], [o for o, _ in parts])
+            ids, first = np.unique(ids, return_index=True)
+            return ids, np.ones(ids.size, np.float64), src[first]
 
         if isinstance(node, RangeQuery):
             self._check_schema(node)
-            if node.field not in reader.dv_column_names():
-                raise QueryError.execution(f"Unknown field: {node.field}")
-            if _zone_excludes(reader, node.field, gt=node.gt, gte=node.gte,
-                              lt=node.lt, lte=node.lte):
-                # segment zone map proves no doc can match — skip the
-                # docvalues data pages entirely
-                return np.empty(0, np.uint64), np.empty(0, np.float64)
-            vals = self._fast_values_all(reader, node.field)
-            mask = np.ones(vals.size, dtype=bool)
-            # exclusive bounds win over inclusive (range.rs:131-153)
-            if node.gt is not None:
-                mask &= vals > node.gt
-            elif node.gte is not None:
-                mask &= vals >= node.gte
-            if node.lt is not None:
-                mask &= vals < node.lt
-            elif node.lte is not None:
-                mask &= vals <= node.lte
-            ids = reader.doc_ids()[mask].astype(np.uint64)
-            return ids, np.ones(ids.size, np.float64)
+
+            def in_range(r):
+                if node.field not in r.dv_column_names():
+                    raise QueryError.execution(f"Unknown field: {node.field}")
+                if _zone_excludes(r, node.field, gt=node.gt, gte=node.gte,
+                                  lt=node.lt, lte=node.lte):
+                    # the zone map proves no doc can match — skip the
+                    # docvalues data pages entirely
+                    return None
+                vals = r.docvalues([node.field])[node.field].to_numpy(zero_copy_only=False)
+                mask = np.ones(vals.size, dtype=bool)
+                # exclusive bounds win over inclusive (range.rs:131-153)
+                if node.gt is not None:
+                    mask &= vals > node.gt
+                elif node.gte is not None:
+                    mask &= vals >= node.gte
+                if node.lt is not None:
+                    mask &= vals < node.lt
+                elif node.lte is not None:
+                    mask &= vals <= node.lte
+                return r.doc_ids()[mask]
+
+            return self._dv_hits(ords, in_range)
 
         if isinstance(node, BoolQuery):
-            return self._eval_bool(node, reader, stats)
+            return self._bool(node, stats, ords)
 
         if isinstance(node, BoostQuery):
-            ids, scores = self._eval(node.query, reader, stats)
-            return ids, scores * node.boost
+            ids, scores, src = self._eval(node.query, stats, ords)
+            return ids, scores * node.boost, src
 
         raise QueryError.execution(f"Unsupported query node: {type(node).__name__}")
 
-    def _fast_values_all(self, reader: SegmentReader, field: str) -> np.ndarray:
-        if field not in reader.dv_column_names():
-            raise QueryError.execution(f"Unknown field: {field}")
-        return reader.docvalues([field])[field].to_numpy(zero_copy_only=False)
-
-    def _eval_phrase(self, node: PhraseQuery, reader: SegmentReader, stats: Stats):
+    def _phrase(self, node: PhraseQuery, stats: Stats, ords) -> tuple:
+        """Pass 1 intersects the terms' doc ids without decoding positions
+        (most candidates die there, and positions are the largest
+        column); pass 2 decodes the positions of the readers that hold
+        candidates. A term's rows come only from the readers that held
+        every earlier term, and all terms decode together: one
+        `decode_postings` and one `decode_positions` per phrase. (A
+        term's whole position list decodes; segments are bounded by
+        docs_per_segment, and block-aligned position offsets would
+        shave a constant factor at the cost of a format bump.)"""
         self._check_schema(node)
         offsets = node.offsets or tuple(range(len(node.terms)))
-        # pass 1: doc-id intersection WITHOUT touching positions — most
-        # phrase candidates die here, and the positions payload is the
-        # largest column in the segment. (Pass 2 decodes a term's whole
-        # position stream; that stays O(segment), and segments are
-        # bounded by docs_per_segment — block-aligned position offsets
-        # would shave a constant factor at the cost of a format bump.)
-        fetched = []  # (ids, tfs) per term
+        fetched = []
         for t in node.terms:
-            ids, tfs = self._postings(reader, node.field, t)
-            if ids.size == 0:
-                return np.empty(0, np.uint64), np.empty(0, np.float64)
-            fetched.append((ids, tfs))
-        cand = fetched[0][0]
-        for ids, _ in fetched[1:]:
-            cand = np.intersect1d(cand, ids, assume_unique=True)
+            got = self._fetch(node.field, [t], ords, _PHRASE_COLS)
+            if not got:
+                return _NO_HITS
+            fetched.append(got)
+            ords = [o for o, _ in got]
+        held = set(ords)  # the readers that hold every term
+        parts = [(j, o, tbl) for j, got in enumerate(fetched) for o, tbl in got if o in held]
+        tables = [tbl for _, _, tbl in parts]
+        ids, tfs, part = self._decode(tables, range(len(parts)))
+        term = np.array([j for j, _, _ in parts])[part]
+        src = np.array([o for _, o, _ in parts], np.int64)[part]
+        per_term = [_doc_order(ids[at], at) for at in
+                    (np.flatnonzero(term == j) for j in range(len(node.terms)))]
+        cand = per_term[0][0]
+        for term_ids, _ in per_term[1:]:
+            cand = np.intersect1d(cand, term_ids, assume_unique=True)
         if cand.size == 0:
-            return cand.astype(np.uint64), np.empty(0, np.float64)
+            return _NO_HITS
+        postings = [at[np.searchsorted(term_ids, cand)] for term_ids, at in per_term]
+        cand_src = src[postings[0]]
 
-        # pass 2: positions only for the surviving conjunction, decoded
-        # in one call against pass 1's tfs (both fetches return shard
-        # rows in the same doc order, so they align)
-        per_term = []
-        for t, (ids, tfs) in zip(node.terms, fetched):
-            tbl = reader.postings_for_terms(node.field, [t], ["positions"])
-            pos, offs = decode_positions(tbl, tfs)
-            per_term.append((ids, pos.astype(np.int64), offs))
-
+        # pass 2: the candidate readers' tables, positions decoded in one
+        # call against pass 1's tfs (a posting's positions restart)
+        readers = set(_holding(cand_src))
+        kept = np.isin(src, list(readers))
+        renumber = np.cumsum(kept) - 1  # a kept posting's index in pass 2
+        pos, offs = decode_positions(
+            pa.concat_tables([tbl for _, o, tbl in parts if o in readers]), tfs[kept]
+        )
+        pos = pos.astype(np.int64)
         survivors = None
-        for i, (ids, pos, offs) in enumerate(per_term):
+        for i, at in enumerate(postings):
+            at = renumber[at]
             delta = offsets[i] - offsets[0]
-            sel = np.searchsorted(ids, cand)
-            starts, lens = offs[sel], offs[sel + 1] - offs[sel]
+            starts, lens = offs[at], offs[at + 1] - offs[at]
             flat = codecs.take_ranges(pos, starts, lens)
             docidx = np.repeat(np.arange(cand.size, dtype=np.int64), lens)
             adj = flat - delta
@@ -551,14 +654,13 @@ class SegmentGroupScorer:
                 survivors, keys, assume_unique=True
             )
             if survivors.size == 0:
-                return np.empty(0, np.uint64), np.empty(0, np.float64)
+                return _NO_HITS
 
         ptf = np.bincount((survivors >> np.int64(32)), minlength=cand.size)
         hit = ptf > 0
-        doc_ids = cand[hit].astype(np.uint64)
+        doc_ids, src = cand[hit].astype(np.uint64), cand_src[hit]
         sum_idf = float(sum(stats.idf.get((node.field, t), 0.0) for t in node.terms))
-        scores = self._bm25(reader, node.field, doc_ids, ptf[hit], sum_idf, stats)
-        return doc_ids, scores
+        return doc_ids, self._bm25(node.field, doc_ids, ptf[hit], src, sum_idf, stats), src
 
     def _check_schema(self, node) -> None:
         """Raise what `_eval` raises for ``node`` from the schema alone,
@@ -593,12 +695,13 @@ class SegmentGroupScorer:
                                 f"invalid value: integer `{bnd}`, expected u64"
                             )
 
-    def _eval_bool(self, node: BoolQuery, reader: SegmentReader, stats: Stats):
+    def _bool(self, node: BoolQuery, stats: Stats, ords) -> tuple:
         """Musts intersect one at a time, rarest first: text-term musts by
-        descending idf, then the other musts in their given order. Once
-        the running set is empty, the segment returns without reading
-        any later must, should or must_not (`_check_schema` still checks
-        them, so a malformed query fails the same way on every index)."""
+        descending idf, then the other musts in their given order. Every
+        later clause reads only the readers that still hold hits, so
+        once the running set is empty nothing later is read
+        (`_check_schema` still checks every clause, so a malformed
+        query fails the same way on every index)."""
 
         def rarest_first(q):
             fdef = self.schema.field(q.field) if isinstance(q, TermQuery) else None
@@ -608,54 +711,35 @@ class SegmentGroupScorer:
 
         musts = sorted(node.must, key=rarest_first)
         if musts:
-            ids, scores = self._eval(musts[0], reader, stats)
+            ids, scores, src = self._eval(musts[0], stats, ords)
             for q in musts[1:]:
                 if ids.size == 0:
                     break
-                mids, mscores = self._eval(q, reader, stats)
+                mids, mscores, _ = self._eval(q, stats, _holding(src))
                 ids, ia, ib = np.intersect1d(ids, mids, assume_unique=True, return_indices=True)
-                scores = scores[ia] + mscores[ib]
+                scores, src = scores[ia] + mscores[ib], src[ia]
             if ids.size == 0:
                 self._check_schema(node)
-                return ids, scores
-            for sids, sscores in (self._eval(q, reader, stats) for q in node.should):
-                common, ia, ib = np.intersect1d(ids, sids, assume_unique=True, return_indices=True)
+                return _NO_HITS
+            for q in node.should:
+                sids, sscores, _ = self._eval(q, stats, _holding(src))
+                _, ia, ib = np.intersect1d(ids, sids, assume_unique=True, return_indices=True)
                 scores = scores.copy()
                 scores[ia] += sscores[ib]
         elif node.should:
-            shoulds = [self._eval(q, reader, stats) for q in node.should]
-            ids = np.unique(np.concatenate([s[0] for s in shoulds]))
+            shoulds = [self._eval(q, stats, ords) for q in node.should]
+            ids, first = np.unique(np.concatenate([s[0] for s in shoulds]), return_index=True)
+            src = np.concatenate([s[2] for s in shoulds])[first]
             scores = np.zeros(ids.size, np.float64)
-            for sids, sscores in shoulds:
+            for sids, sscores, _ in shoulds:
                 np.add.at(scores, np.searchsorted(ids, sids), sscores)
         else:
-            return np.empty(0, np.uint64), np.empty(0, np.float64)
+            return _NO_HITS
         for q in node.must_not:
-            nids, _ = self._eval(q, reader, stats)
+            nids = self._eval(q, stats, _holding(src))[0]
             keep = ~np.isin(ids, nids, assume_unique=True)
-            ids, scores = ids[keep], scores[keep]
-        return ids, scores
-
-    def _count_facets(self, reader, doc_ids, facets: dict, acc: dict):
-        # only the FIRST requested facet root is honored (handle.rs:146-155)
-        field, roots = next(iter(facets.items()))
-        fdef = self.schema.field(field)
-        if fdef is None:
-            raise QueryError.execution(f"Unknown field: {field}")
-        root = roots[0] if roots else "/"
-        col = f"facet_{field}"
-        if col not in reader.dv_column_names() or doc_ids.size == 0:
-            return
-        all_ids = reader.doc_ids()
-        vals = reader.docvalues([col])[col].to_numpy(zero_copy_only=False)[
-            np.searchsorted(all_ids, doc_ids)
-        ]
-        prefix = root.rstrip("/") + "/"
-        for v in vals:
-            if isinstance(v, str) and v.startswith(prefix):
-                rest = v[len(prefix):]
-                child = prefix + rest.split("/")[0]
-                acc[child] = acc.get(child, 0) + 1
+            ids, scores, src = ids[keep], scores[keep], src[keep]
+        return ids, scores, src
 
 
 def _indexed_field(schema: Schema, name: str):
@@ -773,7 +857,8 @@ class _Snapshot:
             except pa.ArrowInvalid:
                 raise QueryError.execution(f"Invalid regex: {node.pattern}") from None
             matched = terms.filter(mask).to_pylist()
-        return _TermSetQuery(node.field, tuple(matched))
+        # sorted and unique, so each reader's lookup skips its own sort
+        return _TermSetQuery(node.field, tuple(sorted(set(matched))))
 
     def term_union(self, field: str) -> pa.Array:
         """The distinct terms of ``field`` across the snapshot's segments,
@@ -817,6 +902,10 @@ class Searcher:
     manifest, which carries over the readers of the segments that did
     not change, and every query pins one snapshot from its stats phase
     to its winner fetch.
+
+    In-process (``distributed=False``) one scorer group evaluates every
+    query over all segments; ``parallelism`` sizes only the Ray pool
+    (at most one actor per segment and per cluster CPU).
     """
 
     def __init__(
@@ -951,15 +1040,21 @@ class Searcher:
             self._kill_pool(doomed)
 
     def _build_pool(self, snap: _Snapshot) -> list:
-        """Scorers over the snapshot's readers: in-process ones use the
-        reader objects, Ray actors open their own copies."""
+        """Scorers over the snapshot's readers. In-process, one group
+        holds every reader (a group evaluates a leaf once over all its
+        segments; more local groups would only pay that fixed cost
+        again, one after another). On Ray, ``parallelism`` actors run
+        the same group code over ``readers[i::n]``, each opening its
+        own copies."""
         readers = list(snap.readers.values())
-        n_groups = max(1, min(self.parallelism, len(readers)))
+        if not readers:
+            return []
         schema_json = snap.schema.to_json()
         if not self.distributed:
-            return [("local", SegmentGroupScorer(readers[i::n_groups], schema_json))
-                    for i in range(min(n_groups, len(readers)))]
+            return [("local", SegmentGroupScorer(readers, schema_json))]
         import ray
+
+        n_groups = max(1, min(self.parallelism, len(readers)))
 
         # never request more 1-CPU actors than the cluster HAS —
         # an over-sized pool waits forever on actors that can never
@@ -971,7 +1066,7 @@ class Searcher:
             n_groups = max(1, min(n_groups, total))
         actor = ray.remote(num_cpus=1)(SegmentGroupScorer)
         return [("ray", actor.remote(readers[i::n_groups], schema_json))
-                for i in range(min(n_groups, len(readers)))]
+                for i in range(n_groups)]
 
     @staticmethod
     def _dispatch(groups, method: str, *args):
@@ -1077,22 +1172,12 @@ class Searcher:
             per_query_facets: list[dict] = []
             wanted_by_group: dict[int, dict[int, set]] = {}
             for qi, s in enumerate(searches):
-                rows = []
+                tops = [results[qi] for results in group_results]
                 facet_acc: dict[str, int] = {}
-                for gi, results in enumerate(group_results):
-                    top, fc = results[qi]
-                    rows.extend((d, sc, gi, si) for d, sc, si in top)
+                for *_, fc in tops:
                     for k, v in fc.items():
                         facet_acc[k] = facet_acc.get(k, 0) + v
-                # NaN (= NULL sort value) sorts LAST: Python's sort
-                # misorders raw NaN keys, so map it to -inf explicitly
-                rows.sort(
-                    key=lambda r: (
-                        -(r[1] if r[1] == r[1] else float("-inf")),
-                        r[0],
-                    )
-                )
-                rows = rows[: s.limit]
+                rows = _merge_tops(tops, s.limit)
                 for d, _, gi, si in rows:
                     wanted_by_group.setdefault(gi, {}).setdefault(si, set()).add(d)
                 per_query_rows.append(rows)
@@ -1159,6 +1244,19 @@ class Searcher:
         if not parts:
             return np.empty(0, np.uint64)
         return np.sort(np.concatenate(parts))
+
+
+def _merge_tops(tops: list[tuple], k: int) -> list[tuple]:
+    """The k best rows of the groups' top-k lists, cut with one lexsort
+    over (score or sort value desc, doc id asc); a NaN (a NULL sort
+    value) sorts last. → [(doc id, score, group, reader ordinal)]."""
+    if not tops:
+        return []
+    ids, keys, src = (np.concatenate([t[i] for t in tops]) for i in range(3))
+    group = np.repeat(np.arange(len(tops)), [t[0].size for t in tops])
+    order = np.lexsort((ids, np.where(np.isnan(keys), np.inf, -keys)))[:k]
+    return list(zip(ids[order].tolist(), keys[order].tolist(),
+                    group[order].tolist(), src[order].tolist()))
 
 
 def _jsonify(doc: dict) -> dict:

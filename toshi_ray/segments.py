@@ -604,9 +604,13 @@ class _SortedPostings:
 
     def lookup(self, field: str, terms: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(present terms, sorted and unique; their first row; one past
-        their last row) — a searchsorted over the field's span."""
+        their last row) — a searchsorted over the field's span. Terms
+        that come strictly increasing (a rewritten fuzzy or regex query
+        sends them so) skip the sort."""
         a, b = self.spans.get(field, (0, 0))
-        want = np.unique(np.asarray(terms, dtype=object))
+        want = np.asarray(terms, dtype=object)
+        if not (want[1:] > want[:-1]).all():
+            want = np.unique(want)
         lo = a + np.searchsorted(self.terms[a:b], want, side="left")
         hi = a + np.searchsorted(self.terms[a:b], want, side="right")
         hit = hi > lo
