@@ -2,10 +2,21 @@
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toshi_ray.analyzer import DefaultAnalyzer, RawAnalyzer, get_analyzer
+from toshi_ray import analyzer
+from toshi_ray.analyzer import (
+    MAX_TOKEN_BYTES,
+    DefaultAnalyzer,
+    RawAnalyzer,
+    TokenizedColumn,
+    get_analyzer,
+)
 from toshi_ray.fieldnorm import FIELD_NORMS_TABLE, fieldnorm_to_id, id_to_fieldnorm
+from toshi_ray.segments import build_field_postings
 
 an = DefaultAnalyzer()
 
@@ -72,6 +83,83 @@ def test_column_batch_matches_single():
     for t, d in zip(tc.terms.to_pylist(), tc.doc_index):
         per_doc[d].append(t)
     assert per_doc == [an.tokens(t) for t in texts]
+
+
+def regex_chain(col: pa.Array) -> tuple[list, list, list, list]:
+    """The default chain from the RE2 regex split, the oracle of the
+    byte-mask split: (terms, doc indexes, positions, norms)."""
+    lists = pc.split_pattern_regex(pc.fill_null(col, ""), pattern=r"[^\p{L}\p{N}]+")
+    terms, docs, positions = [], [], []
+    for d, row in enumerate(lists.to_pylist()):
+        for pos, t in enumerate(t for t in row if t):
+            if len(t.encode()) < MAX_TOKEN_BYTES:
+                terms.append(t)
+                docs.append(d)
+                positions.append(pos)
+    lowered = pc.utf8_lower(pc.replace_substring(pa.array(terms, pa.string()), "\u0130",
+                                                 "i\u0307")).to_pylist()
+    return lowered, docs, positions, np.bincount(docs, minlength=len(col)).tolist()
+
+
+# ASCII word and separator bytes, combining marks, astral code points,
+# the case-mapping specials, NUL, CJK, the ideographic space and
+# zero-width / format characters, plus any other code point
+_CHARS = st.one_of(
+    st.sampled_from(list("aZ09 ,-_.\t\n\x00") + [
+        "\u0301", "\u0308", "\U0001F600", "\U0001D538", "\U00020000", "\u0130", "\u03a3",
+        "\u00df", "\u1e9e", "\u65e5", "\u672c", "\u3000", "\u200b", "\u2162", "\u0416",
+        "\u0639", "\u00e9", "\u01c5", "\uff21", "\U0010fffd"]),
+    st.characters(blacklist_categories=("Cs",)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(st.one_of(st.none(), st.text(_CHARS, max_size=60)), max_size=8),
+    large=st.booleans(),
+    cut=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+)
+def test_byte_mask_split_matches_regex_split(rows, large, cut):
+    """The byte-mask split gives the regex split's terms, doc indexes,
+    positions and norms on any text: string and large_string columns,
+    sliced arrays and null rows."""
+    col = pa.array(rows, pa.large_string() if large else pa.string())
+    lo = min(cut[0], len(col))
+    col = col.slice(lo, max(0, len(col) - lo - cut[1]))
+    tc = an.tokenize_column(col)
+    terms, docs, positions, norms = regex_chain(col)
+    assert tc.terms.to_pylist() == terms
+    assert tc.doc_index.tolist() == docs
+    assert tc.positions.tolist() == positions
+    assert tc.norms.tolist() == norms
+
+
+def test_byte_mask_split_on_chunked_column():
+    col = pa.chunked_array([["Grüße, 日本 x"], [], ["a\u3000b", None, "Σ\x00ß"]])
+    tc = an.tokenize_column(col)
+    terms, docs, positions, norms = regex_chain(col.combine_chunks())
+    assert (tc.terms.to_pylist(), tc.doc_index.tolist(), tc.positions.tolist(),
+            tc.norms.tolist()) == (terms, docs, positions, norms)
+    assert terms == ["grüße", "日本", "x", "a", "b", "σ", "ß"]
+
+
+def test_postings_build_refuses_tokens_out_of_order(monkeypatch):
+    """A registered analyzer must give tokens in (doc, position) order:
+    the postings build sorts them by term only, so it refuses a column
+    that breaks the order instead of writing lists out of order."""
+
+    class Reversed(DefaultAnalyzer):
+        def tokenize_column(self, col):
+            tc = super().tokenize_column(col)
+            return TokenizedColumn(tc.terms[::-1], tc.doc_index[::-1],
+                                   tc.positions[::-1], tc.norms)
+
+    monkeypatch.setitem(analyzer._REGISTRY, "reversed", Reversed)
+    col = pa.array(["b a", "c"])
+    ids = np.arange(2, dtype=np.uint64)
+    assert build_field_postings("text", "default", col, ids, True)[0].table.num_rows == 3
+    with pytest.raises(ValueError, match="out of"):
+        build_field_postings("text", "reversed", col, ids, True)
 
 
 def test_raw_analyzer_and_registry():

@@ -133,6 +133,38 @@ def test_delete_by_term(ray_session):
     gc_segments(root)
 
 
+def multi_field_batch(n: int = 120):
+    """``n`` docs of non-ASCII text in 3 text fields, declared out of
+    name order (one without positions), and their schema."""
+    import pyarrow as pa
+
+    words = ["café", "naïve", "日本語", "Москва", "😀x", "Straße", "İstanbul", "ΟΔΟΣ",
+             "x\u0301y", "a\u3000b", "the", "w00042", "Ⅻ"]
+    rng = np.random.default_rng(3)
+
+    def texts(k):
+        return [" ".join(rng.choice(words, k)) + ", «ok»." for _ in range(n)]
+
+    batch = pa.table({"doc_id": pa.array(np.arange(n), pa.uint64()),
+                      "title": texts(4), "body": texts(30), "abstract": texts(10)})
+    schema = Schema.build(FieldDef("doc_id", "u64", fast=True), FieldDef("title", "text"),
+                          FieldDef("body", "text"), FieldDef("abstract", "text", positions=False))
+    return batch, schema
+
+
+def test_build_postings_come_in_dictionary_order():
+    """The build joins each field's term-ordered rows in field-name
+    order, with no sort over the joined table: the result equals its
+    own (field, term, shard) sort, whatever order the schema declares
+    its text fields in."""
+    from toshi_ray.segments import build_segment_tables
+
+    postings = build_segment_tables(*multi_field_batch())[0]
+    assert set(postings["field"].to_pylist()) == {"title", "body", "abstract"}
+    key = [("field", "ascending"), ("term", "ascending"), ("shard", "ascending")]
+    assert postings.equals(postings.sort_by(key))
+
+
 def test_reader_postings_match_disk(ray_session):
     """A SegmentReader's one postings table answers every term lookup
     as the segment's part files do — on a fresh segment and on a merged
@@ -222,6 +254,22 @@ def test_reader_postings_match_disk(ray_session):
     assert warm.store(ids) == cold.store(ids)
     assert warm.term_dict("text").equals(cold.term_dict("text"))
     assert warm.postings_loads == 0 and cold.postings_loads == 1
+
+    # a primed multi-field segment: the build's table is taken in
+    # dictionary order as it is, and answers as the disk reader does
+    tables = build_segment_tables(*multi_field_batch())
+    multi_dir = tempfile.mkdtemp(prefix="toshi_primed_multi_")
+    multi_dir = os.path.join(multi_dir, write_segment(multi_dir, *tables)["name"])
+    warm, cold = primed(multi_dir), SegmentReader(multi_dir)
+    for field in ("abstract", "body", "title"):
+        disk = cold.term_dict(field)
+        assert disk.num_rows and warm.term_dict(field).equals(disk), field
+        terms = disk["term"].to_pylist()
+        for want in (terms[:1], terms[::3], ["the", "日本語", "absent"]):
+            assert warm.postings_for_terms(field, want).equals(
+                cold.postings_for_terms(field, want)), (field, want)
+            assert warm.df_for_terms(field, want) == cold.df_for_terms(field, want)
+    assert warm.postings_loads == 0
 
 
 def test_reader_loads_postings_once():

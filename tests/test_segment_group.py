@@ -119,6 +119,64 @@ def test_interleaved_and_overlapping_spans_equal_one_segment(ray_session):
     _check_states({"six_merged": six}, want, bodies)
 
 
+def _tree(root: str) -> dict:
+    """Every file under ``root`` with its bytes."""
+    out = {}
+    for dp, _, fs in os.walk(root):
+        for f in fs:
+            with open(os.path.join(dp, f), "rb") as fh:
+                out[os.path.relpath(os.path.join(dp, f), root)] = fh.read()
+    return out
+
+
+def test_merge_refuses_overlapping_doc_id_ranges(ray_session):
+    """A merge whose sources' [min_doc_id, max_doc_id] ranges overlap
+    raises before it writes anything: even ids then odd ids ([0, 598]
+    and [1, 599]), and a merged 0/2/4 segment ([0, 499]) with segment 1
+    ([100, 199]). The index is left byte for byte as it was. Disjoint
+    sources still merge, their spans interleaving or not."""
+    n = 600
+    pages = _pages(n)
+    ids = np.arange(n)
+    even_odd = _write_index(pages.take(np.concatenate([ids[::2], ids[1::2]])), [0, n // 2, n])
+    before = _tree(even_odd)
+    with pytest.raises(ValueError, match="overlap"):
+        merge_segments(even_odd)
+    assert _tree(even_odd) == before
+
+    six = _write_index(pages, list(range(0, n + 1, 100)))
+    names = [s["name"] for s in Searcher(six, distributed=False).segments]
+    merge_segments(six, [names[0], names[2], names[4]])
+    (merged,) = [s["name"] for s in Searcher(six, distributed=False).segments
+                 if s.get("merged_from")]
+    before = _tree(six)
+    with pytest.raises(ValueError, match="overlap"):
+        merge_segments(six, [merged, names[1]])
+    assert _tree(six) == before
+    merge_segments(six, [names[1], names[3]])
+    assert len(Searcher(six, distributed=False).segments) == 3
+
+
+def test_merge_policy_merges_disjoint_runs_of_an_overlapping_bucket(ray_session):
+    """Even ids in 4 segments, then odd ids in 4: one policy bucket of 8
+    whose ranges overlap. `maybe_merge` merges its runs of disjoint
+    ranges instead ([1, 149] with [150, 298], and so on), and every
+    query still equals a 1-segment build."""
+    from toshi_ray.pipelines.merge import maybe_merge
+
+    n = 600
+    pages = _pages(n)
+    bodies = _bodies(n)[::3]
+    want = _results(Searcher(_write_index(pages, [0, n]), distributed=False), bodies)
+    ids = np.arange(n)
+    root = _write_index(pages.take(np.concatenate([ids[::2], ids[1::2]])),
+                        list(range(0, n + 1, n // 8)))
+    assert len(maybe_merge(root)) == 3
+    segs = Searcher(root, distributed=False).segments
+    assert sorted(len(s.get("merged_from", [s["name"]])) for s in segs) == [1, 1, 2, 2, 2]
+    assert _results(Searcher(root, distributed=False), bodies) == want
+
+
 def test_facet_counts_over_segments():
     """Facet counts over several segments: multi-level paths, a doc with
     no facet, the root ``/`` and a deeper root ``/de``; each count

@@ -1,4 +1,4 @@
-"""Text analysis chain — Tantivy 0.19 "default" analyzer, vectorized over Arrow.
+r"""Text analysis chain — Tantivy 0.19 "default" analyzer, vectorized over Arrow.
 
 The reference selects tokenizer "default" in its schemas (reference
 `schema.json:8`, `toshi-server/src/handlers/index.rs:86-87`); tantivy
@@ -14,8 +14,16 @@ Token *positions* are assigned before RemoveLongFilter runs (dropping a
 long token leaves a position gap), matching tantivy's tokenizer/filter
 split — phrase queries see those gaps.
 
-Everything is vectorized: `pyarrow.compute` regex split + numpy offset
-arithmetic; no Python loop over rows or tokens.
+Everything is vectorized; no Python loop over rows or tokens. The
+split is one byte-mask pass: every byte of a non-word character is set
+to 0x00 in a copy of the column's UTF-8 bytes, and one literal
+`split_pattern` on "\x00" cuts the tokens. RE2 still defines the word
+class, `[\p{L}\p{N}]`, applied per code point: once at import for the
+128 ASCII bytes, and once per batch for the batch's distinct non-ASCII
+code points, each decoded at its lead byte only. The cut equals the
+regex split on `[^\p{L}\p{N}]+` but for the empty tokens between
+adjacent separators, which the chain drops either way. Numpy offset
+arithmetic does the rest.
 
 Chain ORDER matches tantivy exactly: the un-lowered column is split,
 the 40-byte RemoveLongFilter is applied to the ORIGINAL token bytes,
@@ -46,9 +54,69 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-# Unicode alphanumeric run (RE2 syntax, used by the Arrow kernel).
-_SPLIT_PATTERN = r"[^\p{L}\p{N}]+"
+from toshi_ray import codecs
+
+# One word character (Unicode L* | N*, Rust char::is_alphanumeric), in
+# RE2 syntax, matched against one-character strings.
+_WORD_CHAR = r"^[\p{L}\p{N}]$"
 MAX_TOKEN_BYTES = 40  # RemoveLongFilter::limit(40): keep len(utf8) < 40
+
+
+def _is_word_char(chars: pa.Array) -> np.ndarray:
+    """One bool per one-character string: is it a word character."""
+    return pc.match_substring_regex(chars, pattern=_WORD_CHAR).to_numpy(zero_copy_only=False)
+
+
+def _keep_byte_table() -> pa.Array:
+    """Byte -> itself, or 0x00 for an ASCII byte outside the word class.
+    Bytes >= 0x80 map to themselves; `_mask_non_words` clears those of
+    non-word characters per code point."""
+    keep = np.arange(256, dtype=np.uint8)
+    keep[:128][~_is_word_char(pa.array([chr(b) for b in range(128)]))] = 0
+    return pa.array(keep)
+
+
+_KEEP_BYTE = _keep_byte_table()
+
+
+def _mask_non_words(col: pa.Array) -> pa.Array:
+    """``col`` (string or large_string, no nulls, any slice) with every
+    byte of a non-word character set to 0x00, as a new array of the
+    same type and row count.
+
+    ASCII bytes map through `_KEEP_BYTE` (an Arrow take with the bytes
+    as uint8 indices, so no per-byte index array). A multi-byte
+    character is decoded at its lead byte (>= 0xC0) only; the batch's
+    distinct code points are classed by one RE2 match and each class
+    spreads over its character's bytes. Working memory is the masked
+    copy plus one bool per byte for the lead-byte scan."""
+    n = len(col)
+    offs = np.frombuffer(col.buffers()[1], np.int64 if pa.types.is_large_string(col.type)
+                         else np.int32)[col.offset : col.offset + n + 1]
+    lo, hi = int(offs[0]), int(offs[-1])
+    if hi == lo:
+        return col  # no bytes, so no word to cut
+    raw = pa.Array.from_buffers(pa.uint8(), hi - lo, [None, col.buffers()[2]], offset=lo)
+    masked = pc.take(_KEEP_BYTE, raw).buffers()[1]
+    data = np.frombuffer(col.buffers()[2], np.uint8, hi - lo, lo)
+    lead = np.flatnonzero(data >= 0xC0)
+    if lead.size:
+        b0 = data[lead].astype(np.int64)
+        width = 2 + (b0 >= 0xE0) + (b0 >= 0xF0)  # UTF-8 sequence bytes
+        cp = b0 & (0x7F >> width)
+        for k in (1, 2, 3):
+            more = np.flatnonzero(width > k)
+            cp[more] = (cp[more] << 6) | (data[lead[more] + k] & 0x3F)
+        _, first, inv = np.unique(cp, return_index=True, return_inverse=True)
+        char_offs = np.zeros(first.size + 1, np.int32)
+        np.cumsum(width[first], out=char_offs[1:])
+        char_bytes = data[codecs.range_indices(lead[first], width[first])]
+        chars = pa.Array.from_buffers(pa.string(), first.size, [
+            None, pa.py_buffer(char_offs), pa.py_buffer(char_bytes)])
+        drop = ~_is_word_char(chars)[inv]
+        out = np.frombuffer(masked, np.uint8)  # the take's own fresh buffer
+        out[codecs.range_indices(lead[drop], width[drop])] = 0
+    return pa.Array.from_buffers(col.type, n, [None, pa.py_buffer(offs - lo), masked])
 
 
 @dataclass
@@ -59,6 +127,11 @@ class TokenizedColumn:
     row-in-batch the i-th token came from; ``positions[i]`` its position
     in that row's token stream (with gaps where long tokens dropped);
     ``norms[d]`` the per-row kept-token count (fieldnorm input).
+
+    Tokens come in (doc, position) order: ``doc_index`` ascending, and
+    ``positions`` non-decreasing within a doc. The postings build
+    relies on it (one stable sort by term) and refuses a column that
+    breaks it.
     """
 
     terms: pa.Array
@@ -83,7 +156,7 @@ class DefaultAnalyzer:
         col = pc.fill_null(col, "")
         # SimpleTokenizer first: split the UN-lowered text (LowerCaser
         # runs last in tantivy's chain — see module docstring)
-        lists = pc.split_pattern_regex(col, pattern=_SPLIT_PATTERN)
+        lists = pc.split_pattern(_mask_non_words(col), pattern="\x00")
         if isinstance(lists, pa.ChunkedArray):
             lists = lists.combine_chunks()
         flat = lists.flatten()

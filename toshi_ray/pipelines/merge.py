@@ -37,7 +37,8 @@ on df skip every group without a hot term, and at web scale the hot set
 is small by definition.
 
 Doc-partitioned side files (docvalues / store) merge by concatenating
-the sources' part files — doc ranges of input segments are disjoint. A
+the sources' part files — doc ranges of input segments must be
+disjoint, and `merge_segments` refuses sources whose ranges overlap. A
 source's docvalues part and its paired store part are hard-linked
 unless the docvalues footer's doc-id range holds a tombstone; only such
 a pair is read on the driver (one pair at a time): the docvalues part is
@@ -222,6 +223,26 @@ def _holds_tombstone(path: str, tombs: np.ndarray) -> bool:
     return not z or np.searchsorted(tombs, z[0]) < np.searchsorted(tombs, z[1], "right")
 
 
+def _disjoint_runs(sources: list[dict]) -> list[list[str]]:
+    """The names of ``sources`` in [min_doc_id, max_doc_id] order, cut
+    into runs whose ranges are pairwise disjoint: a new run starts at a
+    segment whose range begins inside the current run's (segments
+    without docs cover no range). The merge links docvalues and store
+    parts in source order and joins each term's rows by first_doc, so it
+    takes one run only: overlapping sources would give an unsorted
+    doc_id column, wrong norms and failed fetches."""
+    runs: list[list[str]] = [[]]
+    end = -1
+    for lo, hi, name in sorted((s["min_doc_id"], s["max_doc_id"], s["name"]) for s in sources
+                               if s.get("num_docs")):
+        if lo <= end:
+            runs.append([])
+        runs[-1].append(name)
+        end = max(end, hi)
+    runs[0] += [s["name"] for s in sources if not s.get("num_docs")]
+    return runs
+
+
 def merge_segments(
     index_root: str,
     seg_names: list[str] | None = None,
@@ -235,7 +256,9 @@ def merge_segments(
     sources), so commits made while the merge ran survive it; if a
     source has left the manifest meanwhile, it raises and publishes nothing.
     When the deletes leave no source doc, the sources leave the manifest
-    and no segment takes their place.
+    and no segment takes their place. Sources whose [min_doc_id,
+    max_doc_id] ranges overlap raise ValueError before anything is
+    written.
 
     Resumable (north_rule): the merge identity is content-keyed
     (source set + tombstone state), every shuffle partition's merged
@@ -251,6 +274,11 @@ def merge_segments(
     segs = {s["name"]: s for s in manifest["segments"]}
     names = seg_names or list(segs)
     sources = [segs[n] for n in names]
+    runs = _disjoint_runs(sources)
+    if len(runs) > 1:
+        raise ValueError(
+            f"cannot merge {names}: doc-id ranges overlap ({runs[1][0]} starts inside"
+            f" the range of {runs[0]})")
 
     tombs = load_tombstones(index_root, manifest)
     # a merge of every segment applies every delete file it read, and
@@ -460,11 +488,18 @@ def merge_segments(
 
 
 def maybe_merge(index_root: str) -> list[dict]:
-    """Run the log policy over the manifest; merge every candidate bucket."""
+    """Run the log policy over the manifest; merge every candidate
+    bucket. A bucket whose doc-id ranges overlap (a Ray build bundles
+    blocks in the order they finish, so its segments can interleave)
+    merges as its runs of disjoint ranges, each run of two or more
+    segments once: `merge_segments` refuses overlapping sources."""
     out = []
     manifest = load_manifest(index_root)
+    segs = {s["name"]: s for s in manifest["segments"]}
     for bucket in log_merge_candidates(manifest["segments"]):
-        out.append(merge_segments(index_root, bucket))
+        for run in _disjoint_runs([segs[n] for n in bucket]):
+            if len(run) > 1:
+                out.append(merge_segments(index_root, run))
     return out
 
 

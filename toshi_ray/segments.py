@@ -38,7 +38,11 @@ docvalues part footers, builds the bloom and writes meta.json, for the
 build (`write_segment`) and the merge alike.
 
 All posting lists for one batch of documents are built in ONE
-vectorized pass (dictionary-encode + lexsort + reduceat). Postings rows
+vectorized pass: dictionary-encode the terms, sort the vocabulary once,
+then one stable sort of the (doc, position)-ordered tokens by term rank
+and run-boundary arithmetic. Each field's rows come out in term order,
+so the segment's table is the fields' tables joined in field-name order:
+dictionary order, which a reader primed with it takes as it is. Postings rows
 have one writer, `encode_postings` (one segmented encode of every
 list's payloads), which the build and the merge call (the merge drops
 tombstoned docs before it encodes); `decode_postings` is its bulk
@@ -197,7 +201,11 @@ def build_field_postings(
     """Build sorted, compressed posting lists for one field of one doc batch.
 
     ``doc_ids`` must be sorted ascending (caller sorts the batch).
-    Returns the postings rows plus the per-doc fieldnorm token counts.
+    Returns the postings rows, in term order, plus the per-doc fieldnorm
+    token counts. The analyzer's tokens must come in (doc, position)
+    order (the `TokenizedColumn` contract): one stable sort by term then
+    orders them by (term, doc, position). A column out of that order
+    raises ValueError.
     """
     analyzer = get_analyzer(tokenizer)
     tc = analyzer.tokenize_column(col)
@@ -207,15 +215,22 @@ def build_field_postings(
     if term_ids.size == 0:
         return PostingsBatch(table=empty_postings(), total_tokens=0), np.zeros(n_docs, np.int64)
 
+    d, p = tc.doc_index, tc.positions
+    if not ((d[1:] > d[:-1]) | ((d[1:] == d[:-1]) & (p[1:] >= p[:-1]))).all():
+        raise ValueError(
+            f"analyzer {tokenizer!r} gave field {field_name!r} tokens out of (doc, position) order")
+
     # vocab order from dictionary_encode is first-appearance; remap to
-    # sorted (arrow C++ sort on the strings, numpy only on the indices)
+    # sorted (arrow C++ sort on the strings, numpy only on the indices).
+    # Ranks fit 16 bits for most batches, where numpy's stable sort is
+    # a radix sort.
     sort_vocab = pa.compute.sort_indices(vocab).to_numpy(zero_copy_only=False).astype(np.int64)
-    rank = np.empty_like(sort_vocab)
+    rank = np.empty(sort_vocab.size, np.uint16 if sort_vocab.size <= 1 << 16 else np.int64)
     rank[sort_vocab] = np.arange(sort_vocab.size)
     term_ids = rank[term_ids]
     vocab_sorted = vocab.take(pa.array(sort_vocab))
 
-    order = np.lexsort((tc.positions, tc.doc_index, term_ids))
+    order = np.argsort(term_ids, kind="stable")
     t = term_ids[order]
     d = tc.doc_index[order]
     p = tc.positions[order]
@@ -281,7 +296,7 @@ def build_segment_tables(
     batch = batch.take(order)
     doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
 
-    posting_parts: list[pa.Table] = []
+    posting_parts: dict[str, pa.Table] = {}
     dv_cols: dict[str, pa.Array] = {"doc_id": pa.array(doc_ids, type=pa.uint64())}
     field_stats: dict[str, dict] = {}
 
@@ -292,7 +307,7 @@ def build_segment_tables(
             pb, norms = build_field_postings(
                 f.name, f.tokenizer, batch[f.name], doc_ids, f.positions
             )
-            posting_parts.append(pb.table)
+            posting_parts[f.name] = pb.table
             dv_cols[f"norm_{f.name}"] = pa.array(fieldnorm_to_id(norms))
             field_stats[f.name] = {"total_tokens": pb.total_tokens}
         elif f.is_numeric and f.indexed and f.name in batch.column_names:
@@ -306,10 +321,10 @@ def build_segment_tables(
         elif f.type == FACET and f.name in batch.column_names:
             dv_cols[f"facet_{f.name}"] = batch[f.name].cast(pa.string()).combine_chunks()
 
+    # each field's rows are in term order, so field-name order makes
+    # the whole table (field, term, shard)-sorted: dictionary order
     postings = (
-        pa.concat_tables(posting_parts).sort_by(
-            [("field", "ascending"), ("term", "ascending"), ("shard", "ascending")]
-        )
+        pa.concat_tables([t for _, t in sorted(posting_parts.items())]).combine_chunks()
         if posting_parts
         else empty_postings()
     )
@@ -585,15 +600,17 @@ class _SortedPostings:
     one term's shard rows are adjacent and in doc order: the table is
     its own term dictionary. Beside it sit only the lookup aids: the
     term column as an array to `searchsorted`, the df prefix sum and
-    each field's row span."""
+    each field's row span. ``ordered`` says the table is in that order
+    already (the build's own table): no sort is checked."""
 
-    def __init__(self, postings: pa.Table):
-        keys = [("field", "ascending"), ("term", "ascending"), ("first_doc", "ascending")]
-        order = pa.compute.sort_indices(postings, keys).to_numpy()
-        # a fresh segment's file is in this order already, so only a
-        # merged segment (hash-partitioned part files) pays the copy
-        if (order[1:] < order[:-1]).any():
-            postings = postings.take(order)
+    def __init__(self, postings: pa.Table, ordered: bool = False):
+        if not ordered:
+            keys = [("field", "ascending"), ("term", "ascending"), ("first_doc", "ascending")]
+            order = pa.compute.sort_indices(postings, keys).to_numpy()
+            # a fresh segment's file is in this order already, so only a
+            # merged segment (hash-partitioned part files) pays the copy
+            if (order[1:] < order[:-1]).any():
+                postings = postings.take(order)
         self.table = postings.combine_chunks()
         self.terms = self.table["term"].to_numpy(zero_copy_only=False)
         self.df_cum = np.zeros(self.table.num_rows + 1, np.int64)  # df over rows [a, b) = cum[b] - cum[a]
@@ -650,9 +667,9 @@ class SegmentReader:
     def prime(self, postings: pa.Table, docvalues: pa.Table) -> None:
         """Start loaded from the tables `write_segment` wrote to this
         directory (``postings`` and ``docvalues`` of `build_segment_tables`)
-        instead of reading them back. A fresh segment's postings are in
-        dictionary order already, so the sort takes no copy."""
-        self._postings = _SortedPostings(postings)
+        instead of reading them back. `build_segment_tables` writes its
+        postings in dictionary order, so they are taken as they are."""
+        self._postings = _SortedPostings(postings, ordered=True)
         self._dv = docvalues
         self._dv_names = docvalues.column_names
 
@@ -687,7 +704,8 @@ class SegmentReader:
         is deterministic across separate column fetches: merged side
         files carry order-preserving lexicographic names."""
         cache = self._dv
-        missing = [c for c in columns if cache is None or c not in cache.column_names]
+        have = set() if cache is None else set(cache.column_names)
+        missing = [c for c in columns if c not in have]
         if missing:
             t = pq.read_table(segment_parts(self.dir, DOCVALUES_FILE), columns=missing)
             # two threads that miss the same column both read it: add
@@ -695,11 +713,13 @@ class SegmentReader:
             # column twice and every later select of it would raise
             with self._dv_fill:
                 cache = self._dv
+                have = set() if cache is None else set(cache.column_names)
                 for name in missing:
-                    if cache is None:
-                        cache = t.select([name])
-                    elif name not in cache.column_names:
-                        cache = cache.append_column(t.schema.field(name), t[name])
+                    if name in have:
+                        continue
+                    cache = (t.select([name]) if cache is None
+                             else cache.append_column(t.schema.field(name), t[name]))
+                    have.add(name)
                 self._dv = cache
         return cache.select(columns)
 
