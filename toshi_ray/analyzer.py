@@ -157,8 +157,6 @@ class DefaultAnalyzer:
         # SimpleTokenizer first: split the UN-lowered text (LowerCaser
         # runs last in tantivy's chain — see module docstring)
         lists = pc.split_pattern(_mask_non_words(col), pattern="\x00")
-        if isinstance(lists, pa.ChunkedArray):
-            lists = lists.combine_chunks()
         flat = lists.flatten()
         offsets = lists.offsets.to_numpy(zero_copy_only=False).astype(np.int64)
         n_docs = len(lists)
