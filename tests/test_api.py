@@ -321,11 +321,11 @@ def test_buffered_add_validates_and_ticker_survives(ray_session):
     assert c.all_docs("test_index")["hits"] == 1
 
 
-def test_refresh_kills_distributed_scorer_actors(ray_session):
-    """refresh() must ray.kill the old scorer pool — a leaked pool pins
-    one CPU per commit until the cluster starves."""
-    import ray
-
+def test_refresh_kills_distributed_scorer_actors(free_cpus):
+    """A refresh with no query in flight frees the replaced snapshot, and
+    Ray ends its scorer actor with the last handle: the pool's CPU comes
+    back. A leaked pool would pin one CPU per commit until the cluster
+    starves."""
     from toshi_ray.search import Searcher
 
     c = IndexCatalog(tempfile.mkdtemp(prefix="toshi_kill_"))
@@ -333,22 +333,14 @@ def test_refresh_kills_distributed_scorer_actors(ray_session):
     c.add_document("test_index", {"document": F2_DOCS[0]})
     s = Searcher(c._root("test_index"), distributed=True, parallelism=1)
     s.search({"query": {"term": {"test_text": "document"}}})
-    kind, actor = s._groups[0]
-    assert kind == "ray"
+    assert [kind for kind, _ in s._groups] == ["ray"]
+    idle = free_cpus.idle
+    assert free_cpus(lambda n: n == idle - 1) == idle - 1  # the actor holds its CPU
     s.refresh()
-    # ray.kill is async — poll until the actor is actually dead
-    import time
-
-    dead = False
-    deadline = time.time() + 15
-    while time.time() < deadline and not dead:
-        try:
-            ray.get(actor.perf_counters.remote())
-            time.sleep(0.2)
-        except ray.exceptions.RayActorError:
-            dead = True
-    assert dead
+    assert free_cpus(lambda n: n == idle) == idle
+    assert s.search({"query": {"term": {"test_text": "document"}}})["hits"] == 1
     s.close()
+    assert free_cpus(lambda n: n == idle) == idle
 
 
 def test_ndjson_missing_field_fills_nulls(ray_session, tmp_path):

@@ -529,8 +529,8 @@ def test_blockmax_prunes_and_stays_exact(ray_session):
         docs_per_segment=n)
 
     s = Searcher(root, distributed=False)
-    with s._pin() as snap:
-        scorer: SegmentGroupScorer = snap.pool[0][1]
+    snap = s._pin()
+    scorer: SegmentGroupScorer = snap.pool[0][1]
     plan = s._plan({"query": {"term": {"text": "hot"}}}, snap.schema).query
     stats = snap.stats([plan])
 
@@ -566,8 +566,8 @@ def test_union_blockmax_exact_and_prunes(ray_session):
         docs_per_segment=n)
 
     s = Searcher(root, distributed=False)
-    with s._pin() as snap:
-        scorer: SegmentGroupScorer = snap.pool[0][1]
+    snap = s._pin()
+    scorer: SegmentGroupScorer = snap.pool[0][1]
     q = {"bool": {"should": [{"term": {"text": "hot"}},
                              {"term": {"text": "warm"}}]}}
     plan = s._plan({"query": q}, snap.schema).query
@@ -583,8 +583,8 @@ def test_union_blockmax_exact_and_prunes(ray_session):
     delete_by_term(Searcher(root, distributed=False), "text", "w0000")
     s2 = Searcher(root, distributed=False)
     r2 = s2.search({"query": q, "limit": 10})
-    with s2._pin() as snap2:
-        sc2: SegmentGroupScorer = snap2.pool[0][1]
+    snap2 = s2._pin()
+    sc2: SegmentGroupScorer = snap2.pool[0][1]
     st2 = snap2.stats([s2._plan({"query": q}, snap2.schema).query])
     e_ids, e_sc, _ = sc2._eval(s2._plan({"query": q}, snap2.schema).query, st2, [0])
     if st2.tombstones is not None:
@@ -620,8 +620,8 @@ def blockmax_states(ray_session):
 
 def test_blockmax_states_cover_shards_and_tombstones(blockmax_states):
     merged = blockmax_states["merged"]
-    with merged._pin() as snap:
-        reader = snap.pool[0][1].readers[0]
+    snap = merged._pin()
+    reader = snap.pool[0][1].readers[0]
     assert reader.postings_for_terms("text", ["the"], ["shard"]).num_rows > 1
     assert blockmax_states["deleted"]._snap.tombstones.size > 0
 
@@ -685,8 +685,8 @@ def test_conjunction_skip_exact_and_prunes(ray_session):
     build_index(pages_dataset(3000, parallelism=2), page_schema(), root,
                 docs_per_segment=3000)
     s = Searcher(root, distributed=False)
-    with s._pin() as snap:
-        scorer = snap.pool[0][1]
+    snap = s._pin()
+    scorer = snap.pool[0][1]
     q = {"bool": {"must": [{"term": {"text": "w01000"}}, {"term": {"text": "the"}}]}}
     plan = s._plan({"query": q}, snap.schema).query
     stats = snap.stats([plan])

@@ -6,6 +6,7 @@ Corpus and expectations from FIXTURES.md §F2 (reference
 """
 
 import tempfile
+import weakref
 
 import pyarrow as pa
 import pytest
@@ -343,22 +344,24 @@ def test_distributed_matches_local(searcher):
 
 
 def test_close_defers_retired_pools_while_inflight(searcher):
-    """close() must NOT kill retired scorer pools while a search is in
-    flight (a concurrent thread mid ray.get still holds them) — the
-    end of its last pin reaps them instead."""
+    """close() swaps in a snapshot with no pool and leaves the old one
+    whole: a query still holding it (a concurrent thread mid ray.get)
+    keeps scoring on it, and it is freed once that query drops it."""
     s = Searcher(searcher.index_root, distributed=False)
-    s.search({"query": {"term": {"test_text": "document"}}})
-    sentinel = ("local", object())
-    snap = s._snap
-    with s._lock:
-        snap.pool.append(sentinel)
-        snap.pins = 1
+    body = {"query": {"term": {"test_text": "document"}}}
+    assert s.count(body) == 3
+    held = s._pin()
+    pool = held.pool
     s.close()
-    assert sentinel in snap.pool  # deferred, not reaped
-    with s._lock:
-        snap.pins = 0
-    s.close()
-    assert snap.pool is None  # reaped once nothing is in flight
+    assert s._snap is not held and s._snap.pool is None
+    assert held.pool is pool
+    plan = held.plan(body)
+    assert sum(Searcher._dispatch(held.pool, "count_matches", plan.query,
+                                  held.stats([plan.query]))) == 3
+    gone = weakref.ref(held)
+    del held, pool
+    assert gone() is None
+    assert s.count(body) == 3  # a later query builds a pool on the new snapshot
 
 
 def test_multi_search_matches_single(searcher):

@@ -1,6 +1,6 @@
 """One `Searcher` snapshot per manifest version: `refresh` builds it
 whole and swaps it in, keeping the readers of unchanged segments, and
-a query takes every phase from the one snapshot it pinned."""
+a query takes every phase from the one snapshot it holds."""
 
 import json
 import os
@@ -8,6 +8,7 @@ import shutil
 import tempfile
 import threading
 import time
+import weakref
 
 import numpy as np
 import pyarrow as pa
@@ -76,29 +77,20 @@ def test_refused_format_is_refused_on_every_search():
             c.search("ix", Q)
 
 
-def test_retired_pool_dies_with_its_own_last_query(monkeypatch):
+def test_retired_pool_dies_with_its_own_last_query(monkeypatch, free_cpus):
     """Two queries in flight, one on each side of a refresh: the old
-    snapshot's scorer actor is killed as soon as the old query ends,
-    while the new one still runs."""
-    import ray
-
+    snapshot's scorer actor holds its CPU while the old query runs, and
+    frees it as soon as that query ends and drops the snapshot, while
+    the new query's actor still runs."""
     c, root = _catalog(1)
+    idle = free_cpus.idle
     s = Searcher(root, distributed=True, parallelism=1)
-    killed = []
-    real_kill = ray.kill
-
-    def kill(actor, **kw):
-        killed.append(actor)
-        real_kill(actor, **kw)
-
-    monkeypatch.setattr(ray, "kill", kill)
     gates: dict[str, dict] = {}
     real_dispatch = Searcher._dispatch
 
     def dispatch(groups, method, *args):
         gate = gates.get(threading.current_thread().name)
         if gate is not None and method == "score_topk_many":
-            gate["actors"] = [g for _, g in groups]
             gate["entered"].set()
             assert gate["release"].wait(60)
         return real_dispatch(groups, method, *args)
@@ -114,23 +106,28 @@ def test_retired_pool_dies_with_its_own_last_query(monkeypatch):
         return t
 
     old = start("old")
-    (old_actor,) = gates["old"]["actors"]
+    old_snap = weakref.ref(s._snap)
     c.add_document("ix", {"document": {"text": "common late"}})
     s.refresh()
-    assert not killed  # the old query still runs on it
+    assert old_snap() is not None  # the old query still holds it
     new = start("new")
-    gates["old"]["release"].set()
-    old.join(60)
-    assert not old.is_alive()
     try:
-        assert any(k is old_actor for k in killed)
+        # both pools hold a CPU: the old one outlived the refresh
+        assert free_cpus(lambda n: n == idle - 2) == idle - 2
+        gates["old"]["release"].set()
+        old.join(60)
+        assert not old.is_alive()
+        assert old_snap() is None
+        assert free_cpus(lambda n: n == idle - 1) == idle - 1
         assert new.is_alive()
     finally:
+        gates["old"]["release"].set()
         gates["new"]["release"].set()
         new.join(60)
     assert not new.is_alive()
     assert hits == {"old": 1, "new": 2}
     s.close()
+    assert free_cpus(lambda n: n == idle) == idle
 
 
 def test_catalog_opens_a_reader_only_for_each_new_segment(monkeypatch):
@@ -264,6 +261,69 @@ def test_query_after_close_keeps_the_pool_it_builds():
     assert pool is not None
     assert s.search(Q)["hits"] == 2
     assert s._snap.pool is pool
+
+
+def test_queries_racing_refreshes_build_one_pool_per_snapshot(monkeypatch):
+    """Eight query threads race a thread that commits and refreshes,
+    with a short switch interval: no snapshot builds its pool twice, and
+    every query answers from one snapshot (the docs of the manifest
+    version its hit count names, each once), never from an older one
+    than its thread saw before."""
+    import sys
+
+    c, root = _catalog(1)
+    s = Searcher(root, distributed=False)
+    built = []  # every snapshot a pool was built for, kept alive so ids stay unique
+    real_build = Searcher._build_pool
+
+    def build(self, snap):
+        built.append(snap)
+        return real_build(self, snap)
+
+    monkeypatch.setattr(Searcher, "_build_pool", build)
+    body = {"query": {"term": {"text": "common"}}, "limit": 100}
+    stop = threading.Event()
+    seen: dict[int, list[int]] = {}
+    errors = []
+
+    def query(i: int) -> None:
+        try:
+            while not stop.is_set():
+                r = s.search(body)
+                texts = {d["doc"]["text"] for d in r["docs"]}
+                assert texts == {f"common doc{j}" for j in range(r["hits"])}
+                seen.setdefault(i, []).append(r["hits"])
+        except Exception as e:  # noqa: BLE001 — reported by the assert below
+            errors.append(e)
+
+    def write() -> None:
+        try:
+            for i in range(1, 13):
+                c.add_document("ix", {"document": {"text": f"common doc{i}"}})
+                s.refresh()
+        except Exception as e:  # noqa: BLE001 — reported by the assert below
+            errors.append(e)
+        finally:
+            stop.set()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=query, args=(i,)) for i in range(8)]
+        threads.append(threading.Thread(target=write))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        stop.set()
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len({id(snap) for snap in built}) == len(built)
+    assert all(hits == sorted(hits) and 1 <= hits[0] and hits[-1] <= 13
+               for hits in seen.values()) and seen
+    assert s.search(body)["hits"] == 13
 
 
 def test_auto_refresh_records_a_failed_refresh(caplog):

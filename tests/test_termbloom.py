@@ -39,6 +39,57 @@ def test_termbloom_unit():
     assert termbloom.build_term_blooms(tbl2.slice(0, 0)) is None
 
 
+def _per_field_blooms(postings: pa.Table) -> tuple[bytes, dict]:
+    """The oracle: each field's distinct terms filtered out of the whole
+    term column, one field at a time, in first-appearance field order."""
+    import pyarrow.compute as pc
+
+    fields = postings["field"].combine_chunks()
+    terms = postings["term"].combine_chunks()
+    parts, meta, off = [], {"k": termbloom.BLOOM_K, "file": termbloom.TERMBLOOM_FILE,
+                            "fields": {}}, 0
+    for f in pc.unique(fields).to_pylist():
+        ft = pc.unique(terms.filter(pc.equal(fields, f)))
+        m = 1 << int(np.ceil(np.log2(max(termbloom.MIN_BITS, termbloom.BITS_PER_TERM * len(ft)))))
+        m = min(m, termbloom.MAX_BITS)
+        bits = termbloom._fill_bloom(termbloom._term_hashes(ft), m)
+        parts.append(bits.tobytes())
+        meta["fields"][f] = {"m": m, "off": off, "len": bits.nbytes, "n": len(ft)}
+        off += bits.nbytes
+    return b"".join(parts), meta
+
+
+def test_one_grouping_pass_equals_the_per_field_filter():
+    """Three text fields: the blooms built from one grouping pass equal
+    the per-field filter's, byte for byte and in the meta's field order,
+    for a build's postings (sorted by field) and for the same rows with
+    some repeated (a term in several rows) and shuffled (fields
+    interleaved)."""
+    import json
+
+    from toshi_ray.segments import build_segment_tables
+
+    schema = Schema.build(FieldDef("doc_id", "u64", fast=True), FieldDef("title", "text"),
+                          FieldDef("body", "text"), FieldDef("anchor", "text"))
+    rng = np.random.default_rng(7)
+    words = np.array([f"w{i}" for i in range(3000)])
+    n = 400
+    batch = pa.table({
+        "doc_id": pa.array(range(n), pa.uint64()),
+        "title": [" ".join(rng.choice(words[:50], 3)) for _ in range(n)],
+        "body": [" ".join(rng.choice(words, 40)) for _ in range(n)],
+        "anchor": [" ".join(rng.choice(words[2500:], 5)) for _ in range(n)],
+    })
+    postings = build_segment_tables(batch, schema)[0].select(["field", "term"])
+    repeated = pa.concat_tables([postings, postings.slice(0, 200)])
+    shuffled = repeated.take(rng.permutation(repeated.num_rows))
+    for tbl in (postings, shuffled):
+        payload, meta = termbloom.build_term_blooms(tbl)
+        want_payload, want_meta = _per_field_blooms(tbl)
+        assert payload == want_payload
+        assert json.dumps(meta) == json.dumps(want_meta)
+
+
 def _marker_index(n=300, per_seg=100):
     tbl = pa.table({
         "doc_id": pa.array(np.arange(n, dtype=np.uint64)),

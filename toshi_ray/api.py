@@ -377,14 +377,12 @@ class IndexCatalog:
         rows, given = {}, {}
         for f in schema.fields:
             vals = [d.get(f.name) for d in docs]
-            if f.type in ("i64", "u64"):
-                rows[f.name] = pa.array(vals, type=pa.int64() if f.type == "i64" else pa.uint64())
-            elif f.type == "date":  # the fast field holds the UTC instant
-                rows[f.name] = pa.array([None if v is None else _utc_instant(v) for v in vals],
-                                        pa.timestamp("us"))
+            if f.type == "date":  # the fast field holds the UTC instant
                 given[f.name] = pa.array(vals, pa.string())
-            else:
-                rows[f.name] = pa.array([None if v is None else str(v) for v in vals], pa.string())
+                vals = [None if v is None else _utc_instant(v) for v in vals]
+            elif not f.is_numeric:
+                vals = [None if v is None else str(v) for v in vals]
+            rows[f.name] = pa.array(vals, f.arrow_type)
 
         written = None  # (write_id, postings, docvalues) of this append
 

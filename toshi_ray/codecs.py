@@ -9,11 +9,17 @@ Reference: Toshi pins tantivy 0.19, see SURVEY.md §1.1 "Segment".
 All encoders take / return numpy arrays and stay vectorized: encode
 loops are bounded by max-bytes-per-value (≤10), never by the number of
 values.
+
+The engine's one string hash lives here too: `_hash_strings`, a 64-bit
+hash per string over an Arrow buffer, and its splitmix64 finalizer
+`_mix`. Term blooms, merge partitions, NDJSON doc ids and the dedup
+groups are keyed by their values, which are frozen.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pyarrow as pa
 
 _U64 = np.uint64
 _SEVEN = _U64(7)
@@ -177,3 +183,43 @@ def segmented_varint_encode(
         cont = (nbytes[mask] - 1 > j).astype(np.uint8) << 7
         out[cum[:-1][mask] + j] = byte | cont
     return out.tobytes(), cum[np.asarray(list_offsets, dtype=np.int64)]
+
+
+def _mix(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer — vectorized uint64 hash."""
+    z = np.asarray(x, dtype=_U64) + _U64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+    return z ^ (z >> _U64(31))
+
+
+# _WORD_MASKS[t] keeps the low t bytes of a little-endian word
+_WORD_MASKS = np.array([(1 << (8 * t)) - 1 for t in range(8)] + [2**64 - 1], dtype=_U64)
+
+
+def _hash_strings(col: pa.Array) -> np.ndarray:
+    """Deterministic 64-bit content hash per string (vectorized FNV over
+    the flat byte buffer via numpy — no Python loop over rows). Each
+    string is hashed as 8-byte little-endian words, its last one
+    zero-filled, folded in order; bloom bits and dedup groups depend
+    on these exact values."""
+    col = col.cast(pa.large_binary())
+    offs = np.frombuffer(col.buffers()[1], dtype=np.int64)[col.offset : col.offset + len(col) + 1]
+    lens = np.diff(offs)
+    out = np.zeros(len(col), dtype=_U64)
+    max_len = int(lens.max()) if len(lens) else 0
+    if max_len:
+        lo, hi = int(offs[0]), int(offs[-1])
+        buf = np.zeros(hi - lo + 7, np.uint8)  # 7 zero bytes: every word read stays in bounds
+        buf[: hi - lo] = np.frombuffer(col.buffers()[2], np.uint8, hi - lo, lo)
+        # word_at[p] = the 8 bytes from p on: one unaligned gather per word
+        word_at = np.ndarray((hi - lo,), dtype="<u8", buffer=buf, strides=(1,))
+        starts = offs[:-1] - lo
+        P = _U64(1099511628211)
+        for w in range(0, max_len, 8):
+            active = lens > w  # rounds depend ONLY on the string's own length,
+            # never the batch's max — equal strings hash equal at any batching
+            take = np.minimum(lens[active] - w, 8)
+            words = word_at[starts[active] + w] & _WORD_MASKS[take]
+            out[active] = (out[active] * P) ^ _mix(words + _U64(w + 1))
+    return out ^ _mix(lens.astype(_U64))

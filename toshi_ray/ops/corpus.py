@@ -21,7 +21,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from toshi_ray.ops.dedup import N_PAIR_PARTS, _hash_strings, _mix
+from toshi_ray.codecs import _hash_strings, _mix
+from toshi_ray.ops.dedup import N_PAIR_PARTS
 
 _U = np.uint64
 

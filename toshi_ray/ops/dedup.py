@@ -24,6 +24,7 @@ import pandas as pd
 import pyarrow as pa
 
 from toshi_ray.analyzer import DefaultAnalyzer
+from toshi_ray.codecs import _hash_strings, _mix
 from toshi_ray.ops._gather import col_i64, gather_table
 
 _U = np.uint64
@@ -237,45 +238,6 @@ def _dedupe_pairs_stage(pairs):
         .groupby("ppart")
         .map_groups(dedupe, batch_format="pyarrow")
     )
-
-
-def _mix(x: np.ndarray) -> np.ndarray:
-    z = np.asarray(x, dtype=_U) + _U(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> _U(30))) * _U(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _U(27))) * _U(0x94D049BB133111EB)
-    return z ^ (z >> _U(31))
-
-
-# _WORD_MASKS[t] keeps the low t bytes of a little-endian word
-_WORD_MASKS = np.array([(1 << (8 * t)) - 1 for t in range(8)] + [2**64 - 1], dtype=_U)
-
-
-def _hash_strings(col: pa.Array) -> np.ndarray:
-    """Deterministic 64-bit content hash per string (vectorized FNV over
-    the flat byte buffer via numpy — no Python loop over rows). Each
-    string is hashed as 8-byte little-endian words, its last one
-    zero-filled, folded in order; bloom bits and dedup groups depend
-    on these exact values."""
-    col = col.cast(pa.large_binary())
-    offs = np.frombuffer(col.buffers()[1], dtype=np.int64)[col.offset : col.offset + len(col) + 1]
-    lens = np.diff(offs)
-    out = np.zeros(len(col), dtype=_U)
-    max_len = int(lens.max()) if len(lens) else 0
-    if max_len:
-        lo, hi = int(offs[0]), int(offs[-1])
-        buf = np.zeros(hi - lo + 7, np.uint8)  # 7 zero bytes: every word read stays in bounds
-        buf[: hi - lo] = np.frombuffer(col.buffers()[2], np.uint8, hi - lo, lo)
-        # word_at[p] = the 8 bytes from p on: one unaligned gather per word
-        word_at = np.ndarray((hi - lo,), dtype="<u8", buffer=buf, strides=(1,))
-        starts = offs[:-1] - lo
-        P = _U(1099511628211)
-        for w in range(0, max_len, 8):
-            active = lens > w  # rounds depend ONLY on the string's own length,
-            # never the batch's max — equal strings hash equal at any batching
-            take = np.minimum(lens[active] - w, 8)
-            words = word_at[starts[active] + w] & _WORD_MASKS[take]
-            out[active] = (out[active] * P) ^ _mix(words + _U(w + 1))
-    return out ^ _mix(lens.astype(_U))
 
 
 def exact_dedup(ds, col: str = "text", id_col: str = "doc_id"):

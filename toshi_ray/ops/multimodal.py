@@ -62,7 +62,7 @@ class ImageDecodeStage:
             self._Image = None
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        from toshi_ray.ops.dedup import _hash_strings
+        from toshi_ray.codecs import _hash_strings
 
         if t.num_rows == 0:
             return pa.table(
@@ -249,7 +249,7 @@ class AudioFeatureStage:
             self._sf = None
 
     def __call__(self, t: pa.Table) -> pa.Table:
-        from toshi_ray.ops.dedup import _hash_strings
+        from toshi_ray.codecs import _hash_strings
 
         if t.num_rows == 0:
             return pa.table(

@@ -457,7 +457,8 @@ def fingerprint(ds, col: str = "text", id_col: str = "doc_id",
     step BIGINT-safe and recomputed value-for-value by the DuckDB
     oracle (list_reduce Horner). Same recurrence either way."""
     ds = ds.select_columns([id_col, col])  # prune at the read
-    from toshi_ray.ops.dedup import _M31, _hash_strings, _poly_hash31
+    from toshi_ray.codecs import _hash_strings
+    from toshi_ray.ops.dedup import _M31, _poly_hash31
 
     def fp(t: pa.Table) -> pa.Table:
         tc = _tokenize(t, col)

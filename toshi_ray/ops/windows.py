@@ -401,8 +401,9 @@ def value_stats(ds, *, key_col: str = "event_type", value_col: str = "value"):
     p50 = the smallest value whose running count reaches ceil(n/2)
     (the `length_stats` rule).
     """
+    from toshi_ray.codecs import _hash_strings, _mix
     from toshi_ray.ops.corpus import _codes, _run_starts
-    from toshi_ray.ops.dedup import N_PAIR_PARTS, _hash_strings, _mix
+    from toshi_ray.ops.dedup import N_PAIR_PARTS
 
     _u = np.uint64
 

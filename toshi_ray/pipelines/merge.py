@@ -330,7 +330,7 @@ def merge_segments(
     hot_keys = pa.array(np.unique(joined.to_numpy(zero_copy_only=False)), type=pa.string())
 
     def tag(batch: pa.Table) -> pa.Table:
-        from toshi_ray.ops.dedup import _hash_strings, _mix
+        from toshi_ray.codecs import _hash_strings, _mix
 
         key = pa.compute.binary_join_element_wise(
             batch["field"].combine_chunks().cast(pa.string()),

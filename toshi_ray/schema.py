@@ -17,6 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dc_field
 
+import pyarrow as pa
+
 TEXT = "text"
 I64 = "i64"
 U64 = "u64"
@@ -24,6 +26,8 @@ DATE = "date"
 FACET = "facet"
 
 _VALID_TYPES = {TEXT, I64, U64, DATE, FACET}
+_ARROW_TYPES = {I64: pa.int64(), U64: pa.uint64(), DATE: pa.timestamp("us"),
+                TEXT: pa.string(), FACET: pa.string()}
 
 
 @dataclass(frozen=True)
@@ -49,6 +53,12 @@ class FieldDef:
     @property
     def is_numeric(self) -> bool:
         return self.type in (I64, U64, DATE)
+
+    @property
+    def arrow_type(self) -> pa.DataType:
+        """The Arrow type of the field's values, in every table the
+        engine builds from documents: a date is its UTC instant."""
+        return _ARROW_TYPES[self.type]
 
     def to_json(self) -> dict:
         if self.type == TEXT:

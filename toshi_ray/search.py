@@ -28,17 +28,22 @@ Scoring semantics (tantivy 0.19 as configured by Toshi, SURVEY.md §2.5):
 
 A `Searcher` serves one manifest version at a time, as a snapshot:
 its stats, its segment readers and a scorer pool over them. A refresh
-swaps in a new snapshot that carries over the reader of every segment
-whose manifest entry did not change (`SegmentReader.carry`); each
-query pins one snapshot for all of its phases. Scorers run
-in-process, as one group over every segment, or as Ray actors (one per
-segment group — the stateful stage holding postings/norms, SURVEY.md
-§7.2) that open their own readers.
+or a close replaces the snapshot and never changes the old one; a
+refresh's new snapshot carries over the reader of every segment whose
+manifest entry did not change (`SegmentReader.carry`). A query holds
+one snapshot for all of its phases, and that reference is its pin: a
+snapshot lives exactly as long as something holds it, like tantivy's
+`Searcher` and its `Arc`'d generation. Scorers run in-process, as one
+group over every segment, or as Ray actors (one per segment group —
+the stateful stage holding postings/norms, SURVEY.md §7.2) that open
+their own readers; Ray ends an actor when the last handle to it goes,
+so a snapshot's actors end, freeing their CPUs, when the snapshot is
+freed.
 """
 
 from __future__ import annotations
 
-import contextlib
+import copy
 import dataclasses
 import json
 import os
@@ -774,7 +779,10 @@ class _Snapshot:
     automaton queries), one `SegmentReader` per segment, and the scorer
     pool, built on first use by `Searcher._pin`. `Searcher.refresh`
     builds a snapshot whole before it swaps it in, and a query takes
-    every phase from the one snapshot it pinned.
+    every phase from the one snapshot it holds. Once its pool exists a
+    snapshot never changes (only its caches fill): refresh and close
+    replace it, and it is freed, its Ray actors with it, when the last
+    query holding it ends.
 
     A snapshot starts from the previous one: it carries the reader of
     every unchanged manifest entry, and primes the new reader of the
@@ -802,22 +810,21 @@ class _Snapshot:
         self.df_cache: dict = {}  # (field, term) -> global df
         self.term_unions: dict = {}  # field -> pa.Array of its distinct terms
         # a segment whose manifest entry is unchanged carries its reader
-        # over instead of opening it again. The key is the whole entry,
-        # not the name: an overwrite rebuild reuses seg-<min>-<n> names
-        # for new content, and the entry's write_id tells the writes apart.
+        # over instead of opening it again. The key is the entry's
+        # write_id, not the name: an overwrite rebuild reuses
+        # seg-<min>-<n> names for new content, and every segment writer
+        # (`segments.finish_segment`) stamps a fresh write_id.
         kept = prev.readers if prev is not None else {}
         self.readers: dict[str, SegmentReader] = {}
         for s in self.segments:
-            key = json.dumps(s, sort_keys=True)
+            key = s["write_id"]
             if key in kept:
                 self.readers[key] = kept[key].carry()
                 continue
             r = self.readers[key] = SegmentReader(os.path.join(index_root, SEGMENTS_DIR, s["name"]))
-            if primed is not None and s.get("write_id") == primed[0]:
+            if primed is not None and key == primed[0]:
                 r.prime(*primed[1:])
         self.pool: list | None = None  # [(kind, scorer)]
-        self.pins = 0  # queries running on this snapshot
-        self.retired = False  # replaced or closed: the last pin kills the pool
 
     def plan(self, body) -> Search:
         """``body`` parsed, with its automaton queries rewritten against
@@ -900,7 +907,7 @@ class Searcher:
     Mirrors the reference's reader/searcher (`handle.rs:232`,
     reload-on-commit): `refresh()` swaps in a `_Snapshot` of the latest
     manifest, which carries over the readers of the segments that did
-    not change, and every query pins one snapshot from its stats phase
+    not change, and every query holds one snapshot from its stats phase
     to its winner fetch.
 
     In-process (``distributed=False``) one scorer group evaluates every
@@ -924,8 +931,10 @@ class Searcher:
             except Exception:
                 distributed = False
         self.distributed = distributed
-        self._lock = threading.Lock()  # guards _snap and every snapshot's pool and pins
+        self._lock = threading.Lock()  # guards _snap and every snapshot's pool
         self._snap: _Snapshot | None = None
+        self._refresh_stop: threading.Event | None = None
+        self._refresh_thread: threading.Thread | None = None
         self.last_refresh_error: Exception | None = None
         self.refresh()
 
@@ -943,7 +952,7 @@ class Searcher:
         ReloadPolicy::OnCommit): poll the manifest version and refresh
         when a new commit lands. Daemon thread; stop with
         `stop_auto_refresh()`."""
-        if getattr(self, "_refresh_stop", None) is not None:
+        if self._refresh_stop is not None:
             return
         self._refresh_stop = threading.Event()
 
@@ -964,9 +973,8 @@ class Searcher:
         self._refresh_thread.start()
 
     def stop_auto_refresh(self) -> None:
-        stop = getattr(self, "_refresh_stop", None)
-        if stop is not None:
-            stop.set()
+        if self._refresh_stop is not None:
+            self._refresh_stop.set()
             self._refresh_thread.join(timeout=5)
             self._refresh_stop = None
 
@@ -975,69 +983,35 @@ class Searcher:
         first: a failure (wrong format, a missing delete file) raises
         and leaves the current snapshot serving. ``primed`` is
         ``(write_id, postings, docvalues)``, the tables one write put on
-        disk; a new reader of that write starts with them loaded."""
+        disk; a new reader of that write starts with them loaded. The
+        replaced snapshot is not touched: a query holding it finishes on
+        it, and it is freed with its pool when the last holder lets go."""
         snap = _Snapshot(self.index_root, self._snap, primed)
         with self._lock:
-            old, self._snap = self._snap, snap
-            doomed = self._retire(old) if old is not None else None
-        self._kill_pool(doomed)
+            self._snap = snap
 
     def close(self) -> None:
-        """Stop the auto-refresh ticker and retire the current snapshot:
-        its scorer actors die now, or when the last query pinning it
-        ends (they free their reserved CPUs), and its readers drop what
-        they loaded (a later query loads it again)."""
+        """Stop the auto-refresh ticker and swap in a copy of the current
+        snapshot with no pool, whose readers hold nothing loaded (a later
+        query loads it again). The old snapshot stays whole for any query
+        still holding it; its scorer actors end, freeing their reserved
+        CPUs, when the last of them lets it go."""
         self.stop_auto_refresh()
         with self._lock:
-            snap = self._snap
-            doomed = self._retire(snap)
+            snap = copy.copy(self._snap)
             snap.readers = {k: r.carry() for k, r in snap.readers.items()}
-        self._kill_pool(doomed)
+            snap.pool = None
+            self._snap = snap
 
-    @staticmethod
-    def _retire(snap: _Snapshot) -> list | None:
-        """Retire ``snap``'s pool, with the lock held. → the pool to kill,
-        or None while a query pins it: ``retired`` stays set and the last
-        pin's end kills it then. Killing under a query would crash it
-        mid ray.get; leaking would pin one CPU per commit."""
-        snap.retired = True
-        if snap.pins:
-            return None
-        pool, snap.pool = snap.pool, None
-        # reaped: a pool that a later query builds (on a closed searcher's
-        # snapshot; a replaced one is never pinned again) lives on
-        snap.retired = False
-        return pool
-
-    @staticmethod
-    def _kill_pool(pool: list | None) -> None:
-        for kind, g in pool or ():
-            if kind == "ray":
-                try:
-                    import ray
-
-                    ray.kill(g, no_restart=True)
-                except Exception:
-                    pass
-
-    @contextlib.contextmanager
-    def _pin(self):
-        """Pin the current snapshot for one query. Its pool is built in
-        the same critical section on first use, so two first queries
-        cannot each build one (the loser's actors would hold their CPUs
-        forever)."""
+    def _pin(self) -> _Snapshot:
+        """The current snapshot, for one query to hold through all of its
+        phases. Its pool is built in the same critical section on first
+        use, so two first queries cannot each build one."""
         with self._lock:
             snap = self._snap
             if snap.pool is None:
                 snap.pool = self._build_pool(snap)
-            snap.pins += 1
-        try:
-            yield snap
-        finally:
-            with self._lock:
-                snap.pins -= 1
-                doomed = self._retire(snap) if snap.retired else None
-            self._kill_pool(doomed)
+            return snap
 
     def _build_pool(self, snap: _Snapshot) -> list:
         """Scorers over the snapshot's readers. In-process, one group
@@ -1126,7 +1100,7 @@ class Searcher:
         cands = []
         for seg in segments:
             z = seg.get("fastfield_stats", {}).get(s.sort_by)
-            if z is None or len(z) < 3:
+            if z is None:
                 continue  # unknown bounds/counts just don't contribute
             live = int(z[2])  # valued docs only — nulls sort last
             if tomb is not None and tomb.size:
@@ -1151,55 +1125,55 @@ class Searcher:
         pinned snapshot: stats of one manifest scored over another's
         segments would give wrong idfs, and a floor from another
         manifest could prune live rows."""
-        with self._pin() as snap:
-            searches = [snap.plan(b) for b in bodies]
-            stats = snap.stats([s.query for s in searches])
-            floors = [self._sort_floor(s, stats, snap.segments) for s in searches]
-            groups = snap.pool
-            group_results = self._dispatch(
-                groups,
-                "score_topk_many",
-                [s.query for s in searches],
-                stats,
-                [s.limit for s in searches],
-                [s.sort_by for s in searches],
-                [s.facets for s in searches],
-                floors,
-            )
+        snap = self._pin()
+        searches = [snap.plan(b) for b in bodies]
+        stats = snap.stats([s.query for s in searches])
+        floors = [self._sort_floor(s, stats, snap.segments) for s in searches]
+        groups = snap.pool
+        group_results = self._dispatch(
+            groups,
+            "score_topk_many",
+            [s.query for s in searches],
+            stats,
+            [s.limit for s in searches],
+            [s.sort_by for s in searches],
+            [s.facets for s in searches],
+            floors,
+        )
 
-            # per-query global merge + one combined winner-fetch per group
-            per_query_rows: list[list] = []
-            per_query_facets: list[dict] = []
-            wanted_by_group: dict[int, dict[int, set]] = {}
-            for qi, s in enumerate(searches):
-                tops = [results[qi] for results in group_results]
-                facet_acc: dict[str, int] = {}
-                for *_, fc in tops:
-                    for k, v in fc.items():
-                        facet_acc[k] = facet_acc.get(k, 0) + v
-                rows = _merge_tops(tops, s.limit)
-                for d, _, gi, si in rows:
-                    wanted_by_group.setdefault(gi, {}).setdefault(si, set()).add(d)
-                per_query_rows.append(rows)
-                per_query_facets.append(facet_acc)
+        # per-query global merge + one combined winner-fetch per group
+        per_query_rows: list[list] = []
+        per_query_facets: list[dict] = []
+        wanted_by_group: dict[int, dict[int, set]] = {}
+        for qi, s in enumerate(searches):
+            tops = [results[qi] for results in group_results]
+            facet_acc: dict[str, int] = {}
+            for *_, fc in tops:
+                for k, v in fc.items():
+                    facet_acc[k] = facet_acc.get(k, 0) + v
+            rows = _merge_tops(tops, s.limit)
+            for d, _, gi, si in rows:
+                wanted_by_group.setdefault(gi, {}).setdefault(si, set()).add(d)
+            per_query_rows.append(rows)
+            per_query_facets.append(facet_acc)
 
-            # fetch stored fields for the winners only (SURVEY.md §3.3)
-            docs_by_id: dict[int, dict] = {}
-            fetch_refs = []
-            for gi, wanted in wanted_by_group.items():
-                kind, g = groups[gi]
-                wanted = {si: sorted(ids) for si, ids in wanted.items()}
-                if kind == "ray":
-                    fetch_refs.append(g.fetch_docs.remote(wanted))
-                else:
-                    for doc in g.fetch_docs(wanted):
-                        docs_by_id[int(doc["doc_id"])] = doc
-            if fetch_refs:
-                import ray
+        # fetch stored fields for the winners only (SURVEY.md §3.3)
+        docs_by_id: dict[int, dict] = {}
+        fetch_refs = []
+        for gi, wanted in wanted_by_group.items():
+            kind, g = groups[gi]
+            wanted = {si: sorted(ids) for si, ids in wanted.items()}
+            if kind == "ray":
+                fetch_refs.append(g.fetch_docs.remote(wanted))
+            else:
+                for doc in g.fetch_docs(wanted):
+                    docs_by_id[int(doc["doc_id"])] = doc
+        if fetch_refs:
+            import ray
 
-                for part in ray.get(fetch_refs):
-                    for doc in part:
-                        docs_by_id[int(doc["doc_id"])] = doc
+            for part in ray.get(fetch_refs):
+                for doc in part:
+                    docs_by_id[int(doc["doc_id"])] = doc
 
         outs = []
         for s, rows, facet_acc in zip(searches, per_query_rows, per_query_facets):
@@ -1216,9 +1190,9 @@ class Searcher:
         return outs
 
     def count(self, body: dict | Search | None = None) -> int:
-        with self._pin() as snap:
-            s = snap.plan(body)
-            return sum(self._dispatch(snap.pool, "count_matches", s.query, snap.stats([s.query])))
+        snap = self._pin()
+        s = snap.plan(body)
+        return sum(self._dispatch(snap.pool, "count_matches", s.query, snap.stats([s.query])))
 
     def suggest(self, field: str, prefix: str, k: int = 10) -> list[tuple[str, int]]:
         """Prefix autocomplete over the INDEX term dictionary (the
@@ -1227,8 +1201,8 @@ class Searcher:
         from the postings metadata (no postings decode) and — like
         Lucene — counts tombstoned docs until a merge reclaims them."""
         acc: dict[str, int] = {}
-        with self._pin() as snap:
-            parts = self._dispatch(snap.pool, "suggest_terms", field, prefix)
+        snap = self._pin()
+        parts = self._dispatch(snap.pool, "suggest_terms", field, prefix)
         for pairs in parts:
             for term, df in pairs:
                 acc[term] = acc.get(term, 0) + df
@@ -1237,9 +1211,9 @@ class Searcher:
 
     def match_doc_ids(self, body: dict | Search | None = None) -> np.ndarray:
         """All matching doc_ids, globally sorted (no limit applied)."""
-        with self._pin() as snap:
-            s = snap.plan(body)
-            groups = self._dispatch(snap.pool, "match_ids", s.query, snap.stats([s.query]))
+        snap = self._pin()
+        s = snap.plan(body)
+        groups = self._dispatch(snap.pool, "match_ids", s.query, snap.stats([s.query]))
         parts = [a for group in groups for a in group]
         if not parts:
             return np.empty(0, np.uint64)

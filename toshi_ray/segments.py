@@ -311,15 +311,9 @@ def build_segment_tables(
             dv_cols[f"norm_{f.name}"] = pa.array(fieldnorm_to_id(norms))
             field_stats[f.name] = {"total_tokens": pb.total_tokens}
         elif f.is_numeric and f.indexed and f.name in batch.column_names:
-            col = batch[f.name]
-            if f.type == "u64":
-                dv_cols[f.name] = col.cast(pa.uint64()).combine_chunks()
-            elif f.type == "date":
-                dv_cols[f.name] = col.cast(pa.timestamp("us")).combine_chunks()
-            else:
-                dv_cols[f.name] = col.cast(pa.int64()).combine_chunks()
+            dv_cols[f.name] = batch[f.name].cast(f.arrow_type).combine_chunks()
         elif f.type == FACET and f.name in batch.column_names:
-            dv_cols[f"facet_{f.name}"] = batch[f.name].cast(pa.string()).combine_chunks()
+            dv_cols[f"facet_{f.name}"] = batch[f.name].cast(f.arrow_type).combine_chunks()
 
     # each field's rows are in term order, so field-name order makes
     # the whole table (field, term, shard)-sorted: dictionary order
@@ -747,10 +741,7 @@ class SegmentReader:
         if fm is None:
             return []  # segment holds no postings for this field at all
         if self._bloom_bits is None:
-            self._bloom_bits = np.fromfile(
-                os.path.join(self.dir, bm.get("file", termbloom.TERMBLOOM_FILE)),
-                dtype=np.uint8,
-            )
+            self._bloom_bits = np.fromfile(os.path.join(self.dir, bm["file"]), dtype=np.uint8)
         mask = termbloom.may_contain(self._bloom_bits, fm, terms, bm["k"])
         return [t for t, keep in zip(terms, mask) if keep]
 

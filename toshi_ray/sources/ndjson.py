@@ -39,7 +39,7 @@ def read_ndjson_docs(paths, schema: Schema, *, id_col: str = "doc_id"):
     schema_json = schema.to_json()
 
     def validate(t: pa.Table) -> pa.Table:
-        from toshi_ray.ops.dedup import _hash_strings
+        from toshi_ray.codecs import _hash_strings
 
         sch = Schema.from_json(schema_json)
         if id_col not in t.column_names:
@@ -62,9 +62,7 @@ def read_ndjson_docs(paths, schema: Schema, *, id_col: str = "doc_id"):
                 # so every block unifies to ONE schema (a block missing
                 # a column would otherwise crash schema unification
                 # mid-job instead of the documented rollback error)
-                typ = {"u64": pa.uint64(), "i64": pa.int64(),
-                       "date": pa.timestamp("us")}.get(f.type, pa.string())
-                cols[f.name] = pa.nulls(t.num_rows, type=typ)
+                cols[f.name] = pa.nulls(t.num_rows, type=f.arrow_type)
                 continue
             col = t[f.name]
             try:
@@ -79,13 +77,7 @@ def read_ndjson_docs(paths, schema: Schema, *, id_col: str = "doc_id"):
                         raise QueryError.json(
                             f"invalid value: integer `{mins}`, expected u64"
                         )
-                    cols[f.name] = col.cast(pa.uint64()).combine_chunks()
-                elif f.type == "i64":
-                    cols[f.name] = col.cast(pa.int64()).combine_chunks()
-                elif f.type == "date":
-                    cols[f.name] = col.cast(pa.timestamp("us")).combine_chunks()
-                else:
-                    cols[f.name] = col.cast(pa.string()).combine_chunks()
+                cols[f.name] = col.cast(f.arrow_type).combine_chunks()
             except QueryError:
                 raise
             except (pa.ArrowInvalid, pa.ArrowTypeError) as ex:

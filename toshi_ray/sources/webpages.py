@@ -21,6 +21,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from toshi_ray.codecs import _mix
+
 _HOT = [
     "the", "of", "and", "to", "a", "in", "is", "for", "on", "that",
     "www", "http", "com", "org", "page", "home", "news", "search",
@@ -43,14 +45,6 @@ _WEIGHTS = 1.0 / np.power(np.arange(1, VOCAB_SIZE + 1, dtype=np.float64), _ZIPF_
 _CDF = np.cumsum(_WEIGHTS) / _WEIGHTS.sum()
 
 _U = np.uint64
-
-
-def _mix(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer — vectorized uint64 hash."""
-    z = np.asarray(x, dtype=_U) + _U(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> _U(30))) * _U(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> _U(27))) * _U(0x94D049BB133111EB)
-    return z ^ (z >> _U(31))
 
 
 def _uniform(x: np.ndarray) -> np.ndarray:

@@ -26,7 +26,7 @@ the live vocabulary. A field with postings ALWAYS has a bloom entry
 bloom" proves the segment holds no postings for it.
 
 Layout: Kirsch–Mitzenmacher double hashing over the repo's vectorized
-64-bit string hash (`ops.dedup._hash_strings` — one numpy pass over the
+64-bit string hash (`codecs._hash_strings` — one numpy pass over the
 Arrow buffer, no Python loop over terms): h1 = low 32 bits, h2 = high
 32 bits | 1, probe_i = (h1 + i*h2) mod m, m a power of two sized at
 ~BITS_PER_TERM bits per unique term (k=7 probes → ~0.8% FPR at 10
@@ -45,6 +45,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from toshi_ray.codecs import _hash_strings
+
 TERMBLOOM_FILE = "termbloom.bin"
 BLOOM_K = 7
 BITS_PER_TERM = 10
@@ -57,8 +59,6 @@ _U = np.uint64
 
 
 def _term_hashes(terms: pa.Array | pa.ChunkedArray) -> np.ndarray:
-    from toshi_ray.ops.dedup import _hash_strings
-
     if isinstance(terms, pa.ChunkedArray):
         terms = terms.combine_chunks()
     return _hash_strings(terms.cast(pa.large_binary()))
@@ -104,13 +104,19 @@ def build_term_blooms(postings: pa.Table) -> tuple[bytes, dict] | None:
     readers simply don't prune)."""
     if postings.num_rows == 0:
         return None
-    fields = postings["field"].combine_chunks()
-    terms = postings["term"].combine_chunks()
+    # one grouping pass: the dictionary holds the fields in first
+    # appearance order, and a stable sort by its codes makes each
+    # field's terms one contiguous slice
+    fields = postings["field"].combine_chunks().dictionary_encode()
+    codes = fields.indices.to_numpy()
+    order = np.argsort(codes, kind="stable")
+    bounds = np.searchsorted(codes[order], np.arange(len(fields.dictionary) + 1))
+    terms = postings["term"].combine_chunks().take(order)
     parts: list[bytes] = []
     meta: dict = {"k": BLOOM_K, "file": TERMBLOOM_FILE, "fields": {}}
     off = 0
-    for f in pc.unique(fields).to_pylist():
-        ft = pc.unique(terms.filter(pc.equal(fields, f)))  # shards collapse
+    for i, f in enumerate(fields.dictionary.to_pylist()):
+        ft = pc.unique(terms.slice(int(bounds[i]), int(bounds[i + 1] - bounds[i])))  # shards collapse
         n = len(ft)
         m = 1 << int(np.ceil(np.log2(max(MIN_BITS, BITS_PER_TERM * n))))
         m = min(m, MAX_BITS)
