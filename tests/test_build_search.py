@@ -4,6 +4,7 @@ The engine (any partitioning, before or after merge) must match the
 brute-force NumPy oracle rank-identically with equal scores.
 """
 
+import os
 import tempfile
 
 import numpy as np
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 from toshi_ray.functions.oracle import BruteForceIndex
 from toshi_ray.pipelines.build import build_index
 from toshi_ray.pipelines.merge import delete_by_term, gc_segments, merge_segments
-from toshi_ray.query import AllQuery, Search
 from toshi_ray.schema import FieldDef, Schema
 from toshi_ray.search import Searcher
 from toshi_ray.sources.webpages import extract_text, make_pages_batch, pages_dataset
@@ -998,24 +998,37 @@ def test_zone_map_prunes_disjoint_segments(ray_session, monkeypatch):
     assert with_stats == list(range(95, 206))
 
 
-def test_sort_floor_respects_tombstones(ray_session):
-    """The driver-side match-all sort floor counts LIVE docs per
-    segment: with 3 of the top segment's 100 docs tombstoned and
-    k=100, the k-th row must come from the next segment down — an
-    unadjusted floor would prune it and silently drop 3 rows."""
-    root = tempfile.mkdtemp(prefix="toshi_floor_tomb_")
+def _same_on_one_segment_groups(s: Searcher, bodies: list[dict]) -> None:
+    """Each body gives the same response over Ray scorer groups of one
+    segment each as in-process, where one group walks every segment."""
+    n = len(s.segments)
+    remote = Searcher(s.index_root, distributed=True, parallelism=n)
+    try:
+        for body in bodies:
+            # compared as repr: a NULL sort value's score is NaN, never equal to itself
+            assert repr(remote.search(body)) == repr(s.search(body)), body
+        assert len(remote._groups) == n
+    finally:
+        remote.close()
+
+
+def test_sort_prune_respects_tombstones(ray_session):
+    """A match-all sort's pruning counts LIVE docs only: with 3 of the
+    top segment's 100 docs tombstoned and k=100, the k-th row comes
+    from the next segment down, which a bound taken from the top
+    segment's raw doc count would prune, silently dropping 3 rows."""
+    root = tempfile.mkdtemp(prefix="toshi_sort_tomb_")
     build_index(pages_dataset(400, parallelism=4), page_schema(), root,
                 docs_per_segment=100)
     for victim in (399, 398, 397):
         assert delete_by_term(Searcher(root, distributed=False), "doc_id", victim) == 1
     s = Searcher(root, distributed=False)
-    # the floor itself must sit at/below the 100th LIVE value (297)
-    stats = s._snap.stats([AllQuery()])
-    fl = s._sort_floor(Search(sort_by="doc_id", limit=100), stats, s.segments)
-    assert fl is not None and fl <= 297
-    r = s.search({"query": None, "sort_by": "doc_id", "limit": 100})
+    body = {"query": None, "sort_by": "doc_id", "limit": 100}
+    r = s.search(body)
     got = [d["doc"]["doc_id"] for d in r["docs"]]
     assert got == list(range(396, 296, -1))
+    assert len(s.segments) == 4
+    _same_on_one_segment_groups(s, [body])
 
 
 def test_zone_map_survives_merge(ray_session):
@@ -1189,14 +1202,16 @@ def test_zone_map_numeric_field(ray_session, monkeypatch):
     assert ids.size == 0 and reads == []
 
 
-def test_sort_floor_null_values(ray_session):
-    """NULL sort values sort LAST and must not inflate the sort floor:
-    a segment of 100 docs where only ONE carries the sort field has a
-    tight zone map ([1000, 1000]) but just one valued doc — counting
-    all 100 would set the floor at 1000 and prune the segment holding
-    the real runners-up."""
+def test_sort_prune_null_values(ray_session, monkeypatch):
+    """NULL sort values sort LAST and never bound the pruning: a
+    segment of 100 docs where only ONE carries the sort field has a
+    tight zone map ([1000, 1000]) but just one valued doc, so it places
+    one row; a k=10 sort must still read the segment holding the real
+    runners-up, and only a k=1 sort may skip it."""
     import pyarrow as pa
     import ray.data
+
+    from toshi_ray.segments import SegmentReader
 
     # segment A: docs 0..99, val null except doc 7 -> 1000
     # segment B: docs 100..199, val 500..599
@@ -1212,18 +1227,29 @@ def test_sort_floor_null_values(ray_session):
         FieldDef("val", "i64", fast=True),
         FieldDef("text", "text"),
     )
-    root = tempfile.mkdtemp(prefix="toshi_null_floor_")
+    root = tempfile.mkdtemp(prefix="toshi_null_sort_")
     build_index(ray.data.from_arrow(tbl), schema, root, docs_per_segment=100)
     s = Searcher(root, distributed=False)
     za = s.segments[0]["fastfield_stats"]["val"]
     assert za == [1000, 1000, 1]
-    # k=10: floor must NOT prune segment B (A holds only 1 valued doc)
+    seg_a, seg_b = (g["name"] for g in s.segments)
+    # k=10: segment B is read (A holds only 1 valued doc)
     r = s.search({"query": None, "sort_by": "val", "limit": 10})
     got = [d["doc"]["doc_id"] for d in r["docs"]]
     assert got == [7] + list(range(199, 190, -1))
-    # k=1: A's single valued doc DOES prove floor 1000 -> B prunable
-    st = s._snap.stats([AllQuery()])
-    assert s._sort_floor(Search(sort_by="val", limit=1), st, s.segments) == 1000.0
+    # k=1: A's single valued doc places the one row, so B is never read
+    seen = []
+    docvalues = SegmentReader.docvalues
+
+    def spy(self, columns):
+        seen.append((os.path.basename(self.dir), tuple(columns)))
+        return docvalues(self, columns)
+
+    monkeypatch.setattr(SegmentReader, "docvalues", spy)
+    r = s.search({"query": None, "sort_by": "val", "limit": 1})
+    assert [d["doc"]["doc_id"] for d in r["docs"]] == [7]
+    assert (seg_a, ("val",)) in seen and not [c for name, c in seen if name == seg_b]
+    monkeypatch.undo()
     # nulls last, doc_id ascending among them; past-the-end k is exact
     r = s.search({"query": None, "sort_by": "val", "limit": 200})
     got = [d["doc"]["doc_id"] for d in r["docs"]]
@@ -1232,6 +1258,8 @@ def test_sort_floor_null_values(ray_session):
     # limit 0 returns no rows (and must not crash the prune threshold)
     r = s.search({"query": None, "sort_by": "val", "limit": 0})
     assert r["hits"] == 0 and r["docs"] == []
+    _same_on_one_segment_groups(s, [{"query": None, "sort_by": "val", "limit": k}
+                                    for k in (10, 1, 200, 0)])
 
 
 def test_fastfield_reads_are_column_pruned(ray_session, monkeypatch):

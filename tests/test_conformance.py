@@ -285,10 +285,59 @@ def test_error_range_float():  # range.rs:191-203
     )
 
 
+@pytest.mark.parametrize("bound, unexpected", [("3", 'string "3"'), (True, "boolean `true`")])
+def test_error_range_bound_not_an_integer(bound, unexpected):  # serde wording, unverified
+    with pytest.raises(QueryError) as e:
+        parse_query({"range": {"test_i64": {"gte": bound}}})
+    assert str(e.value) == f"Error Parsing Json: 'invalid type: {unexpected}, expected i64'"
+
+
 def test_error_range_negative_u64(searcher):  # range.rs:206-218
     with pytest.raises(QueryError) as e:
         hits(searcher, {"range": {"test_u64": {"gte": -1, "lte": 10}}})
     assert str(e.value) == "Error Parsing Json: 'invalid value: integer `-1`, expected u64'"
+
+
+def test_limit_is_a_usize(searcher):  # mod.rs:106-118, serde `limit: usize`
+    q = {"term": {"test_text": "document"}}
+    r = hits(searcher, q, limit=0)
+    assert r["hits"] == 0 and r["docs"] == []
+    assert hits(searcher, q, limit=(1 << 64) - 1)["hits"] == 3
+    for limit in (-1, -3, 1 << 64):
+        with pytest.raises(QueryError) as e:
+            hits(searcher, q, limit=limit)
+        assert str(e.value) == f"Error Parsing Json: 'invalid value: integer `{limit}`, expected usize'"
+
+
+# The integer and floating point forms are the reference's goldens; the
+# others follow serde's `Unexpected` wording, unchecked against it.
+@pytest.mark.parametrize("limit, unexpected", [
+    (1.7, "floating point `1.7`"),
+    (2.0, "floating point `2.0`"),
+    (True, "boolean `true`"),
+    ("2", 'string "2"'),
+    ("x", 'string "x"'),
+    (None, "unit value"),
+    ([5], "sequence"),
+])
+def test_error_limit_not_an_integer(searcher, limit, unexpected):
+    with pytest.raises(QueryError) as e:
+        hits(searcher, None, limit=limit)
+    assert str(e.value) == f"Error Parsing Json: 'invalid type: {unexpected}, expected usize'"
+
+
+@pytest.mark.parametrize("body, error", [
+    ([{"query": None}], "invalid type: sequence, expected struct Search"),
+    ("x", 'invalid type: string "x", expected struct Search'),
+    ({"facets": ["test_facet"]}, "invalid type: sequence, expected a map"),
+    ({"facets": {"test_facet": "/"}}, 'invalid type: string "/", expected a sequence'),
+    ({"facets": {"test_facet": [1]}}, "invalid type: integer `1`, expected a string"),
+    ({"sort_by": 5}, "invalid type: integer `5`, expected a string"),
+])
+def test_error_search_body_shape(searcher, body, error):  # serde `Search` (unverified wording)
+    with pytest.raises(QueryError) as e:
+        searcher.search(body)
+    assert str(e.value) == f"Error Parsing Json: '{error}'"
 
 
 def test_error_nested_bool_golden():  # boolean.rs parse_queries golden string

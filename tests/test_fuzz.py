@@ -542,7 +542,7 @@ def test_funnel_random_vs_bruteforce(ray_session):
 
 def test_sort_topk_random_nulls_vs_reference(ray_session):
     """Randomized sort-by top-k across segment layouts with random NULL
-    patterns in the sort field: the zone-map floor + running-threshold
+    patterns in the sort field: the zone-map walk's running-threshold
     pruning must stay invisible — results always equal the numpy
     reference ordering (value desc, NULLS LAST, doc_id asc), for any k
     including 0 and past-the-end."""

@@ -267,6 +267,15 @@ def test_64_segments_equal_one_segment_and_read_only_what_they_need(monkeypatch)
     r = cold.search({"query": {"all": {}}, "sort_by": "doc_id", "limit": 5})
     assert [d["doc"]["doc_id"] for d in r["docs"]] == [n - 1 - i for i in range(5)]
     assert {os.path.basename(d) for d in seen} == {segs[-1]["name"]}
+    # a filtered sort walks down from the top segment and stops below
+    # the one that supplies its 5th match
+    seen.clear()
+    matches = sorted(oracle.term_scores("text", "the"), reverse=True)
+    r = cold.search({"query": T("the"), "sort_by": "doc_id", "limit": 5})
+    assert [d["doc"]["doc_id"] for d in r["docs"]] == matches[:5]
+    walked = {d // per for d in matches if d // per >= matches[4] // per}
+    assert {os.path.basename(d) for d in seen} == {segs[i]["name"] for i in walked}
+    assert len(walked) < len(segs)
 
 
 @pytest.mark.parametrize("terms", [["b", "a", "c", "a"], ["a", "b", "c"], ["c"], []])

@@ -140,6 +140,20 @@ def test_search_error_shape(server, ray_session):
     assert msg.startswith("Error in query execution:")
 
 
+def test_bad_search_body_is_400_not_500(server, ray_session):
+    """A body serde would refuse (a negative limit, a list body, a list
+    of facets) is a client error with the reference's message."""
+    _req("PUT", server.addr + "/bodyidx/_create", SCHEMA)
+    _req("PUT", server.addr + "/bodyidx", {"document": {"doc_id": 0, "text": "hello"}})
+    for body, error in [({"limit": -1}, "invalid value: integer `-1`, expected usize"),
+                        ([], "invalid type: sequence, expected struct Search"),
+                        ({"facets": ["text"]}, "invalid type: sequence, expected a map")]:
+        with pytest.raises(urllib.error.HTTPError) as e:
+            _req("POST", server.addr + "/bodyidx", body)
+        assert e.value.code == 400
+        assert json.loads(e.value.read())["message"] == f"Error Parsing Json: '{error}'"
+
+
 def test_client_roundtrip(server, ray_session):
     """ToshiClient drives the live router end-to-end (the reference's
     client+router test, lib.rs:16-33, with the full CRUD flow)."""

@@ -327,7 +327,7 @@ def tfidf_keywords(ds, k: int = 3, col: str = "text", id_col: str = "doc_id",
 
     Both passes stream; only the vocab-sized df table materializes —
     gathered as Arrow blocks (``gather_table``), never per-row dicts.
-    ``min_df`` floors the broadcast vocabulary inside the df-fold tasks
+    ``min_df`` sets a floor on the broadcast vocabulary inside the df-fold tasks
     (web vocabularies are mostly junk hapaxes; a floor of even 2 drops
     the bulk before it reaches the driver); floored terms are excluded
     from keyword candidates. The default ``min_df=1`` keeps every term
@@ -580,7 +580,7 @@ def lm_surprisal(ds, col: str = "text", id_col: str = "doc_id",
     combine, 64-way partitioned sum) gathered once as Arrow blocks
     (``gather_table``, no per-row dicts) and broadcast via ray.put
     (Zipf-bounded vocabulary); pass 2 is map-only scoring.
-    ``min_count`` floors the broadcast table INSIDE the fold tasks —
+    ``min_count`` sets a floor on the broadcast table INSIDE the fold tasks —
     floored (rare) tokens score with c_t = 1 while the corpus total N
     stays exact via a per-partition dropped-mass row (the empty-string
     gram, which no real token can be). The default ``min_count=1`` is

@@ -33,6 +33,7 @@ Error strings are the reference's golden formats:
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field as dc_field
 from typing import Any
 
@@ -137,32 +138,53 @@ class Search:
 
     @classmethod
     def from_json(cls, body: dict | None) -> "Search":
-        body = body or {}
-        return cls(
-            query=parse_query(body.get("query")),
-            limit=int(body.get("limit", DEFAULT_LIMIT)),
-            facets=body.get("facets"),
-            sort_by=body.get("sort_by"),
-        )
+        """The body's fields, typed as the reference's serde derive
+        types them: ``limit`` a usize, ``facets`` a map of field to
+        root paths, ``sort_by`` a string; anything else is a
+        `QueryError.json`."""
+        body = {} if body is None else _expect(body, dict, "struct Search")
+        facets, sort_by = body.get("facets"), body.get("sort_by")
+        if facets is not None:
+            for roots in _expect(facets, dict, "a map").values():
+                for root in _expect(roots, list, "a sequence"):
+                    _expect(root, str, "a string")
+        if sort_by is not None:
+            _expect(sort_by, str, "a string")
+        limit = _expect(body.get("limit", DEFAULT_LIMIT), int, "usize")
+        if not 0 <= limit < 1 << 64:
+            raise QueryError.json(f"invalid value: {_unexpected(limit)}, expected usize")
+        return cls(query=parse_query(body.get("query")), limit=limit, facets=facets, sort_by=sort_by)
+
+
+def _unexpected(v: Any) -> str:
+    """A JSON value as serde's `Unexpected` names it in an error. The
+    integer and floating point forms match the reference's goldens; the
+    others follow serde's wording, unchecked against the reference."""
+    if isinstance(v, bool):
+        return f"boolean `{'true' if v else 'false'}`"
+    if isinstance(v, int):
+        return f"integer `{v}`"
+    if isinstance(v, float):
+        return f"floating point `{v}`"
+    if isinstance(v, str):
+        return f"string {json.dumps(v)}"
+    if v is None:
+        return "unit value"
+    return "sequence" if isinstance(v, list) else "map"
+
+
+def _expect(v: Any, kind: type, expected: str) -> Any:
+    """``v`` if it is of JSON type ``kind``, else serde's invalid-type
+    error."""
+    if isinstance(v, kind) and not isinstance(v, bool):
+        return v
+    raise QueryError.json(f"invalid type: {_unexpected(v)}, expected {expected}")
 
 
 def _single_entry(obj: dict, kind: str) -> tuple[str, Any]:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise QueryError.execution(f"{kind} query must address exactly one field")
     return next(iter(obj.items()))
-
-
-def _check_int_bound(v: Any, field_hint: str = "i64") -> Any:
-    if v is None:
-        return None
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise QueryError.json(f"invalid type: {v!r}, expected {field_hint}")
-    if isinstance(v, float):
-        # serde golden: range.rs:191-203
-        raise QueryError.json(
-            f"invalid type: floating point `{v}`, expected i64"
-        )
-    return v
 
 
 def parse_query(obj: Any) -> Any:
@@ -216,7 +238,9 @@ def parse_query(obj: Any) -> Any:
         f, v = _single_entry(body, "Range")
         if not isinstance(v, dict):
             raise QueryError.execution("Range query requires bounds")
-        bounds = {k: _check_int_bound(v.get(k)) for k in ("gte", "lte", "gt", "lt")}
+        # serde golden for a float bound: range.rs:191-203
+        bounds = {k: None if v.get(k) is None else _expect(v[k], int, "i64")
+                  for k in ("gte", "lte", "gt", "lt")}
         if all(b is None for b in bounds.values()):
             raise QueryError.execution("Range query must have at least one bound")
         return RangeQuery(field=f, **bounds)

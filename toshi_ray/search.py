@@ -339,14 +339,13 @@ class SegmentGroupScorer:
         k: int,
         sort_by: str | None = None,
         facets: dict | None = None,
-        sort_floor: float | None = None,
     ):
         """The group's top k of ``plan``: one evaluation over its readers,
         tombstones dropped once, one lexsort on (score or sort value
         desc, doc id asc; a NULL sort value, NaN, sorts last).
         → (doc ids, scores or sort values, reader ordinals, facet counts)."""
         if sort_by is not None and not facets and k > 0:
-            ids, keys, src = self._sorted_with_zone_pruning(plan, stats, k, sort_by, sort_floor)
+            ids, keys, src = self._sorted_with_zone_pruning(plan, stats, k, sort_by)
             counts: dict[str, int] = {}
         else:
             ids, keys, src = self._live(self._eval(plan, stats, range(len(self.readers))), stats)
@@ -356,14 +355,14 @@ class SegmentGroupScorer:
         order = np.lexsort((ids, -keys))[:k]
         return ids[order], keys[order], src[order], counts
 
-    def _sorted_with_zone_pruning(self, plan, stats: Stats, k: int, sort_by: str, sort_floor):
-        """Sort-by top k, read segment by segment: a segment whose
-        zone-map max for the sort field is below the driver's global
-        floor (`Searcher._sort_floor`) or the running k-th value cannot
-        place a doc in the top k (a tie at zmax could still win on doc
-        id, so both skips are strict <). Segments of unknown bound come
-        first, then zmax desc, so the threshold tightens as early as
-        possible. → the kept segments' top-k rows (ids, values, ordinals)."""
+    def _sorted_with_zone_pruning(self, plan, stats: Stats, k: int, sort_by: str):
+        """Sort-by top k, read segment by segment. Segments of unknown
+        bound come first, then zone-map max for the sort field desc,
+        so the running k-th value tightens as early as possible. The
+        walk stops at the first segment whose zmax is below it: that
+        segment, and every later one, cannot place a doc in the top k
+        (a tie at zmax could still win on doc id, so the stop is strict
+        <). → the visited segments' top-k rows (ids, values, ordinals)."""
 
         def zmax(r):
             # float: the ranking compares float64 values, so an exact
@@ -372,14 +371,11 @@ class SegmentGroupScorer:
             return None if z is None else float(z[1])
 
         zs = [zmax(r) for r in self.readers]
-        visit = sorted(
-            (o for o, z in enumerate(zs) if z is None or sort_floor is None or z >= sort_floor),
-            key=lambda o: (0, 0) if zs[o] is None else (1, -zs[o]),
-        )
+        visit = sorted(range(len(zs)), key=lambda o: (0, 0) if zs[o] is None else (1, -zs[o]))
         chunks, top = [], np.empty(0, np.float64)  # top: the running k best real values, desc
         for o in visit:
             if zs[o] is not None and top.size >= k and zs[o] < top[k - 1]:
-                continue
+                break
             ids, _, src = self._live(self._eval(plan, stats, [o]), stats)
             if ids.size == 0:
                 continue
@@ -393,16 +389,12 @@ class SegmentGroupScorer:
             return _NO_HITS
         return tuple(np.concatenate(c) for c in zip(*chunks))
 
-    def score_topk_many(
-        self, plans, stats: Stats, ks, sort_bys, facets_list, sort_floors=None
-    ):
+    def score_topk_many(self, plans, stats: Stats, ks, sort_bys, facets_list):
         """Batched variant: score MANY queries in one actor round-trip
         (amortizes RPC + postings fetch for query-set workloads)."""
-        if sort_floors is None:
-            sort_floors = [None] * len(plans)
         return [
-            self.score_topk(p, stats, k, sb, fc, fl)
-            for p, k, sb, fc, fl in zip(plans, ks, sort_bys, facets_list, sort_floors)
+            self.score_topk(p, stats, k, sb, fc)
+            for p, k, sb, fc in zip(plans, ks, sort_bys, facets_list)
         ]
 
     def count_matches(self, plan, stats: Stats) -> int:
@@ -1070,65 +1062,15 @@ class Searcher:
         """→ {"hits": n, "docs": [{"score": s, "doc": {...}}], "facets": {...}}"""
         return self.multi_search([body])[0]
 
-    @staticmethod
-    def _sort_floor(s: Search, stats: Stats, segments: list[dict]) -> float | None:
-        """Driver-side global lower bound on the k-th sort value for a
-        match-all sort-by query, from the manifest's zone maps alone.
-
-        Scorer groups prune independently (each sees only its own
-        segments), so with one segment per group the in-group running
-        threshold never engages. For `AllQuery` the driver CAN bound
-        the k-th value without scoring: every live VALUED doc of a
-        segment matches with sort value >= the segment's zone-min, so
-        walking segments by zone-min descending and accumulating
-        valued-live counts until >= k proves k rows sort at/above that
-        zone-min. Any segment whose zone-max is strictly below it
-        cannot place a row (a tie at the floor could still win the
-        doc_id tie-break, hence strict <). Docs with a NULL sort value
-        sort LAST, so only the zone map's n_valid count (stats without
-        it contribute nothing) may be accumulated — counting null docs
-        would prune segments that hold real top-k rows. Filtered
-        queries give no per-segment match counts, so no floor.
-        `segments` are the pinned snapshot's, whose pool does the
-        scoring."""
-        if s.sort_by is None or s.facets or not isinstance(s.query, AllQuery):
-            return None
-        k = s.limit
-        if k <= 0:
-            return None
-        tomb = stats.tombstones  # sorted, unique (load_tombstones)
-        cands = []
-        for seg in segments:
-            z = seg.get("fastfield_stats", {}).get(s.sort_by)
-            if z is None:
-                continue  # unknown bounds/counts just don't contribute
-            live = int(z[2])  # valued docs only — nulls sort last
-            if tomb is not None and tomb.size:
-                # worst case every in-range tombstone was a valued doc
-                lo = np.searchsorted(tomb, int(seg["min_doc_id"]), "left")
-                hi = np.searchsorted(tomb, int(seg["max_doc_id"]), "right")
-                live -= int(hi - lo)
-            if live > 0:
-                cands.append((float(z[0]), live))
-        cands.sort(key=lambda t: -t[0])
-        acc = 0
-        for zmin, live in cands:
-            acc += live
-            if acc >= k:
-                return zmin
-        return None
-
     def multi_search(self, bodies: list) -> list[dict]:
         """Execute a batch of queries with ONE stats round-trip and ONE
         scoring round-trip per scorer group (query-set workloads).
-        Stats, sort floors, scoring and the winner fetch all read one
-        pinned snapshot: stats of one manifest scored over another's
-        segments would give wrong idfs, and a floor from another
-        manifest could prune live rows."""
+        Stats, scoring and the winner fetch all read one pinned
+        snapshot: stats of one manifest scored over another's segments
+        would give wrong idfs."""
         snap = self._pin()
         searches = [snap.plan(b) for b in bodies]
         stats = snap.stats([s.query for s in searches])
-        floors = [self._sort_floor(s, stats, snap.segments) for s in searches]
         groups = snap.pool
         group_results = self._dispatch(
             groups,
@@ -1138,7 +1080,6 @@ class Searcher:
             [s.limit for s in searches],
             [s.sort_by for s in searches],
             [s.facets for s in searches],
-            floors,
         )
 
         # per-query global merge + one combined winner-fetch per group

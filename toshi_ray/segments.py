@@ -399,10 +399,10 @@ def finish_segment(seg_dir: str, meta: dict, terms: pa.Table) -> dict:
     - ``fastfield_stats``, the zone maps: [min, max, n_valid] per
       integer fast field, doc_id included, from the docvalues part
       footers (a part written without statistics has that column
-      read). A range or sort query skips a segment on its bounds, and
-      n_valid (non-null values only) lets the sort-by floor bound the
-      k-th value; a column with no value has no entry;
-    - ``num_docs`` and ``min_doc_id``, from doc_id's zone map;
+      read). A range or sort query skips a segment on its bounds; a
+      column with no value has no entry;
+    - ``num_docs`` (doc_id's n_valid) and ``min_doc_id``, from
+      doc_id's zone map;
     - ``term_bloom`` and its ``termbloom.bin``, over ``terms``: the
       (field, term) columns of the postings written there (the build
       passes the table it wrote, so a commit reads no postings back);
